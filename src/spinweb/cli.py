@@ -47,6 +47,10 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -70,36 +74,45 @@ def _parse_refs(spec: str):
     refs = []
     ring_eps = 0.01
     for token in filter(None, spec.split(",")):
+        name, eq, value = token.partition("=")
         if token in ("ring", "star"):
             refs.append(token)
         elif token == "ansatz":
             refs.append("singlet_ansatz")
-        elif token.startswith("ring-eps"):
+        elif name == "ring-eps":
             refs.append("ring_eps")
-            if "=" in token:
-                ring_eps = float(token.split("=", 1)[1])
+            if eq:
+                try:
+                    ring_eps = float(value)
+                except ValueError:
+                    raise DomainError(
+                        f"ring-eps value {value!r} is not a number") from None
         else:
             raise DomainError(f"unknown reference {token!r}")
     return tuple(refs), ring_eps
 
 
-def _parse_pairs(spec: str, n_outer: int):
-    nn, nnn = (1, 2), None
-    tokens = [t for t in spec.split(",") if t]
-    parsed = []
-    for t in tokens:
-        if t == "nn":
-            parsed.append((1, 2))
-        elif t == "nnn":
-            parsed.append((1, 3) if n_outer >= 3 else (1, 2))
-        else:
-            a, b = t.split(":")
-            parsed.append((int(a), int(b)))
-    if len(parsed) >= 1:
-        nn = parsed[0]
-    if len(parsed) >= 2:
-        nnn = parsed[1]
-    return nn, nnn
+def _pair_tokens(spec: str) -> list:
+    """argparse type for --pairs: 'nn', 'nnn' or 'a:b' tokens, comma separated."""
+    tokens = []
+    for t in filter(None, spec.split(",")):
+        if t in ("nn", "nnn"):
+            tokens.append(t)
+            continue
+        try:
+            a, b = map(int, t.split(":"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"pair {t!r} is not nn, nnn or a:b with integer sites") from None
+        tokens.append((a, b))
+    return tokens
+
+
+def _steps(text: str) -> int:
+    """argparse type for --c-steps: a nonnegative interval count."""
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _record_row(r) -> dict:
@@ -119,10 +132,24 @@ def _crossing_row(x) -> dict:
             "min_gap": x.min_gap}
 
 
+def _write_csv_sidecars(out: str, crossings: list, manifest: dict) -> None:
+    """Crossings CSV and manifest JSON written beside a CSV output file."""
+    xl = ["c_lo,c_hi,label_from,label_to,min_gap"]
+    for x in crossings:
+        xl.append(",".join([_fmt(x["c_lo"]), _fmt(x["c_hi"]),
+                            str(x["label_from"]), str(x["label_to"]),
+                            _fmt(x["min_gap"])]))
+    _atomic_write(out + ".crossings.csv", "\n".join(xl) + "\n")
+    _atomic_write(out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+
+
 def cmd_sweep(args) -> int:
     _check_n(args.n)
     refs, ring_eps = _parse_refs(args.refs)
-    nn, nnn = _parse_pairs(args.pairs, args.n)
+    nnn_default = (1, 3) if args.n >= 3 else (1, 2)
+    pairs = [{"nn": (1, 2), "nnn": nnn_default}.get(t, t) for t in args.pairs]
+    nn = pairs[0] if pairs else (1, 2)
+    nnn = pairs[1] if len(pairs) >= 2 else None
     grid = np.linspace(args.c_min, args.c_max, args.c_steps + 1)
     config = SweepConfig(
         n_outer=args.n, J=args.j, c_grid=grid, nn_pair=nn, nnn_pair=nnn,
@@ -137,8 +164,9 @@ def cmd_sweep(args) -> int:
 
     manifest = _manifest("sweep", {
         "n": args.n, "j": args.j, "c_min": args.c_min, "c_max": args.c_max,
-        "c_steps": args.c_steps, "pairs": args.pairs, "refs": args.refs,
-        "levels": args.levels, "format": args.format,
+        "c_steps": args.c_steps,
+        "pairs": ",".join(t if isinstance(t, str) else "%d:%d" % t for t in args.pairs),
+        "refs": args.refs, "levels": args.levels, "format": args.format,
     })
     crossings = [_crossing_row(x) for x in track.crossings] if track else []
 
@@ -160,14 +188,7 @@ def cmd_sweep(args) -> int:
                 _fmt(row[c]) if c not in ("deg",) else str(row[c]) for c in cols))
         _emit(args.out, "\n".join(lines) + "\n")
         if args.out:
-            xl = ["c_lo,c_hi,label_from,label_to,min_gap"]
-            for x in crossings:
-                xl.append(",".join([_fmt(x["c_lo"]), _fmt(x["c_hi"]),
-                                    str(x["label_from"]), str(x["label_to"]),
-                                    _fmt(x["min_gap"])]))
-            _atomic_write(args.out + ".crossings.csv", "\n".join(xl) + "\n")
-            _atomic_write(args.out + ".manifest.json",
-                          json.dumps(manifest, indent=2) + "\n")
+            _write_csv_sidecars(args.out, crossings, manifest)
     return 0
 
 
@@ -215,14 +236,7 @@ def cmd_spectrum(args) -> int:
                     lines.append(",".join([label, _fmt(p["c"]), _fmt(p["energy"])]))
         _emit(args.out, "\n".join(lines) + "\n")
         if args.out:
-            xl = ["c_lo,c_hi,label_from,label_to,min_gap"]
-            for x in payload["crossings"]:
-                xl.append(",".join([_fmt(x["c_lo"]), _fmt(x["c_hi"]),
-                                    str(x["label_from"]), str(x["label_to"]),
-                                    _fmt(x["min_gap"])]))
-            _atomic_write(args.out + ".crossings.csv", "\n".join(xl) + "\n")
-            _atomic_write(args.out + ".manifest.json",
-                          json.dumps(manifest, indent=2) + "\n")
+            _write_csv_sidecars(args.out, payload["crossings"], manifest)
     return 0
 
 
@@ -328,7 +342,7 @@ def _emit(out, text: str) -> None:
 def _add_grid_flags(p):
     p.add_argument("--c-min", type=float, default=0.0)
     p.add_argument("--c-max", type=float, default=1.0)
-    p.add_argument("--c-steps", type=int, default=400,
+    p.add_argument("--c-steps", type=_steps, default=400,
                    help="number of grid intervals (points = steps + 1)")
 
 
@@ -343,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of outer spins")
     p.add_argument("--j", type=float, default=1.0)
     _add_grid_flags(p)
-    p.add_argument("--pairs", default="nn,nnn",
+    p.add_argument("--pairs", type=_pair_tokens, default="nn,nnn",
                    help="'nn,nnn' or explicit pairs like '1:2,1:3'")
     p.add_argument("--refs", default="ring,star",
                    help="comma list of ring, star, ring-eps[=eps], ansatz")

@@ -79,7 +79,8 @@ def correlation(state: QuantumState, system: SpinSystem, axis: str,
                 site_i: int, site_j: int) -> float:
     """Two-point correlator <sigma_axis(i) sigma_axis(j)> in the given state."""
     op = pauli_pair(system, site_i, site_j, axis)
-    val = float(np.real(np.trace(state.density() @ op.matrix)))
+    f = state.factor
+    val = float(np.real(np.vdot(f, op.matrix @ f)))
     if abs(val) > 1.0 + 1e-10:
         raise DomainError(f"correlator {val} outside [-1, 1]")
     return val

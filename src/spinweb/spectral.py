@@ -85,7 +85,7 @@ def ground_subspace(spec: Spectrum, tol_deg: float = DEFAULT_DEGENERACY_TOL) -> 
 
     Degeneracy counts eigenvalues within ``tol_deg * max(1, spectral_range)``
     of the minimum; the density is the normalized projector onto their span,
-    which is independent of the basis choice.
+    which is independent of the basis choice, stored as the factor B/sqrt(deg).
     """
     ev = spec.eigenvalues
     if ev.size == 0:
@@ -93,8 +93,8 @@ def ground_subspace(spec: Spectrum, tol_deg: float = DEFAULT_DEGENERACY_TOL) -> 
     thr = tol_deg * max(1.0, float(ev[-1] - ev[0]))
     deg = int(np.count_nonzero(ev <= ev[0] + thr))
     basis = spec.eigenvectors[:, :deg]
-    rho = (basis @ basis.conj().T) / deg
-    return GroundSubspace(float(ev[0]), deg, basis, QuantumState.mixed(rho))
+    return GroundSubspace(float(ev[0]), deg, basis,
+                          QuantumState("mixed", basis / np.sqrt(deg)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,25 +11,23 @@ from .errors import DomainError
 from .system import SpinSystem
 
 NORM_TOL = 1e-12
-TRACE_TOL = 1e-12
-HERM_TOL = 1e-12
 PSD_TOL = -1e-10
 
 
 class QuantumState:
-    """A pure state (unit vector) or mixed state (density matrix).
+    """A quantum state stored as a factor F (dim x rank) with rho = F F-dagger.
 
-    Construct with :meth:`pure` or :meth:`mixed`; both validate their
-    invariants (norm / trace, Hermiticity, positivity) at the documented
-    tolerances.
+    A pure state is the single column F = psi; a mixed state keeps one column
+    per support eigenvector.  Construct with :meth:`pure` or :meth:`mixed`;
+    both validate their invariants (norm / trace, Hermiticity, positivity) at
+    the documented tolerances.
     """
 
-    __slots__ = ("kind", "_vector", "_density")
+    __slots__ = ("kind", "factor")
 
-    def __init__(self, kind, vector=None, density=None):
+    def __init__(self, kind, factor):
         self.kind = kind
-        self._vector = vector
-        self._density = density
+        self.factor = factor
 
     @classmethod
     def pure(cls, amplitudes) -> "QuantumState":
@@ -38,7 +36,7 @@ class QuantumState:
         if abs(norm - 1.0) > 1e-10:
             raise DomainError(f"pure state norm {norm} differs from 1")
         # renormalize away <=1e-10 float noise so downstream tolerances hold
-        return cls("pure", vector=v / norm)
+        return cls("pure", (v / norm)[:, None])
 
     @classmethod
     def mixed(cls, density) -> "QuantumState":
@@ -49,28 +47,25 @@ class QuantumState:
             raise DomainError(f"density trace {np.trace(rho)} differs from 1")
         if np.abs(rho - rho.conj().T).max() > 1e-10:
             raise DomainError("density matrix is not Hermitian")
-        evals = np.linalg.eigvalsh(rho)
+        evals, vecs = np.linalg.eigh(rho)
         if evals.min() < PSD_TOL:
             raise DomainError(f"density matrix has negative eigenvalue {evals.min()}")
-        return cls("mixed", density=rho)
+        support = evals > 1e-15
+        return cls("mixed", vecs[:, support] * np.sqrt(evals[support]))
 
     @property
     def dimension(self) -> int:
-        if self.kind == "pure":
-            return self._vector.shape[0]
-        return self._density.shape[0]
+        return self.factor.shape[0]
 
     @property
     def vector(self) -> np.ndarray:
         if self.kind != "pure":
             raise DomainError("mixed state has no amplitude vector")
-        return self._vector
+        return self.factor[:, 0]
 
     def density(self) -> np.ndarray:
-        """Density matrix; pure states are promoted to projectors."""
-        if self.kind == "pure":
-            return np.outer(self._vector, self._vector.conj())
-        return self._density
+        """Density matrix F F-dagger."""
+        return self.factor @ self.factor.conj().T
 
 
 def mix(states: Sequence[QuantumState], weights: Sequence[float]) -> QuantumState:
@@ -82,15 +77,19 @@ def mix(states: Sequence[QuantumState], weights: Sequence[float]) -> QuantumStat
         raise DomainError("weights must be nonnegative")
     if abs(weights.sum() - 1.0) > NORM_TOL:
         raise DomainError(f"weights sum to {weights.sum()}, not 1")
-    rho = sum(w * s.density() for w, s in zip(weights, states))
-    return QuantumState.mixed(rho)
+    dims = [s.dimension for s in states]
+    if len(set(dims)) > 1:
+        raise DomainError(f"states differ in dimension: {dims}")
+    return QuantumState("mixed", np.hstack(
+        [np.sqrt(w) * s.factor for w, s in zip(weights, states)]))
 
 
 def partial_trace(state: QuantumState, system: SpinSystem, keep: Sequence[int]) -> QuantumState:
     """Reduced density matrix over the given sites.
 
     The tensor factors of the output follow the order of ``keep``, which may
-    differ from the sites' order in the full system.
+    differ from the sites' order in the full system.  The traced sites join
+    the rank index of the factor, so no full density is formed.
     """
     keep = list(keep)
     if not keep:
@@ -101,21 +100,10 @@ def partial_trace(state: QuantumState, system: SpinSystem, keep: Sequence[int]) 
         system.validate_site(s)
 
     q = system.n_qubits
-    rho = state.density().reshape((2,) * (2 * q))
+    f = state.factor.reshape((2,) * q + (-1,))
     keep_pos = [system.tensor_position(s) for s in keep]
-    traced = [p for p in range(q) if p not in keep_pos]
-
-    # contract each traced axis against its primed partner
-    for p in sorted(traced, reverse=True):
-        rho = np.trace(rho, axis1=p, axis2=p + rho.ndim // 2)
-    # remaining axes are the kept positions in ascending order; permute to keep order
-    remaining = sorted(keep_pos)
-    perm = [remaining.index(p) for p in keep_pos]
-    k = len(keep)
-    rho = rho.transpose(perm + [k + i for i in perm]).reshape((2 ** k, 2 ** k))
-    if np.abs(rho.imag).max() < 1e-14:
-        rho = rho.real.astype(complex)
-    return QuantumState.mixed(rho)
+    f = np.moveaxis(f, keep_pos, range(len(keep)))
+    return QuantumState("mixed", f.reshape(2 ** len(keep), -1))
 
 
 @dataclass(frozen=True)
@@ -152,37 +140,17 @@ class TwoQubitRDM:
         return (m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real, m[1, 2])
 
 
-def _sqrt_psd_factor(rho: np.ndarray):
-    """Support eigenpairs (p, U) of a PSD matrix with tiny negatives clamped."""
-    evals, vecs = np.linalg.eigh(rho)
-    if evals.min() < PSD_TOL:
-        raise DomainError(f"matrix not PSD: eigenvalue {evals.min()}")
-    evals = np.clip(evals, 0.0, None)
-    mask = evals > 1e-15
-    return evals[mask], vecs[:, mask]
-
-
 def fidelity(rho1: QuantumState, rho2: QuantumState) -> float:
     """Uhlmann fidelity F = [tr sqrt(sqrt(rho1) rho2 sqrt(rho1))]^2.
 
-    Pure inputs are promoted to projectors; for two pure states this reduces
-    to |<psi1|psi2>|^2.  Computed on the support of rho1, which makes
-    low-rank ground mixtures cheap.
+    With rho_i = F_i F_i-dagger the trace norm of sqrt(rho1) sqrt(rho2) equals
+    that of F1-dagger F2, so F is the squared sum of its singular values: a
+    rank1 x rank2 problem.  For two pure states this is |<psi1|psi2>|^2; for
+    projector mixtures B_i/sqrt(d_i) it is (sum sigma)^2/(d1 d2) (Jozsa 1994).
     """
     if rho1.dimension != rho2.dimension:
         raise DomainError(
             f"dimension mismatch: {rho1.dimension} vs {rho2.dimension}"
         )
-    if rho1.kind == "pure":
-        v = rho1.vector
-        return float(np.real(v.conj() @ rho2.density() @ v))
-    if rho2.kind == "pure":
-        v = rho2.vector
-        return float(np.real(v.conj() @ rho1.density() @ v))
-    p, u = _sqrt_psd_factor(rho1.density())
-    sp = np.sqrt(p)
-    core = (sp[:, None] * (u.conj().T @ rho2.density() @ u)) * sp[None, :]
-    evals = np.linalg.eigvalsh(core)
-    evals = np.clip(evals, 0.0, None)
-    f = float(np.sqrt(evals).sum() ** 2)
-    return min(f, 1.0)
+    sv = np.linalg.svd(rho1.factor.conj().T @ rho2.factor, compute_uv=False)
+    return min(float(sv.sum() ** 2), 1.0)

@@ -50,6 +50,9 @@ class SweepConfig:
         for ref in self.references:
             if ref not in ("ring", "star", "ring_eps", "singlet_ansatz"):
                 raise DomainError(f"unknown reference {ref!r}")
+        if "ring" in self.references and "ring_eps" in self.references:
+            raise DomainError("references 'ring' and 'ring_eps' fill the same "
+                              "O_r column; choose one")
         object.__setattr__(self, "c_grid", grid)
 
     @property
@@ -183,10 +186,10 @@ def optimize_ansatz_phases(n_outer: int, target: QuantumState, *,
         raise DomainError(
             f"target dimension {target.dimension} does not match terms ({dim})"
         )
-    rho = target.density()
     t = np.column_stack(terms)
     gram = t.conj().T @ t
-    overlap = t.conj().T @ rho @ t
+    tf = t.conj().T @ target.factor
+    overlap = tf @ tf.conj().T
 
     k = len(terms)
     if k == 1:
@@ -259,8 +262,8 @@ def ansatz_overlap(n_outer: int, state: QuantumState, system: SpinSystem, *,
     if n_outer % 2 == 1:
         terms = ansatz_terms(n_outer, include_central=True)
         target = state
-        rho = state.density()
-        scale = round(1.0 / np.real(np.trace(rho @ rho)))
+        g = state.factor.conj().T @ state.factor
+        scale = round(1.0 / np.vdot(g, g).real)
     else:
         terms = ansatz_terms(n_outer, include_central=False)
         target = partial_trace(state, system, list(range(1, n_outer + 1)))

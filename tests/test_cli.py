@@ -17,6 +17,17 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# source root of the spinweb under test; children get it on PYTHONPATH so they
+# import it whether or not the package is installed
+SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(spinweb.__file__)))
+
+
+def child_env():
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": SRC_ROOT + (os.pathsep + path if path else "")}
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 # ---------------------------------------------------------------------------
@@ -24,14 +35,35 @@ def run_cli(*argv):
 def test_usage_error_exits_2():
     proc = subprocess.run(
         [sys.executable, "-m", "spinweb.cli", "sweep", "--n", "not-a-number"],
-        capture_output=True)
+        capture_output=True, env=child_env())
     assert proc.returncode == 2
 
 
 def test_missing_subcommand_exits_2():
     proc = subprocess.run([sys.executable, "-m", "spinweb.cli"],
-                          capture_output=True)
+                          capture_output=True, env=child_env())
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("extra, code", [
+    (["--pairs", "1-2"], 2),
+    (["--pairs", "1:x"], 2),
+    (["--pairs", "1:2:3"], 2),
+    (["--c-steps", "-1"], 2),
+    (["--refs", "ring-eps=abc"], 3),
+    (["--refs", "ring,ring-eps"], 3),
+    (["--c-steps", "0"], 0),
+])
+def test_bad_sweep_input_exits_with_code_not_traceback(extra, code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinweb.cli", "sweep", "--n", "3",
+         "--c-steps", "2", *extra],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 3:
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
 
 
 def test_resource_guard_exits_4(capsys):
@@ -50,6 +82,17 @@ def test_domain_error_exits_3(capsys):
 def test_unknown_reference_exits_3():
     assert run_cli("sweep", "--n", "4", "--c-steps", "2",
                    "--refs", "bogus") == 3
+
+
+def test_output_files_follow_umask(tmp_path):
+    out = tmp_path / "report.txt"
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        old = os.umask(umask)
+        try:
+            assert run_cli("verify-n4", "--out", str(out)) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == mode
 
 
 def test_success_exits_0(tmp_path):
@@ -223,8 +266,7 @@ def test_thread_knob_sets_blas_env():
     # hook records the variables at the moment numpy is first imported: the
     # knob has to be in place before numpy loads its BLAS, for plain
     # ``import spinweb`` as well as ``import spinweb.cli``.
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(spinweb.__file__)))
-    env = {"PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONPATH": src_root}
+    env = {"PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONPATH": SRC_ROOT}
     for module in ("spinweb.cli", "spinweb"):
         code = (
             "import os, sys\n"

@@ -67,6 +67,7 @@ def test_ground_subspace_degeneracy_and_projector():
     gs = ground_subspace(_solve(4, 0.0))
     assert gs.degeneracy == 2
     assert abs(gs.energy - (-4.0 * np.sqrt(2.0))) < 1e-10
+    assert gs.density.factor.shape == (gs.basis.shape[0], 2)
     rho = gs.density.density()
     np.testing.assert_allclose(rho, rho.conj().T)
     assert abs(np.trace(rho).real - 1.0) < 1e-12

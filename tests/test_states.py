@@ -1,7 +1,10 @@
 """States, partial trace, mixing and fidelity."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +26,34 @@ def _random_pure(rng, dim):
     return QuantumState.pure(v / np.linalg.norm(v))
 
 
+def _random_rank(rng, dim, rank):
+    """Random density matrix of the given rank."""
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def _dense_partial_trace(rho, system, keep):
+    """Oracle: einsum over the full density, kept factors in ``keep`` order."""
+    q = system.n_qubits
+    rows = [chr(ord("a") + p) for p in range(q)]
+    cols = [chr(ord("A") + p) for p in range(q)]
+    keep_pos = [system.tensor_position(s) for s in keep]
+    for p in range(q):
+        if p not in keep_pos:
+            cols[p] = rows[p]
+    out = "".join(rows[p] for p in keep_pos) + "".join(cols[p] for p in keep_pos)
+    red = np.einsum("".join(rows) + "".join(cols) + "->" + out,
+                    rho.reshape((2,) * (2 * q)))
+    return red.reshape(2 ** len(keep), 2 ** len(keep))
+
+
+def _uhlmann(rho1, rho2):
+    """Oracle: F = [tr sqrt(sqrt(rho1) rho2 sqrt(rho1))]^2 with dense sqrtm."""
+    s = scipy.linalg.sqrtm(rho1)
+    return np.trace(scipy.linalg.sqrtm(s @ rho2 @ s)).real ** 2
+
+
 # ---------------------------------------------------------------------------
 # QuantumState invariants
 # ---------------------------------------------------------------------------
@@ -42,6 +73,12 @@ def test_mixed_state_invariants_enforced():
         QuantumState.mixed(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
     with pytest.raises(DomainError):
         QuantumState.mixed(np.diag([1.5, -0.5]))  # negative eigenvalue
+    # the state keeps only its support factor; density() rebuilds the input
+    rng = np.random.default_rng(7)
+    for rank in (1, 2, 5):
+        rho = _random_rank(rng, 5, rank)
+        np.testing.assert_allclose(QuantumState.mixed(rho).density(), rho,
+                                   atol=1e-12)
 
 
 def test_mix_weights_validated():
@@ -51,6 +88,8 @@ def test_mix_weights_validated():
     np.testing.assert_allclose(rho.density(), np.diag([0.25, 0.75]))
     with pytest.raises(DomainError):
         mix([up, dn], [0.5, 0.6])
+    with pytest.raises(DomainError):
+        mix([up, QuantumState.pure([1.0, 0.0, 0.0, 0.0])], [0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +125,24 @@ def test_partial_trace_keep_order_swaps_factors(rng):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 4))
-def test_partial_trace_preserves_trace_and_positivity(seed, n_outer):
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 4), st.integers(1, 3))
+def test_partial_trace_preserves_trace_and_positivity(seed, n_outer, rank):
     rng = np.random.default_rng(seed)
     s = SpinSystem(n_outer, has_central=True)
     state = _random_pure(rng, s.dimension)
+    mixture = mix([_random_pure(rng, s.dimension) for _ in range(rank)],
+                  rng.dirichlet(np.ones(rank)))
     keep = list(rng.choice(s.sites, size=2, replace=False))
     rho = partial_trace(state, s, keep).density()
     assert abs(np.trace(rho).real - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho).min() > -1e-12
+    sites = list(rng.choice(s.sites, size=3, replace=False))
+    for k in (1, 2, 3):
+        for order in permutations(sites[:k]):
+            for sample in (state, mixture):
+                np.testing.assert_allclose(
+                    partial_trace(sample, s, order).density(),
+                    _dense_partial_trace(sample.density(), s, order), atol=1e-12)
 
 
 def test_partial_trace_rejects_bad_keep():
@@ -187,3 +235,27 @@ def test_fidelity_mixed_pure_consistency(rng):
     f_general = fidelity(QuantumState.mixed(psi.density()), rho)
     assert abs(f_fast - f_general) < 1e-12
     assert abs(f_fast - 0.25) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_fidelity_rank_deficient_matches_uhlmann_oracle(seed):
+    rng = np.random.default_rng(seed)
+    d = 6
+    r1, r2 = (_random_rank(rng, d, int(r)) for r in rng.integers(1, 4, size=2))
+    # sqrtm of a singular matrix turns round-off eigenvalues (~1e-16) into
+    # ~1e-8 contributions, so the dense oracle is good to about 1e-7
+    f = fidelity(QuantumState.mixed(r1), QuantumState.mixed(r2))
+    assert abs(f - _uhlmann(r1, r2)) < 1e-7
+
+    # projector mixtures B_i/sqrt(d_i): F = (sum of singular values of
+    # B1-dagger B2)^2 / (d1 d2)
+    d1, d2 = (int(x) for x in rng.integers(1, 4, size=2))
+    b1, b2 = (np.linalg.qr(rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k)))[0]
+              for k in (d1, d2))
+    p1 = QuantumState.mixed(b1 @ b1.conj().T / d1)
+    p2 = QuantumState.mixed(b2 @ b2.conj().T / d2)
+    sigma = np.linalg.svd(b1.conj().T @ b2, compute_uv=False)
+    f = fidelity(p1, p2)
+    assert abs(f - sigma.sum() ** 2 / (d1 * d2)) < 1e-12
+    assert abs(f - _uhlmann(p1.density(), p2.density())) < 1e-7

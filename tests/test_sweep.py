@@ -106,6 +106,9 @@ def test_ring_eps_reference_replaces_plain_ring():
     (r,) = run_sweep(cfg)
     assert r.O_r == pytest.approx(1.0, abs=1e-10)
     assert r.O_s is None
+    # both would fill the one O_r column
+    with pytest.raises(DomainError):
+        SweepConfig(n_outer=5, references=("ring", "ring_eps"))
 
 
 def test_even_n_ansatz_overlap_high_near_ring():
