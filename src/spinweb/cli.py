@@ -19,8 +19,7 @@ import numpy as np
 
 from . import __version__, n4
 from .errors import DomainError, ResourceLimitError
-from .hamiltonian import CouplingConfig, build_combined
-from .spectral import eigendecompose, ground_subspace, track_levels
+from .spectral import ground_subspace, solve, track_levels
 from .sweep import SweepConfig, run_sweep
 from .system import SpinSystem
 
@@ -204,10 +203,8 @@ def cmd_spectrum(args) -> int:
         # energies only; no continuation, hence no crossing analysis
         records = []
         for c in grid:
-            h = build_combined(system, CouplingConfig(J=args.j, c=float(c)),
-                               allow_double_bond=(args.n == 2))
-            ev = eigendecompose(h).eigenvalues
-            records.append({"c": float(c), "energies": [float(ev[0])]})
+            spec = solve(system, args.j, float(c), allow_double_bond=(args.n == 2))
+            records.append({"c": float(c), "energies": [float(spec.eigenvalues[0])]})
         payload = {"manifest": manifest, "records": records, "crossings": [],
                    "reports": {"note": "levels < 2: no crossing analysis"}}
     else:
@@ -255,18 +252,13 @@ def cmd_ghz(args) -> int:
     intermediate = (regions[0][1], regions[1][0])
     star = (regions[1][1], 1.0)
     if args.region == "intermediate":
-        region = intermediate
-        c = args.c if args.c is not None else 0.5 * (region[0] + region[1])
+        protocol, region = n4.ghz_protocol, intermediate
+        default_c = 0.5 * (region[0] + region[1])
     else:
-        region = star
-        c = args.c if args.c is not None else 0.95
-    h = build_combined(n4.FULL, CouplingConfig(J=args.j, c=c))
-    gs = ground_subspace(eigendecompose(h))
-    if args.region == "intermediate":
-        outcomes = n4.ghz_protocol(gs, c, args.field_h, J=args.j, region=region)
-    else:
-        outcomes = n4.star_region_protocol(gs, c, args.field_h, J=args.j,
-                                           region=region)
+        protocol, region, default_c = n4.star_region_protocol, star, 0.95
+    c = args.c if args.c is not None else default_c
+    gs = ground_subspace(solve(n4.FULL, args.j, c))
+    outcomes = protocol(gs, c, args.field_h, J=args.j, region=region)
     manifest = _manifest("ghz", {
         "c": c, "j": args.j, "field_h": args.field_h, "region": args.region,
     })
@@ -294,8 +286,7 @@ def cmd_verify_n4(args) -> int:
             checks.append((f"action_table[{which}, |{bit}>|{label}>]", ok))
 
     def coeffs_at(c):
-        h = build_combined(n4.FULL, CouplingConfig(J=1.0, c=c))
-        gs = ground_subspace(eigendecompose(h))
+        gs = ground_subspace(solve(n4.FULL, 1.0, c))
         return gs, n4.extract_coefficients(gs, c)
 
     _, ring_coeffs = coeffs_at(0.0)

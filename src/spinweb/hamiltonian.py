@@ -17,6 +17,9 @@ class CouplingConfig:
     c: float = 0.0
 
     def __post_init__(self):
+        # the spectrum scales with J; the cap keeps J * H clear of float overflow
+        if not abs(self.J) <= 1e100:
+            raise DomainError(f"J must be finite with |J| <= 1e100, got {self.J}")
         if not 0.0 <= self.c <= 1.0:
             raise DomainError(f"c must lie in [0,1], got {self.c}")
 
@@ -36,12 +39,8 @@ def build_ring(system: SpinSystem, J: float = 1.0, *,
             f"n_outer={n} < 3 double-counts ring bonds; "
             "pass allow_double_bond=True to build it anyway"
         )
-    h = None
-    for i in range(1, n + 1):
-        j = i % n + 1
-        bond = xx_coupling(system, i, j)
-        h = bond if h is None else h + bond
-    return J * h
+    return HermitianOperator(
+        J * sum(xx_coupling(system, i, i % n + 1).matrix for i in range(1, n + 1)))
 
 
 def build_star(system: SpinSystem, J: float = 1.0) -> HermitianOperator:
@@ -51,11 +50,8 @@ def build_star(system: SpinSystem, J: float = 1.0) -> HermitianOperator:
     """
     if not system.has_central:
         raise DomainError("build_star requires a system with a central qubit")
-    h = None
-    for i in range(1, system.n_outer + 1):
-        bond = xx_coupling(system, 0, i)
-        h = bond if h is None else h + bond
-    return J * h
+    return HermitianOperator(
+        J * sum(xx_coupling(system, 0, i).matrix for i in range(1, system.n_outer + 1)))
 
 
 def build_combined(system: SpinSystem, config: CouplingConfig, *,

@@ -318,6 +318,8 @@ def _classify(outer_vec: np.ndarray) -> str:
 
 def _measurement_outcomes(c: float, J: float, field_h: float):
     """Split the degeneracy with h*sum(sigma_z), measure the central spin."""
+    if not np.isfinite(field_h):
+        raise DomainError(f"field_h must be finite, got {field_h}")
     h = build_combined(FULL, CouplingConfig(J=J, c=c))
     unperturbed = ground_subspace(eigendecompose(h))
     perturbed = HermitianOperator(h.matrix + field_h * total_sz(FULL).matrix)

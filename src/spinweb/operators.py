@@ -107,16 +107,20 @@ class SzSectorDecomposition:
         raise DomainError(f"no sector with magnetization {magnetization}")
 
 
+def popcount_sectors(dim: int) -> list[np.ndarray]:
+    """Basis indices grouped by popcount (ascending), for dim a power of two."""
+    q = dim.bit_length() - 1
+    pop = np.array([int(b).bit_count() for b in range(dim)])
+    return [np.flatnonzero(pop == k) for k in range(q + 1)]
+
+
 def total_sz_sectors(system: SpinSystem) -> SzSectorDecomposition:
     """Group basis indices into total-Sz eigenspaces.
 
     Sectors are ordered by decreasing magnetization (increasing popcount);
     indices within a sector ascend.
     """
-    by_m: dict[int, list[int]] = {}
-    for b in range(system.dimension):
-        by_m.setdefault(system.magnetization(b), []).append(b)
-    sectors = tuple(
-        (m, tuple(by_m[m])) for m in sorted(by_m, reverse=True)
-    )
-    return SzSectorDecomposition(sectors)
+    return SzSectorDecomposition(tuple(
+        (system.n_qubits - 2 * k, tuple(idx.tolist()))
+        for k, idx in enumerate(popcount_sectors(system.dimension))
+    ))

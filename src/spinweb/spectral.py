@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .hamiltonian import CouplingConfig, build_combined
-from .operators import HermitianOperator
+from .hamiltonian import CouplingConfig, build_ring, build_star
+from .operators import HermitianOperator, popcount_sectors
 from .states import QuantumState
 from .system import SpinSystem
 
@@ -24,18 +25,18 @@ class Spectrum:
     eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
 
 
-def _popcount_sectors(dim: int) -> list[np.ndarray]:
-    """Basis indices grouped by popcount (ascending), for dim a power of two."""
-    q = dim.bit_length() - 1
-    pop = np.array([int(b).bit_count() for b in range(dim)])
-    return [np.flatnonzero(pop == k) for k in range(q + 1)]
-
-
-def _is_sector_block_diagonal(m: np.ndarray, sectors: list[np.ndarray]) -> bool:
-    mask = np.zeros(m.shape, dtype=bool)
-    for idx in sectors:
-        mask[np.ix_(idx, idx)] = True
-    return np.abs(m[~mask]).max(initial=0.0) < 1e-12
+def _solve_blocks(blocks, sectors: list[np.ndarray], dim: int) -> Spectrum:
+    """Eigh of each sector block, merged in ascending order (ties by sector)."""
+    vals, vecs = [], []
+    for idx, block in zip(sectors, blocks):
+        ev, u = np.linalg.eigh(block)
+        full = np.zeros((dim, len(idx)), dtype=u.dtype)
+        full[idx, :] = u
+        vals.append(ev)
+        vecs.append(full)
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")
+    return Spectrum(vals[order], np.hstack(vecs)[:, order])
 
 
 def eigendecompose(H: HermitianOperator) -> Spectrum:
@@ -51,23 +52,39 @@ def eigendecompose(H: HermitianOperator) -> Spectrum:
     m = H.matrix
     dim = m.shape[0]
     if dim >= 2 and (dim & (dim - 1)) == 0:
-        sectors = _popcount_sectors(dim)
-        if _is_sector_block_diagonal(m, sectors):
-            vals = []
-            vecs = []
-            for idx in sectors:
-                block = m[np.ix_(idx, idx)]
-                ev, u = np.linalg.eigh(block)
-                full = np.zeros((dim, len(idx)), dtype=u.dtype)
-                full[idx, :] = u
-                vals.append(ev)
-                vecs.append(full)
-            vals = np.concatenate(vals)
-            vecs = np.hstack(vecs)
-            order = np.argsort(vals, kind="stable")
-            return Spectrum(vals[order], vecs[:, order])
+        sectors = popcount_sectors(dim)
+        mask = np.zeros(m.shape, dtype=bool)
+        for idx in sectors:
+            mask[np.ix_(idx, idx)] = True
+        if np.abs(m[~mask]).max(initial=0.0) < 1e-12:
+            return _solve_blocks((m[np.ix_(idx, idx)] for idx in sectors), sectors, dim)
     ev, u = np.linalg.eigh(m)
     return Spectrum(ev, u)
+
+
+@lru_cache(maxsize=1)
+def _sector_blocks(system: SpinSystem, allow_double_bond: bool):
+    """Total-Sz sectors and the read-only (ring, star) blocks (J=1) on each."""
+    sectors = popcount_sectors(system.dimension)
+    ring = build_ring(system, 1.0, allow_double_bond=allow_double_bond).matrix
+    star = build_star(system, 1.0).matrix
+    pairs = [(ring[np.ix_(idx, idx)], star[np.ix_(idx, idx)]) for idx in sectors]
+    for ring_block, star_block in pairs:
+        ring_block.setflags(write=False)
+        star_block.setflags(write=False)
+    return sectors, pairs
+
+
+def solve(system: SpinSystem, J: float, c: float, *,
+          allow_double_bond: bool = False) -> Spectrum:
+    """Spectrum of J * [c * H_star + (1-c) * H_ring] from Sz blocks built once.
+
+    Equal, bit for bit, to ``eigendecompose(build_combined(...))``.
+    """
+    config = CouplingConfig(J=J, c=c)
+    sectors, pairs = _sector_blocks(system, allow_double_bond)
+    return _solve_blocks((config.J * (config.c * s + (1.0 - config.c) * r)
+                          for r, s in pairs), sectors, system.dimension)
 
 
 @dataclass(frozen=True)
@@ -128,13 +145,11 @@ def _low_groups(spec: Spectrum, n_levels: int, tol_deg: float):
     thr = tol_deg * max(1.0, float(ev[-1] - ev[0]))
     groups = []
     start = 0
-    covered = 0
-    while covered < n_levels and start < ev.size:
+    while start < min(n_levels, ev.size):
         stop = start + 1
         while stop < ev.size and ev[stop] - ev[stop - 1] <= thr:
             stop += 1
         groups.append((float(ev[start:stop].mean()), spec.eigenvectors[:, start:stop]))
-        covered += stop - start
         start = stop
     return groups
 
@@ -174,20 +189,13 @@ def _match_groups(prev_labeled: dict[int, np.ndarray], groups):
     return labels, fresh
 
 
-def _solve_groups(system: SpinSystem, J: float, c: float, n_levels: int,
-                  tol_deg: float, allow_double_bond: bool):
-    h = build_combined(system, CouplingConfig(J=J, c=c),
-                       allow_double_bond=allow_double_bond)
-    return _low_groups(eigendecompose(h), n_levels, tol_deg)
-
-
-def _refine_crossing(system, J, c_lo, c_hi, labeled_lo, ground_lo, ground_hi,
-                     n_levels, tol_deg, allow_double_bond, width=1e-6):
-    """Bisect the interval until the ground-label change is localized."""
+def _refine_crossing(groups_at, c_lo, c_hi, labeled_lo, ground_lo, ground_hi,
+                     width=1e-6):
+    """Bisect until the ground-label change is localized; groups_at(c) solves."""
     min_gap = np.inf
     while c_hi - c_lo > width:
         c_mid = 0.5 * (c_lo + c_hi)
-        groups = _solve_groups(system, J, c_mid, n_levels, tol_deg, allow_double_bond)
+        groups = groups_at(c_mid)
         labels, _ = _match_groups(labeled_lo, groups)
         energies = {lab: e for lab, (e, _) in zip(labels, groups)}
         if ground_lo in energies and ground_hi in energies:
@@ -221,6 +229,10 @@ def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4, *,
     if n_levels < 2:
         raise DomainError("n_levels must be >= 2")
 
+    def groups_at(c):
+        return _low_groups(solve(system, J, c, allow_double_bond=allow_double_bond),
+                           n_levels, tol_deg)
+
     tracked: dict[int, list] = {}
     crossings: list[Crossing] = []
     flagged: list[tuple[float, float]] = []
@@ -229,12 +241,8 @@ def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4, *,
     prev_ground = None
     prev_c = None
     for c in c_grid:
-        groups = _solve_groups(system, J, float(c), n_levels, tol_deg, allow_double_bond)
-        if not prev_labeled:
-            labels = list(range(len(groups)))
-            fresh = []
-        else:
-            labels, fresh = _match_groups(prev_labeled, groups)
+        groups = groups_at(float(c))
+        labels, fresh = _match_groups(prev_labeled, groups)
         for lab, (energy, v) in zip(labels, groups):
             tracked.setdefault(lab, []).append((float(c), energy, v[:, 0].copy()))
         ground_idx = int(np.argmin([e for e, _ in groups]))
@@ -244,8 +252,7 @@ def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4, *,
             flagged.append((float(prev_c), float(c)))
         if prev_ground is not None and ground != prev_ground:
             lo, hi, gap = _refine_crossing(
-                system, J, float(prev_c), float(c), prev_labeled,
-                prev_ground, ground, n_levels, tol_deg, allow_double_bond)
+                groups_at, float(prev_c), float(c), prev_labeled, prev_ground, ground)
             crossings.append(Crossing(lo, hi, (prev_ground, ground), gap))
         prev_labeled = {lab: v for lab, (_, v) in zip(labels, groups)}
         prev_ground = ground

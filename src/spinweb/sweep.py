@@ -11,8 +11,7 @@ from scipy.optimize import minimize
 
 from .entanglement import concurrence_symmetric, concurrence_wootters, correlation
 from .errors import DomainError
-from .hamiltonian import CouplingConfig, build_combined
-from .spectral import eigendecompose, ground_subspace
+from .spectral import ground_subspace, solve
 from .states import QuantumState, TwoQubitRDM, fidelity, partial_trace
 from .system import SpinSystem
 
@@ -53,6 +52,8 @@ class SweepConfig:
         if "ring" in self.references and "ring_eps" in self.references:
             raise DomainError("references 'ring' and 'ring_eps' fill the same "
                               "O_r column; choose one")
+        if self.n_levels < 1:
+            raise DomainError(f"n_levels must be >= 1, got {self.n_levels}")
         object.__setattr__(self, "c_grid", grid)
 
     @property
@@ -231,9 +232,8 @@ def make_references(config: SweepConfig) -> ReferenceSet:
     system = SpinSystem(config.n_outer, has_central=True)
 
     def ground_density(c):
-        h = build_combined(system, CouplingConfig(J=config.J, c=c),
-                           allow_double_bond=config.allow_double_bond)
-        return ground_subspace(eigendecompose(h)).density
+        return ground_subspace(solve(system, config.J, c,
+                                     allow_double_bond=config.allow_double_bond)).density
 
     ring = None
     if "ring_eps" in config.references:
@@ -313,9 +313,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     records = []
     for c in config.c_grid:
         try:
-            h = build_combined(system, CouplingConfig(J=config.J, c=float(c)),
-                               allow_double_bond=config.allow_double_bond)
-            spec = eigendecompose(h)
+            spec = solve(system, config.J, float(c),
+                         allow_double_bond=config.allow_double_bond)
             gs = ground_subspace(spec)
             rho = gs.density
             o_r, o_s, o_p = reference_overlaps(rho, refs, system)

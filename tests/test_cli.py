@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinweb
 from spinweb.cli import main
@@ -53,6 +57,11 @@ def test_missing_subcommand_exits_2():
     (["--refs", "ring-eps=abc"], 3),
     (["--refs", "ring,ring-eps"], 3),
     (["--c-steps", "0"], 0),
+    (["--j", "nan"], 3),
+    (["--j", "inf"], 3),
+    (["--j", "1e308"], 3),
+    (["--levels", "0"], 3),
+    (["--levels", "-3"], 3),
 ])
 def test_bad_sweep_input_exits_with_code_not_traceback(extra, code):
     proc = subprocess.run(
@@ -64,6 +73,53 @@ def test_bad_sweep_input_exits_with_code_not_traceback(extra, code):
     if code == 3:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n", "3", "--c-steps", "2", "--j", "nan"],
+    ["spectrum", "--n", "3", "--c-steps", "2", "--j", "inf"],
+    ["ghz", "--field-h", "nan"],
+])
+def test_non_finite_coupling_exits_3(argv):
+    proc = subprocess.run([sys.executable, "-m", "spinweb.cli", *argv],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+
+
+_ODD_FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -1.0, 1e308]),
+    st.floats())
+
+
+def _mostly(valid):
+    """Mostly ``valid`` (three branches of four), so some runs pass validation."""
+    return st.one_of(valid, valid, valid, _ODD_FLOATS)
+
+
+_REF_TOKENS = ["ring", "star", "ansatz", "ring-eps", "ring-eps=0.05",
+               "ring-eps=abc", "ring-eps=nan", "bogus", ""]
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["sweep", "spectrum"]), n=st.integers(2, 4),
+       steps=st.integers(0, 3), j=_mostly(st.floats(-2.0, 2.0)),
+       c_min=_mostly(st.floats(0.0, 1.0)), c_max=_mostly(st.floats(0.0, 1.0)),
+       levels=st.integers(-3, 8), refs=st.lists(st.sampled_from(_REF_TOKENS), max_size=3))
+def test_cli_exit_code_is_documented_for_any_input(command, n, steps, j, c_min, c_max,
+                                                   levels, refs):
+    argv = [command, f"--n={n}", f"--c-steps={steps}", f"--j={j!r}",
+            f"--c-min={c_min!r}", f"--c-max={c_max!r}", f"--levels={levels}"]
+    if command == "sweep":
+        argv.append("--refs=" + ",".join(refs))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 4)
 
 
 def test_resource_guard_exits_4(capsys):

@@ -13,6 +13,9 @@ from spinweb import (
     ground_subspace,
     track_levels,
 )
+from spinweb import spectral
+from spinweb.spectral import solve
+from spinweb.sweep import SweepConfig, run_sweep
 
 
 def _solve(n_outer, c, J=1.0):
@@ -104,3 +107,39 @@ def test_track_levels_validates_grid():
         track_levels(s, 1.0, [0.5, 1.5])
     with pytest.raises(DomainError):
         track_levels(s, 1.0, [0.0, 1.0], n_levels=1)
+
+
+@pytest.mark.parametrize("n_outer", range(2, 8))
+def test_solve_equals_dense_path_exactly(n_outer):
+    s = SpinSystem(n_outer, has_central=True)
+    double = n_outer == 2
+    for J in (1.0, 0.7):
+        for c in (0.0, 0.3, 0.5, 0.694, 1.0):
+            spec = solve(s, J, c, allow_double_bond=double)
+            dense = eigendecompose(build_combined(s, CouplingConfig(J=J, c=c),
+                                                  allow_double_bond=double))
+            np.testing.assert_array_equal(spec.eigenvalues, dense.eigenvalues)
+            np.testing.assert_array_equal(spec.eigenvectors, dense.eigenvectors)
+
+
+def test_solve_keeps_builder_guards():
+    with pytest.raises(DomainError):
+        solve(SpinSystem(2, has_central=True), 1.0, 0.5)  # double-counted ring bond
+    with pytest.raises(DomainError):
+        solve(SpinSystem(4, has_central=False), 1.0, 0.5)  # no star without centre
+    with pytest.raises(DomainError):
+        solve(SpinSystem(3, has_central=True), float("nan"), 0.5)
+    with pytest.raises(DomainError):
+        solve(SpinSystem(3, has_central=True), 1.0, 1.5)
+    _, pairs = spectral._sector_blocks(SpinSystem(3, has_central=True), False)
+    assert not any(block.flags.writeable for pair in pairs for block in pair)
+
+
+def test_sweep_then_tracking_builds_blocks_once():
+    spectral._sector_blocks.cache_clear()
+    grid = np.linspace(0.0, 1.0, 5)
+    run_sweep(SweepConfig(n_outer=4, c_grid=grid))
+    track_levels(SpinSystem(4, has_central=True), 1.0, grid)
+    info = spectral._sector_blocks.cache_info()
+    assert info.misses == 1
+    assert info.hits > 2 * grid.size  # grid points, references and bisection steps
