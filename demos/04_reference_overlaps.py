@@ -4,7 +4,7 @@ Reference-state overlaps across the sweep
 
 Three fidelities locate the ground state relative to known anchors as c
 varies: O_r against the ring ground state, O_s against the star ground state,
-and O_p against the optimized singlet-covering ansatz.  O_r stays near one on
+and O_p against the best state in the span of the singlet coverings.  O_r stays near one on
 the ring side and O_s near one on the star side; the switch happens around
 the level crossings.
 
@@ -25,7 +25,7 @@ for r in run_sweep(config):
 
 config = SweepConfig(n_outer=5, c_grid=np.linspace(0.02, 1.0, 15),
                      references=("ring_eps", "star", "singlet_ansatz"),
-                     ring_eps=0.02, ansatz_phase_steps=8)
+                     ring_eps=0.02)
 print("\nN = 5 (ring reference regularized at c = 0.02)")
 print(f"{'c':>5} {'O_r':>8} {'O_s':>8} {'O_p':>8}")
 for r in run_sweep(config):

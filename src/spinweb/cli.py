@@ -62,11 +62,16 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _check_n(n: int) -> None:
-    if not 2 <= n <= MAX_N_OUTER:
+def _system_and_grid(args):
+    """System and c-grid of ``sweep``/``spectrum``; checks precede linspace."""
+    if not 2 <= args.n <= MAX_N_OUTER:
         raise ResourceLimitError(
-            f"--n must lie in [2, {MAX_N_OUTER}] (dense-solver guard), got {n}"
-        )
+            f"--n must lie in [2, {MAX_N_OUTER}] (dense-solver guard), got {args.n}")
+    if not (0 <= args.c_min <= 1 and 0 <= args.c_max <= 1):  # also rejects nan
+        raise DomainError("--c-min and --c-max must lie in [0, 1], "
+                          f"got {args.c_min} and {args.c_max}")
+    return (SpinSystem(args.n, has_central=True),
+            np.linspace(args.c_min, args.c_max, args.c_steps + 1))
 
 
 def _parse_refs(spec: str):
@@ -143,20 +148,18 @@ def _write_csv_sidecars(out: str, crossings: list, manifest: dict) -> None:
 
 
 def cmd_sweep(args) -> int:
-    _check_n(args.n)
+    system, grid = _system_and_grid(args)
     refs, ring_eps = _parse_refs(args.refs)
     nnn_default = (1, 3) if args.n >= 3 else (1, 2)
     pairs = [{"nn": (1, 2), "nnn": nnn_default}.get(t, t) for t in args.pairs]
     nn = pairs[0] if pairs else (1, 2)
     nnn = pairs[1] if len(pairs) >= 2 else None
-    grid = np.linspace(args.c_min, args.c_max, args.c_steps + 1)
     config = SweepConfig(
         n_outer=args.n, J=args.j, c_grid=grid, nn_pair=nn, nnn_pair=nnn,
         references=refs, ring_eps=ring_eps, n_levels=args.levels,
         allow_double_bond=(args.n == 2),
     )
     records = run_sweep(config)
-    system = SpinSystem(args.n, has_central=True)
     track = track_levels(system, args.j, grid, n_levels=max(2, args.levels),
                          allow_double_bond=(args.n == 2)) \
         if len(grid) >= 2 else None
@@ -192,9 +195,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    _check_n(args.n)
-    grid = np.linspace(args.c_min, args.c_max, args.c_steps + 1)
-    system = SpinSystem(args.n, has_central=True)
+    system, grid = _system_and_grid(args)
     manifest = _manifest("spectrum", {
         "n": args.n, "j": args.j, "c_min": args.c_min, "c_max": args.c_max,
         "c_steps": args.c_steps, "levels": args.levels, "format": args.format,

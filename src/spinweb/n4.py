@@ -318,8 +318,8 @@ def _classify(outer_vec: np.ndarray) -> str:
 
 def _measurement_outcomes(c: float, J: float, field_h: float):
     """Split the degeneracy with h*sum(sigma_z), measure the central spin."""
-    if not np.isfinite(field_h):
-        raise DomainError(f"field_h must be finite, got {field_h}")
+    if not 0 < field_h < np.inf:  # the degeneracy check below needs field_h > 0
+        raise DomainError(f"field_h must be finite and > 0, got {field_h}")
     h = build_combined(FULL, CouplingConfig(J=J, c=c))
     unperturbed = ground_subspace(eigendecompose(h))
     perturbed = HermitianOperator(h.matrix + field_h * total_sz(FULL).matrix)

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .entanglement import concurrence_symmetric, concurrence_wootters, correlation
 from .errors import DomainError
@@ -37,15 +37,14 @@ class SweepConfig:
     references: tuple[str, ...] = ("ring", "star")
     ring_eps: float = 0.01
     n_levels: int = 6
-    ansatz_phase_steps: int = 24
     allow_double_bond: bool = False
 
     def __post_init__(self):
         grid = np.asarray(self.c_grid, dtype=float)
+        if not np.all((grid >= 0) & (grid <= 1)):  # nan/inf out before np.diff
+            raise DomainError("c_grid must lie within [0, 1]")
         if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
             raise DomainError("c_grid must be strictly increasing")
-        if grid[0] < 0 or grid[-1] > 1:
-            raise DomainError("c_grid must lie within [0, 1]")
         for ref in self.references:
             if ref not in ("ring", "star", "ring_eps", "singlet_ansatz"):
                 raise DomainError(f"unknown reference {ref!r}")
@@ -180,6 +179,7 @@ def optimize_ansatz_phases(n_outer: int, target: QuantumState, *,
     phase, the first phase fixed to 1) followed by local Nelder-Mead
     refinement.  Deterministic for a given grid.  Returns (phases, fidelity).
     """
+    from scipy.optimize import minimize  # here, so importing spinweb loads no scipy
     if terms is None:
         terms = ansatz_terms(n_outer)
     dim = terms[0].shape[0]
@@ -225,7 +225,6 @@ class ReferenceSet:
     ring: Optional[QuantumState] = None
     star: Optional[QuantumState] = None
     ansatz_n_outer: Optional[int] = None
-    ansatz_phase_steps: int = 24
 
 
 def make_references(config: SweepConfig) -> ReferenceSet:
@@ -242,35 +241,35 @@ def make_references(config: SweepConfig) -> ReferenceSet:
         ring = ground_density(0.0)
     star = ground_density(1.0) if "star" in config.references else None
     ansatz_n = config.n_outer if "singlet_ansatz" in config.references else None
-    return ReferenceSet(ring=ring, star=star, ansatz_n_outer=ansatz_n,
-                        ansatz_phase_steps=config.ansatz_phase_steps)
+    return ReferenceSet(ring=ring, star=star, ansatz_n_outer=ansatz_n)
 
 
-def ansatz_overlap(n_outer: int, state: QuantumState, system: SpinSystem, *,
-                   phase_steps: int = 24) -> float:
-    """Best singlet-ansatz overlap with a ground state.
+@lru_cache(maxsize=None)
+def _span_basis(n_outer: int, include_central: bool) -> np.ndarray:
+    """Orthonormal basis T V w^-1/2 of the covering-term span, from the eigenpairs
+    (w, V) of T^dagger T; w <= 1e-12 max(w) are dependent terms (N=3), dropped."""
+    t = np.column_stack(ansatz_terms(n_outer, include_central=include_central))
+    w, v = np.linalg.eigh(t.conj().T @ t)
+    keep = w > 1e-12 * w.max()
+    q = t @ (v[:, keep] / np.sqrt(w[keep]))
+    q.setflags(write=False)
+    return q
 
-    For odd N the overlap is the projection <psi|P|psi> of the optimized
-    ansatz onto the ground subspace, so a degenerate ground level does not
-    artificially cap the value at 1/degeneracy (the ground density P/deg is
-    rescaled by its rank, recovered from the purity).  For even N the central
-    spin is unpaired in the ansatz, so the comparison is made on the outer
-    spins: the central qubit is traced out of the ground density and the
-    outer-only ansatz is optimized against the result (this absorbs the free
-    central spin of the degenerate ground mixtures).
+
+def ansatz_overlap(n_outer: int, state: QuantumState, system: SpinSystem) -> float:
+    """Best overlap of the singlet-covering span with a ground state.
+
+    It is scale * sigma_max(Q^dagger F)^2 for an orthonormal basis Q of the
+    span.  Odd N: F is the ground factor, scale its rank (the degeneracy), and
+    the value is <psi|P|psi> for the best ansatz state and ground projector P.
+    Even N: the central spin is unpaired in the ansatz and traced out of F.
     """
-    if n_outer % 2 == 1:
-        terms = ansatz_terms(n_outer, include_central=True)
-        target = state
-        g = state.factor.conj().T @ state.factor
-        scale = round(1.0 / np.vdot(g, g).real)
-    else:
-        terms = ansatz_terms(n_outer, include_central=False)
-        target = partial_trace(state, system, list(range(1, n_outer + 1)))
-        scale = 1.0
-    _, fid = optimize_ansatz_phases(n_outer, target, phase_steps=phase_steps,
-                                    terms=terms)
-    return float(min(scale * fid, 1.0))
+    odd = n_outer % 2 == 1
+    factor = state.factor if odd else \
+        partial_trace(state, system, list(range(1, n_outer + 1))).factor
+    scale = factor.shape[1] if odd else 1
+    sigma = np.linalg.norm(_span_basis(n_outer, odd).conj().T @ factor, 2)
+    return float(min(scale * sigma ** 2, 1.0))
 
 
 def reference_overlaps(record_state: QuantumState, refs: ReferenceSet,
@@ -282,8 +281,7 @@ def reference_overlaps(record_state: QuantumState, refs: ReferenceSet,
     if refs.ansatz_n_outer is not None:
         if system is None:
             system = SpinSystem(refs.ansatz_n_outer, has_central=True)
-        o_p = ansatz_overlap(refs.ansatz_n_outer, record_state, system,
-                             phase_steps=refs.ansatz_phase_steps)
+        o_p = ansatz_overlap(refs.ansatz_n_outer, record_state, system)
     return o_r, o_s, o_p
 
 

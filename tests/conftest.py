@@ -1,10 +1,12 @@
 """Shared fixtures: ground-state solves are cached across the suite."""
 
+import os
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import spinweb
 from spinweb import (
     CouplingConfig,
     SpinSystem,
@@ -12,6 +14,16 @@ from spinweb import (
     eigendecompose,
     ground_subspace,
 )
+
+# source root of the spinweb under test; children get it on PYTHONPATH so they
+# import it whether or not the package is installed
+SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(spinweb.__file__)))
+
+
+def child_env():
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": SRC_ROOT + (os.pathsep + path if path else "")}
 
 
 @lru_cache(maxsize=None)

@@ -12,11 +12,9 @@ import pytest
 import scipy.linalg
 
 from spinweb import (
-    CouplingConfig,
     SpinSystem,
     SweepConfig,
     TwoQubitRDM,
-    build_combined,
     build_star,
     concurrence_symmetric,
     concurrence_wootters,
@@ -29,6 +27,7 @@ from spinweb import (
     star_concurrence_closed_form,
     track_levels,
 )
+from spinweb.spectral import solve
 from spinweb.sweep import ansatz_overlap, ansatz_terms, pair_concurrence
 
 from conftest import random_sz_block_rdm
@@ -44,9 +43,8 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
 
 def _ground(n_outer, c, J=1.0):
     system = SpinSystem(n_outer, has_central=True)
-    h = build_combined(system, CouplingConfig(J=J, c=c),
-                       allow_double_bond=(n_outer == 2))
-    return system, ground_subspace(eigendecompose(h))
+    return system, ground_subspace(solve(system, J, c,
+                                         allow_double_bond=(n_outer == 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +62,7 @@ def sweep_data():
         c_nn, c_nnn = [], []
         max_method_diff = 0.0
         for c in GRID:
-            h = build_combined(system, CouplingConfig(J=1.0, c=float(c)))
-            gs = ground_subspace(eigendecompose(h))
+            gs = ground_subspace(solve(system, 1.0, float(c)))
             for pair, acc in (((1, 2), c_nn), ((1, 3), c_nnn)):
                 rdm = TwoQubitRDM.from_state(
                     partial_trace(gs.density, system, list(pair)))
@@ -228,14 +225,13 @@ def test_11_coefficient_endpoints_and_closed_forms():
            f"endpoint errs=({err0:.1e}, {err1:.1e}), closed-form err={worst_cf:.1e}")
 
 
-def _best_overlap(n_outer, c_values, phase_steps=12):
+def _best_overlap(n_outer, c_values):
     system = SpinSystem(n_outer, has_central=True)
     best = 0.0
     best_c = None
     for c in c_values:
-        h = build_combined(system, CouplingConfig(J=1.0, c=float(c)))
-        gs = ground_subspace(eigendecompose(h))
-        f = ansatz_overlap(n_outer, gs.density, system, phase_steps=phase_steps)
+        gs = ground_subspace(solve(system, 1.0, float(c)))
+        f = ansatz_overlap(n_outer, gs.density, system)
         if f > best:
             best, best_c = f, float(c)
     return best, best_c
@@ -243,15 +239,14 @@ def _best_overlap(n_outer, c_values, phase_steps=12):
 
 def test_12a_ansatz_fidelity_n4():
     system = SpinSystem(4, has_central=True)
-    h = build_combined(system, CouplingConfig(J=1.0, c=0.05))
-    gs = ground_subspace(eigendecompose(h))
+    gs = ground_subspace(solve(system, 1.0, 0.05))
     f = ansatz_overlap(4, gs.density, system)
     report(12, "N=4 singlet-ansatz fidelity at c=0.05 exceeds 0.97",
            f > 0.97, f"F={f:.5f}")
 
 
 def test_12b_ansatz_fidelity_n6():
-    best, best_c = _best_overlap(6, np.linspace(0.0, 0.5, 11), phase_steps=24)
+    best, best_c = _best_overlap(6, np.linspace(0.0, 0.5, 11))
     report(12, "N=6 singlet-ansatz peak fidelity reaches 0.88",
            best >= 0.88, f"peak F={best:.5f} at c={best_c}")
 
@@ -296,11 +291,10 @@ def test_12c_covering_span_bounds_n5_fidelity():
     window = GRID[(GRID >= 0.60) & (GRID <= 0.72)]
     worst = 0.0
     for c in window:
-        h = build_combined(system, CouplingConfig(J=1.0, c=float(c)))
-        gs = ground_subspace(eigendecompose(h))
+        gs = ground_subspace(solve(system, 1.0, float(c)))
         overlap = t.conj().T @ gs.basis @ gs.basis.conj().T @ t
         lam_max = scipy.linalg.eigh(overlap, gram, eigvals_only=True)[-1]
-        f = ansatz_overlap(5, gs.density, system, phase_steps=12)
+        f = ansatz_overlap(5, gs.density, system)
         worst = max(worst, abs(f - lam_max))
     report(12, "N=5 covering span is the S_tot=0 subspace and "
            "ansatz_overlap is the exact maximum over it",

@@ -13,23 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import spinweb
 from spinweb.cli import main
+
+from conftest import SRC_ROOT, child_env
 
 
 def run_cli(*argv):
     return main(list(argv))
-
-
-# source root of the spinweb under test; children get it on PYTHONPATH so they
-# import it whether or not the package is installed
-SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(spinweb.__file__)))
-
-
-def child_env():
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ,
-            "PYTHONPATH": SRC_ROOT + (os.pathsep + path if path else "")}
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +52,8 @@ def test_missing_subcommand_exits_2():
     (["--j", "1e308"], 3),
     (["--levels", "0"], 3),
     (["--levels", "-3"], 3),
+    (["--c-max", "inf"], 3),
+    (["--c-min", "nan"], 3),
 ])
 def test_bad_sweep_input_exits_with_code_not_traceback(extra, code):
     proc = subprocess.run(
@@ -79,6 +71,9 @@ def test_bad_sweep_input_exits_with_code_not_traceback(extra, code):
     ["spectrum", "--n", "3", "--c-steps", "2", "--j", "nan"],
     ["spectrum", "--n", "3", "--c-steps", "2", "--j", "inf"],
     ["ghz", "--field-h", "nan"],
+    ["ghz", "--field-h", "0"],
+    ["ghz", "--field-h", "-1"],
+    ["spectrum", "--n", "3", "--c-steps", "2", "--c-max", "inf"],
 ])
 def test_non_finite_coupling_exits_3(argv):
     proc = subprocess.run([sys.executable, "-m", "spinweb.cli", *argv],
@@ -314,6 +309,16 @@ def test_verify_n4_passes(capsys):
 # ---------------------------------------------------------------------------
 # Environment knob
 # ---------------------------------------------------------------------------
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs most of the CLI's start-up time and the sweep path needs none
+    env = {"PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONPATH": SRC_ROOT}
+    code = "import sys, spinweb.cli\nprint('scipy' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
 
 def test_thread_knob_sets_blas_env():
     # The child gets a bare environment (no BLAS variables, so the knob is
