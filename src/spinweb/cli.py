@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__, n4
 from .errors import DomainError, ResourceLimitError
-from .spectral import ground_subspace, solve, track_levels
-from .sweep import SweepConfig, run_sweep
+from .spectral import _track, ground_subspace, solve, track_levels
+from .sweep import SweepConfig, _record, make_references, pair_concurrence
 from .system import SpinSystem
 
 MAX_N_OUTER = 12
@@ -149,20 +149,27 @@ def _write_csv_sidecars(out: str, crossings: list, manifest: dict) -> None:
 
 def cmd_sweep(args) -> int:
     system, grid = _system_and_grid(args)
-    refs, ring_eps = _parse_refs(args.refs)
+    references, ring_eps = _parse_refs(args.refs)
     nnn_default = (1, 3) if args.n >= 3 else (1, 2)
     pairs = [{"nn": (1, 2), "nnn": nnn_default}.get(t, t) for t in args.pairs]
     nn = pairs[0] if pairs else (1, 2)
     nnn = pairs[1] if len(pairs) >= 2 else None
     config = SweepConfig(
         n_outer=args.n, J=args.j, c_grid=grid, nn_pair=nn, nnn_pair=nnn,
-        references=refs, ring_eps=ring_eps, n_levels=args.levels,
+        references=references, ring_eps=ring_eps, n_levels=args.levels,
         allow_double_bond=(args.n == 2),
     )
-    records = run_sweep(config)
-    track = track_levels(system, args.j, grid, n_levels=max(2, args.levels),
-                         allow_double_bond=(args.n == 2)) \
-        if len(grid) >= 2 else None
+    refs = make_references(config)
+    records = []
+
+    def spectrum_at(c):  # one solve per grid point feeds its record and the tracker
+        record, spec = _record(config, system, refs, c)
+        records.append(record)
+        return spec
+
+    crossings = [_crossing_row(x) for x in _track(
+        system, config.J, config.c_grid, max(2, args.levels),
+        allow_double_bond=config.allow_double_bond, spectrum_at=spectrum_at).crossings]
 
     manifest = _manifest("sweep", {
         "n": args.n, "j": args.j, "c_min": args.c_min, "c_max": args.c_max,
@@ -170,7 +177,6 @@ def cmd_sweep(args) -> int:
         "pairs": ",".join(t if isinstance(t, str) else "%d:%d" % t for t in args.pairs),
         "refs": args.refs, "levels": args.levels, "format": args.format,
     })
-    crossings = [_crossing_row(x) for x in track.crossings] if track else []
 
     if args.format == "json":
         payload = {
@@ -212,7 +218,7 @@ def cmd_spectrum(args) -> int:
         track = track_levels(system, args.j, grid, n_levels=args.levels,
                              allow_double_bond=(args.n == 2))
         levels = {
-            str(label): [{"c": c, "energy": e} for c, e, _ in points]
+            str(label): [{"c": c, "energy": e} for c, e in points]
             for label, points in track.tracked_levels.items()
         }
         payload = {
@@ -290,19 +296,12 @@ def cmd_verify_n4(args) -> int:
         gs = ground_subspace(solve(n4.FULL, 1.0, c))
         return gs, n4.extract_coefficients(gs, c)
 
-    _, ring_coeffs = coeffs_at(0.0)
-    expected = (1 / np.sqrt(2), -1 / np.sqrt(2), 0.0)
-    got = (ring_coeffs.alpha, ring_coeffs.beta, ring_coeffs.gamma)
-    checks.append(("coefficients at c=0",
-                   max(abs(g - e) for g, e in zip(got, expected)) < 1e-8))
+    for c, expected in ((0.0, (1 / np.sqrt(2), -1 / np.sqrt(2), 0.0)),
+                        (1.0, (-np.sqrt(1 / 6), -np.sqrt(2 / 6), 1 / np.sqrt(2)))):
+        _, k = coeffs_at(c)
+        err = max(abs(g - e) for g, e in zip((k.alpha, k.beta, k.gamma), expected))
+        checks.append((f"coefficients at c={c:g}", err < 1e-8))
 
-    _, star_coeffs = coeffs_at(1.0)
-    expected = (-np.sqrt(1 / 6), -np.sqrt(2 / 6), 1 / np.sqrt(2))
-    got = (star_coeffs.alpha, star_coeffs.beta, star_coeffs.gamma)
-    checks.append(("coefficients at c=1",
-                   max(abs(g - e) for g, e in zip(got, expected)) < 1e-8))
-
-    from .sweep import pair_concurrence
     for c in (0.0, 0.2, 0.4, 0.9, 1.0):
         gs, coeffs = coeffs_at(c)
         c_nn, c_nnn = n4.level_I_concurrences(coeffs)

@@ -17,15 +17,15 @@ import numpy as np
 
 from .entanglement import concurrence_wootters
 from .errors import DomainError
-from .hamiltonian import CouplingConfig, build_combined, build_ring, build_star
-from .operators import HermitianOperator, total_sz
-from .spectral import GroundSubspace, eigendecompose, ground_subspace, track_levels
+from .hamiltonian import build_ring, build_star
+from .spectral import GroundSubspace, ground_subspace, solve, track_levels
 from .states import QuantumState, TwoQubitRDM, partial_trace
 from .system import SpinSystem
 
 N_OUTER = 4
 OUTER = SpinSystem(N_OUTER, has_central=False)
 FULL = SpinSystem(N_OUTER, has_central=True)
+_MAGS = np.array([FULL.magnetization(b) for b in range(FULL.dimension)])
 
 _SQ2 = np.sqrt(2.0)
 _SQ6 = np.sqrt(6.0)
@@ -150,8 +150,7 @@ class LevelCoefficients:
 
 def _sector_member(basis: np.ndarray, magnetization: int) -> np.ndarray:
     """Unit vector in span(basis) supported on one Sz sector, or raise."""
-    mags = np.array([FULL.magnetization(b) for b in range(FULL.dimension)])
-    outside = basis[mags != magnetization, :]
+    outside = basis[_MAGS != magnetization, :]
     _, s, vh = np.linalg.svd(outside)
     smin = s[-1] if s.size >= vh.shape[0] else 0.0
     if smin > 1e-8:
@@ -320,13 +319,14 @@ def _measurement_outcomes(c: float, J: float, field_h: float):
     """Split the degeneracy with h*sum(sigma_z), measure the central spin."""
     if not 0 < field_h < np.inf:  # the degeneracy check below needs field_h > 0
         raise DomainError(f"field_h must be finite and > 0, got {field_h}")
-    h = build_combined(FULL, CouplingConfig(J=J, c=c))
-    unperturbed = ground_subspace(eigendecompose(h))
-    perturbed = HermitianOperator(h.matrix + field_h * total_sz(FULL).matrix)
-    spec = eigendecompose(perturbed)
-    if spec.eigenvalues[1] - spec.eigenvalues[0] < 0.1 * field_h:
+    spec = solve(FULL, J, c)
+    unperturbed = ground_subspace(spec)
+    # each eigenvector lies in one Sz sector: the field shifts it by h * <sum(sigma_z)>
+    shifted = spec.eigenvalues + field_h * (_MAGS @ np.abs(spec.eigenvectors) ** 2)
+    lowest, second = np.argsort(shifted, kind="stable")[:2]
+    if shifted[second] - shifted[lowest] < 0.1 * field_h:
         raise DomainError("field did not lift the ground degeneracy")
-    v = spec.eigenvectors[:, 0]
+    v = spec.eigenvectors[:, lowest]
     # the perturbed ground must still live in the unperturbed subspace
     proj = unperturbed.basis @ (unperturbed.basis.conj().T @ v)
     if np.linalg.norm(proj) ** 2 < 1.0 - 1e-6:

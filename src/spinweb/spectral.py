@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
@@ -131,7 +132,7 @@ class Crossing:
 @dataclass
 class LevelTrack:
     c_grid: np.ndarray
-    tracked_levels: dict[int, list[tuple[float, float, np.ndarray]]]
+    tracked_levels: dict[int, list[tuple[float, float]]]  # label -> [(c, energy)]
     crossings: list[Crossing]
     flagged_intervals: list[tuple[float, float]] = field(default_factory=list)
 
@@ -139,7 +140,8 @@ class LevelTrack:
 def _low_groups(spec: Spectrum, n_levels: int, tol_deg: float):
     """Cluster the lowest eigenvalues into degenerate groups.
 
-    Returns [(energy, basis)] covering at least n_levels eigenstates.
+    Returns [(energy, basis)] covering at least n_levels eigenstates, ground
+    group first; the bases are copies, so they do not pin the spectrum.
     """
     ev = spec.eigenvalues
     thr = tol_deg * max(1.0, float(ev[-1] - ev[0]))
@@ -149,16 +151,18 @@ def _low_groups(spec: Spectrum, n_levels: int, tol_deg: float):
         stop = start + 1
         while stop < ev.size and ev[stop] - ev[stop - 1] <= thr:
             stop += 1
-        groups.append((float(ev[start:stop].mean()), spec.eigenvectors[:, start:stop]))
+        groups.append((float(ev[start:stop].mean()),
+                       spec.eigenvectors[:, start:stop].copy()))
         start = stop
     return groups
 
 
-def _match_groups(prev_labeled: dict[int, np.ndarray], groups):
+def _match_groups(prev_labeled: dict[int, np.ndarray], groups) -> list[int]:
     """Greedy assignment of new groups to previous labels by subspace overlap.
 
-    The score is the largest principal-angle cosine between subspaces.  Returns
-    (labels per group, max assigned score below threshold flag).
+    The score is the largest principal-angle cosine between subspaces.  A group
+    left unmatched is a level entering the tracked window from above; it gets a
+    fresh label, larger than every previous one.
     """
     scores = []
     for gi, (_, v) in enumerate(groups):
@@ -167,26 +171,13 @@ def _match_groups(prev_labeled: dict[int, np.ndarray], groups):
             scores.append((float(s.max(initial=0.0)), gi, label))
     scores.sort(reverse=True)
     assigned: dict[int, int] = {}
-    used = set()
     for s, gi, label in scores:
-        if gi in assigned or label in used:
-            continue
         if s <= OVERLAP_THRESHOLD:
             break
-        assigned[gi] = label
-        used.add(label)
-    next_label = max(prev_labeled, default=-1) + 1
-    labels = []
-    fresh = []
-    for gi in range(len(groups)):
-        if gi in assigned:
-            labels.append(assigned[gi])
-        else:
-            # a level entering the tracked window from above gets a new label
-            labels.append(next_label)
-            fresh.append(gi)
-            next_label += 1
-    return labels, fresh
+        if gi not in assigned and label not in assigned.values():
+            assigned[gi] = label
+    fresh = count(max(prev_labeled, default=-1) + 1)
+    return [assigned[gi] if gi in assigned else next(fresh) for gi in range(len(groups))]
 
 
 def _refine_crossing(groups_at, c_lo, c_hi, labeled_lo, ground_lo, ground_hi,
@@ -196,17 +187,25 @@ def _refine_crossing(groups_at, c_lo, c_hi, labeled_lo, ground_lo, ground_hi,
     while c_hi - c_lo > width:
         c_mid = 0.5 * (c_lo + c_hi)
         groups = groups_at(c_mid)
-        labels, _ = _match_groups(labeled_lo, groups)
+        labels = _match_groups(labeled_lo, groups)
         energies = {lab: e for lab, (e, _) in zip(labels, groups)}
         if ground_lo in energies and ground_hi in energies:
             min_gap = min(min_gap, abs(energies[ground_lo] - energies[ground_hi]))
-        mid_ground = labels[int(np.argmin([e for e, _ in groups]))]
-        mid_labeled = {lab: v for lab, (_, v) in zip(labels, groups)}
-        if mid_ground == ground_lo:
-            c_lo, labeled_lo = c_mid, mid_labeled
+        if labels[0] == ground_lo:
+            c_lo, labeled_lo = c_mid, {lab: v for lab, (_, v) in zip(labels, groups)}
         else:
             c_hi = c_mid
     return c_lo, c_hi, float(min_gap)
+
+
+def _check_grid(c_grid) -> np.ndarray:
+    """A c-grid as a float array, after checking it lies in [0, 1] and increases."""
+    grid = np.asarray(c_grid, dtype=float)
+    if not np.all((grid >= 0) & (grid <= 1)):  # nan/inf out before np.diff
+        raise DomainError("c_grid must lie within [0, 1]")
+    if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
+        raise DomainError("c_grid must be strictly increasing")
+    return grid
 
 
 def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4, *,
@@ -221,17 +220,24 @@ def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4, *,
     width of 1e-6 in c; the minimum gap seen between the two competing levels
     is reported so exact and narrowly avoided crossings can be told apart.
     """
-    c_grid = np.asarray(c_grid, dtype=float)
-    if c_grid.ndim != 1 or c_grid.size < 2 or np.any(np.diff(c_grid) <= 0):
-        raise DomainError("c_grid must be strictly increasing with >= 2 points")
-    if c_grid[0] < 0 or c_grid[-1] > 1:
-        raise DomainError("c_grid must lie within [0, 1]")
+    c_grid = _check_grid(c_grid)
+    if c_grid.size < 2:
+        raise DomainError("c_grid must have >= 2 points")
     if n_levels < 2:
         raise DomainError("n_levels must be >= 2")
+    return _track(system, J, c_grid, n_levels, tol_deg, allow_double_bond)
+
+
+def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
+           tol_deg: float = DEFAULT_DEGENERACY_TOL, allow_double_bond: bool = False,
+           spectrum_at=None) -> LevelTrack:
+    """The loop of ``track_levels``.  ``spectrum_at(c)``, called once per grid
+    point in grid order, defaults to ``solve``; the bisection always solves."""
+    def solve_at(c):
+        return solve(system, J, c, allow_double_bond=allow_double_bond)
 
     def groups_at(c):
-        return _low_groups(solve(system, J, c, allow_double_bond=allow_double_bond),
-                           n_levels, tol_deg)
+        return _low_groups(solve_at(c), n_levels, tol_deg)
 
     tracked: dict[int, list] = {}
     crossings: list[Crossing] = []
@@ -240,19 +246,18 @@ def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4, *,
     prev_labeled: dict[int, np.ndarray] = {}
     prev_ground = None
     prev_c = None
-    for c in c_grid:
-        groups = groups_at(float(c))
-        labels, fresh = _match_groups(prev_labeled, groups)
-        for lab, (energy, v) in zip(labels, groups):
-            tracked.setdefault(lab, []).append((float(c), energy, v[:, 0].copy()))
-        ground_idx = int(np.argmin([e for e, _ in groups]))
-        ground = labels[ground_idx]
-        if ground_idx in fresh and prev_labeled:
+    for c in c_grid.tolist():
+        groups = _low_groups((spectrum_at or solve_at)(c), n_levels, tol_deg)
+        labels = _match_groups(prev_labeled, groups)
+        for lab, (energy, _) in zip(labels, groups):
+            tracked.setdefault(lab, []).append((c, energy))
+        ground = labels[0]
+        if prev_labeled and ground not in prev_labeled:
             # the new ground matched nothing from the previous point
-            flagged.append((float(prev_c), float(c)))
+            flagged.append((prev_c, c))
         if prev_ground is not None and ground != prev_ground:
             lo, hi, gap = _refine_crossing(
-                groups_at, float(prev_c), float(c), prev_labeled, prev_ground, ground)
+                groups_at, prev_c, c, prev_labeled, prev_ground, ground)
             crossings.append(Crossing(lo, hi, (prev_ground, ground), gap))
         prev_labeled = {lab: v for lab, (_, v) in zip(labels, groups)}
         prev_ground = ground

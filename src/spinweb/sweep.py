@@ -11,7 +11,7 @@ import numpy as np
 
 from .entanglement import concurrence_symmetric, concurrence_wootters, correlation
 from .errors import DomainError
-from .spectral import ground_subspace, solve
+from .spectral import Spectrum, _check_grid, ground_subspace, solve
 from .states import QuantumState, TwoQubitRDM, fidelity, partial_trace
 from .system import SpinSystem
 
@@ -40,11 +40,7 @@ class SweepConfig:
     allow_double_bond: bool = False
 
     def __post_init__(self):
-        grid = np.asarray(self.c_grid, dtype=float)
-        if not np.all((grid >= 0) & (grid <= 1)):  # nan/inf out before np.diff
-            raise DomainError("c_grid must lie within [0, 1]")
-        if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
-            raise DomainError("c_grid must be strictly increasing")
+        object.__setattr__(self, "c_grid", _check_grid(self.c_grid))
         for ref in self.references:
             if ref not in ("ring", "star", "ring_eps", "singlet_ansatz"):
                 raise DomainError(f"unknown reference {ref!r}")
@@ -53,7 +49,6 @@ class SweepConfig:
                               "O_r column; choose one")
         if self.n_levels < 1:
             raise DomainError(f"n_levels must be >= 1, got {self.n_levels}")
-        object.__setattr__(self, "c_grid", grid)
 
     @property
     def resolved_nnn_pair(self) -> tuple[int, int]:
@@ -302,34 +297,34 @@ def pair_concurrence(density: QuantumState, system: SpinSystem,
     return concurrence_wootters(rdm).value
 
 
+def _record(config: SweepConfig, system: SpinSystem, refs: ReferenceSet,
+            c: float) -> tuple[SweepRecord, Spectrum]:
+    """The SweepRecord of one grid point, and the spectrum it was built from."""
+    try:
+        spec = solve(system, config.J, c, allow_double_bond=config.allow_double_bond)
+        gs = ground_subspace(spec)
+        rho = gs.density
+        nn, nnn = config.nn_pair, config.resolved_nnn_pair
+        o_r, o_s, o_p = reference_overlaps(rho, refs, system)
+        return SweepRecord(
+            c=c,
+            ground_energy=gs.energy,
+            ground_degeneracy=gs.degeneracy,
+            low_energies=tuple(float(e) for e in spec.eigenvalues[:config.n_levels]),
+            C_nn=pair_concurrence(rho, system, nn),
+            C_nnn=pair_concurrence(rho, system, nnn),
+            XX_nn=correlation(rho, system, "x", *nn),
+            XX_nnn=correlation(rho, system, "x", *nnn),
+            ZZ_nn=correlation(rho, system, "z", *nn),
+            ZZ_nnn=correlation(rho, system, "z", *nnn),
+            O_r=o_r, O_s=o_s, O_p=o_p,
+        ), spec
+    except DomainError as exc:
+        raise DomainError(f"sweep failed at c={c}: {exc}") from exc
+
+
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Compute one SweepRecord per grid point, in grid order."""
     system = SpinSystem(config.n_outer, has_central=True)
     refs = make_references(config)
-    nn = config.nn_pair
-    nnn = config.resolved_nnn_pair
-    records = []
-    for c in config.c_grid:
-        try:
-            spec = solve(system, config.J, float(c),
-                         allow_double_bond=config.allow_double_bond)
-            gs = ground_subspace(spec)
-            rho = gs.density
-            o_r, o_s, o_p = reference_overlaps(rho, refs, system)
-            records.append(SweepRecord(
-                c=float(c),
-                ground_energy=gs.energy,
-                ground_degeneracy=gs.degeneracy,
-                low_energies=tuple(float(e) for e in
-                                   spec.eigenvalues[:config.n_levels]),
-                C_nn=pair_concurrence(rho, system, nn),
-                C_nnn=pair_concurrence(rho, system, nnn),
-                XX_nn=correlation(rho, system, "x", *nn),
-                XX_nnn=correlation(rho, system, "x", *nnn),
-                ZZ_nn=correlation(rho, system, "z", *nn),
-                ZZ_nnn=correlation(rho, system, "z", *nnn),
-                O_r=o_r, O_s=o_s, O_p=o_p,
-            ))
-        except DomainError as exc:
-            raise DomainError(f"sweep failed at c={float(c)}: {exc}") from exc
-    return records
+    return [_record(config, system, refs, c)[0] for c in config.c_grid.tolist()]

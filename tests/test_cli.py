@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -108,13 +109,17 @@ def test_cli_exit_code_is_documented_for_any_input(command, n, steps, j, c_min, 
             f"--c-min={c_min!r}", f"--c-max={c_max!r}", f"--levels={levels}"]
     if command == "sweep":
         argv.append("--refs=" + ",".join(refs))
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     assert code in (0, 2, 3, 4)
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_resource_guard_exits_4(capsys):
@@ -231,6 +236,25 @@ def test_sweep_custom_pairs(tmp_path):
     for row, rec in zip(rows, records):
         assert float(row["C_nn"]) == rec.C_nn
         assert float(row["C_nnn"]) == rec.C_nnn
+
+
+def test_sweep_solves_each_grid_point_once(monkeypatch):
+    from spinweb import cli, spectral, sweep
+    solved = []
+    original = spectral.solve
+
+    def counted(system, J, c, **kwargs):
+        solved.append(c)
+        return original(system, J, c, **kwargs)
+
+    for module in (spectral, cli, sweep):
+        monkeypatch.setattr(module, "solve", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--n", "4", "--c-min", "0.1", "--c-max", "0.9",
+                     "--c-steps", "8", "--refs", "ring,star"]) == 0
+    # the references solve c = 0 and 1, bisection midpoints fall between grid values
+    for c in np.linspace(0.1, 0.9, 9):
+        assert solved.count(c) == 1, c
 
 
 # ---------------------------------------------------------------------------

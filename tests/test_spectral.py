@@ -1,5 +1,7 @@
 """Deterministic eigensolver, ground subspace, level tracking."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,7 +99,7 @@ def test_track_levels_no_crossing_for_pure_star_window():
     assert track.crossings == []
 
 
-def test_track_levels_validates_grid():
+def test_track_levels_validates_grid(monkeypatch):
     s = SpinSystem(4, has_central=True)
     with pytest.raises(DomainError):
         track_levels(s, 1.0, [0.5])
@@ -107,6 +109,16 @@ def test_track_levels_validates_grid():
         track_levels(s, 1.0, [0.5, 1.5])
     with pytest.raises(DomainError):
         track_levels(s, 1.0, [0.0, 1.0], n_levels=1)
+    # non-finite values: rejected before any solve and without a numpy warning
+    solved = []
+    monkeypatch.setattr(spectral, "solve", lambda *a, **k: solved.append(a))
+    for grid in ([0.0, np.nan], [np.inf, np.inf]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError):
+                track_levels(s, 1.0, grid)
+        assert caught == [], grid
+    assert solved == []
 
 
 @pytest.mark.parametrize("n_outer", range(2, 8))
