@@ -20,10 +20,9 @@ import numpy as np
 from . import __version__, n4
 from .errors import DomainError, ResourceLimitError
 from .spectral import _track, ground_subspace, solve, track_levels
-from .sweep import SweepConfig, _record, make_references, pair_concurrence
+from .sweep import (SweepConfig, _default_nnn_pair, _record, make_references,
+                    pair_concurrence)
 from .system import SpinSystem
-
-MAX_N_OUTER = 12
 
 SWEEP_COLUMNS = ["c", "E0", "deg", "C_nn", "C_nnn", "XX_nn", "XX_nnn",
                  "ZZ_nn", "ZZ_nnn", "O_r", "O_s", "O_p"]
@@ -64,14 +63,11 @@ def _fmt(x) -> str:
 
 def _system_and_grid(args):
     """System and c-grid of ``sweep``/``spectrum``; checks precede linspace."""
-    if not 2 <= args.n <= MAX_N_OUTER:
-        raise ResourceLimitError(
-            f"--n must lie in [2, {MAX_N_OUTER}] (dense-solver guard), got {args.n}")
+    system = SpinSystem(args.n, has_central=True)  # owns the size limit
     if not (0 <= args.c_min <= 1 and 0 <= args.c_max <= 1):  # also rejects nan
         raise DomainError("--c-min and --c-max must lie in [0, 1], "
                           f"got {args.c_min} and {args.c_max}")
-    return (SpinSystem(args.n, has_central=True),
-            np.linspace(args.c_min, args.c_max, args.c_steps + 1))
+    return system, np.linspace(args.c_min, args.c_max, args.c_steps + 1)
 
 
 def _parse_refs(spec: str):
@@ -150,14 +146,13 @@ def _write_csv_sidecars(out: str, crossings: list, manifest: dict) -> None:
 def cmd_sweep(args) -> int:
     system, grid = _system_and_grid(args)
     references, ring_eps = _parse_refs(args.refs)
-    nnn_default = (1, 3) if args.n >= 3 else (1, 2)
-    pairs = [{"nn": (1, 2), "nnn": nnn_default}.get(t, t) for t in args.pairs]
+    named = {"nn": (1, 2), "nnn": _default_nnn_pair(args.n)}
+    pairs = [named.get(t, t) for t in args.pairs]
     nn = pairs[0] if pairs else (1, 2)
     nnn = pairs[1] if len(pairs) >= 2 else None
     config = SweepConfig(
         n_outer=args.n, J=args.j, c_grid=grid, nn_pair=nn, nnn_pair=nnn,
         references=references, ring_eps=ring_eps, n_levels=args.levels,
-        allow_double_bond=(args.n == 2),
     )
     refs = make_references(config)
     records = []
@@ -169,7 +164,7 @@ def cmd_sweep(args) -> int:
 
     crossings = [_crossing_row(x) for x in _track(
         system, config.J, config.c_grid, max(2, args.levels),
-        allow_double_bond=config.allow_double_bond, spectrum_at=spectrum_at).crossings]
+        spectrum_at=spectrum_at).crossings]
 
     manifest = _manifest("sweep", {
         "n": args.n, "j": args.j, "c_min": args.c_min, "c_max": args.c_max,
@@ -202,6 +197,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_spectrum(args) -> int:
     system, grid = _system_and_grid(args)
+    if args.levels < 1:
+        raise DomainError(f"--levels must be >= 1, got {args.levels}")
     manifest = _manifest("spectrum", {
         "n": args.n, "j": args.j, "c_min": args.c_min, "c_max": args.c_max,
         "c_steps": args.c_steps, "levels": args.levels, "format": args.format,
@@ -210,13 +207,12 @@ def cmd_spectrum(args) -> int:
         # energies only; no continuation, hence no crossing analysis
         records = []
         for c in grid:
-            spec = solve(system, args.j, float(c), allow_double_bond=(args.n == 2))
+            spec = solve(system, args.j, float(c))
             records.append({"c": float(c), "energies": [float(spec.eigenvalues[0])]})
         payload = {"manifest": manifest, "records": records, "crossings": [],
                    "reports": {"note": "levels < 2: no crossing analysis"}}
     else:
-        track = track_levels(system, args.j, grid, n_levels=args.levels,
-                             allow_double_bond=(args.n == 2))
+        track = track_levels(system, args.j, grid, n_levels=args.levels)
         levels = {
             str(label): [{"c": c, "energy": e} for c, e in points]
             for label, points in track.tracked_levels.items()

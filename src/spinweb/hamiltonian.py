@@ -24,21 +24,16 @@ class CouplingConfig:
             raise DomainError(f"c must lie in [0,1], got {self.c}")
 
 
-def build_ring(system: SpinSystem, J: float = 1.0, *,
-               allow_double_bond: bool = False) -> HermitianOperator:
+def build_ring(system: SpinSystem, J: float = 1.0) -> HermitianOperator:
     """Nearest-neighbour XX ring on the outer sites, periodic boundary.
 
     H = J * sum_{i=1..N} (sx_i sx_{i+1} + sy_i sy_{i+1}) with N+1 = 1; the
     central qubit (if present) is untouched.  For N=2 the periodic sum counts
-    the single bond twice; that is rejected unless ``allow_double_bond`` is
-    set, since the double counting is almost always unintended.
+    the single bond twice.
     """
     n = system.n_outer
-    if n < 3 and not allow_double_bond:
-        raise DomainError(
-            f"n_outer={n} < 3 double-counts ring bonds; "
-            "pass allow_double_bond=True to build it anyway"
-        )
+    if n < 2:
+        raise DomainError(f"a ring needs n_outer >= 2, got {n}")
     return HermitianOperator(
         J * sum(xx_coupling(system, i, i % n + 1).matrix for i in range(1, n + 1)))
 
@@ -54,10 +49,9 @@ def build_star(system: SpinSystem, J: float = 1.0) -> HermitianOperator:
         J * sum(xx_coupling(system, 0, i).matrix for i in range(1, system.n_outer + 1)))
 
 
-def build_combined(system: SpinSystem, config: CouplingConfig, *,
-                   allow_double_bond: bool = False) -> HermitianOperator:
+def build_combined(system: SpinSystem, config: CouplingConfig) -> HermitianOperator:
     """Weighted interpolation H = J * [c * H_star + (1-c) * H_ring]."""
-    ring = build_ring(system, 1.0, allow_double_bond=allow_double_bond)
+    ring = build_ring(system, 1.0)
     star = build_star(system, 1.0)
     return HermitianOperator(
         config.J * (config.c * star.matrix + (1.0 - config.c) * ring.matrix)

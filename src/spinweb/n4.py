@@ -249,13 +249,14 @@ def level_II_concurrences(coeffs: LevelCoefficients) -> tuple[float, float]:
 # Regions and the measurement protocol
 # ---------------------------------------------------------------------------
 
-def detect_regions(J: float = 1.0, n_grid: int = 201):
+def detect_regions(J: float = 1.0):
     """Ground-level crossing boundaries of the N=4 sweep.
 
     Returns ((c1_lo, c1_hi), (c2_lo, c2_hi)): the two refined crossing
-    intervals separating ring, intermediate and star regions.
+    intervals separating ring, intermediate and star regions, tracked on a
+    201-point grid.
     """
-    track = track_levels(FULL, J, np.linspace(0.0, 1.0, n_grid), n_levels=4)
+    track = track_levels(FULL, J, np.linspace(0.0, 1.0, 201), n_levels=4)
     if len(track.crossings) != 2:
         raise DomainError(
             f"expected 2 ground-level crossings for N=4, found {len(track.crossings)}"
@@ -264,9 +265,9 @@ def detect_regions(J: float = 1.0, n_grid: int = 201):
     return (x1.c_lo, x1.c_hi), (x2.c_lo, x2.c_hi)
 
 
-def intermediate_region(J: float = 1.0, n_grid: int = 201) -> tuple[float, float]:
+def intermediate_region(J: float = 1.0) -> tuple[float, float]:
     """The c-interval where level II is the ground level."""
-    (c1, c2) = detect_regions(J, n_grid)
+    (c1, c2) = detect_regions(J)
     return c1[1], c2[0]
 
 

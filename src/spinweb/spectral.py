@@ -14,8 +14,9 @@ from .operators import HermitianOperator, popcount_sectors
 from .states import QuantumState
 from .system import SpinSystem
 
-DEFAULT_DEGENERACY_TOL = 1e-9
+DEGENERACY_TOL = 1e-9
 OVERLAP_THRESHOLD = 0.5
+CROSSING_WIDTH = 1e-6  # bisection stops once a crossing lies in an interval this wide
 
 
 @dataclass(frozen=True)
@@ -64,10 +65,10 @@ def eigendecompose(H: HermitianOperator) -> Spectrum:
 
 
 @lru_cache(maxsize=1)
-def _sector_blocks(system: SpinSystem, allow_double_bond: bool):
+def _sector_blocks(system: SpinSystem):
     """Total-Sz sectors and the read-only (ring, star) blocks (J=1) on each."""
     sectors = popcount_sectors(system.dimension)
-    ring = build_ring(system, 1.0, allow_double_bond=allow_double_bond).matrix
+    ring = build_ring(system, 1.0).matrix
     star = build_star(system, 1.0).matrix
     pairs = [(ring[np.ix_(idx, idx)], star[np.ix_(idx, idx)]) for idx in sectors]
     for ring_block, star_block in pairs:
@@ -76,14 +77,13 @@ def _sector_blocks(system: SpinSystem, allow_double_bond: bool):
     return sectors, pairs
 
 
-def solve(system: SpinSystem, J: float, c: float, *,
-          allow_double_bond: bool = False) -> Spectrum:
+def solve(system: SpinSystem, J: float, c: float) -> Spectrum:
     """Spectrum of J * [c * H_star + (1-c) * H_ring] from Sz blocks built once.
 
     Equal, bit for bit, to ``eigendecompose(build_combined(...))``.
     """
     config = CouplingConfig(J=J, c=c)
-    sectors, pairs = _sector_blocks(system, allow_double_bond)
+    sectors, pairs = _sector_blocks(system)
     return _solve_blocks((config.J * (config.c * s + (1.0 - config.c) * r)
                           for r, s in pairs), sectors, system.dimension)
 
@@ -98,17 +98,17 @@ class GroundSubspace:
     density: QuantumState
 
 
-def ground_subspace(spec: Spectrum, tol_deg: float = DEFAULT_DEGENERACY_TOL) -> GroundSubspace:
+def ground_subspace(spec: Spectrum) -> GroundSubspace:
     """Extract the (possibly degenerate) ground subspace of a spectrum.
 
-    Degeneracy counts eigenvalues within ``tol_deg * max(1, spectral_range)``
+    Degeneracy counts eigenvalues within ``DEGENERACY_TOL * max(1, spectral_range)``
     of the minimum; the density is the normalized projector onto their span,
     which is independent of the basis choice, stored as the factor B/sqrt(deg).
     """
     ev = spec.eigenvalues
     if ev.size == 0:
         raise DomainError("empty spectrum")
-    thr = tol_deg * max(1.0, float(ev[-1] - ev[0]))
+    thr = DEGENERACY_TOL * max(1.0, float(ev[-1] - ev[0]))
     deg = int(np.count_nonzero(ev <= ev[0] + thr))
     basis = spec.eigenvectors[:, :deg]
     return GroundSubspace(float(ev[0]), deg, basis,
@@ -137,14 +137,14 @@ class LevelTrack:
     flagged_intervals: list[tuple[float, float]] = field(default_factory=list)
 
 
-def _low_groups(spec: Spectrum, n_levels: int, tol_deg: float):
+def _low_groups(spec: Spectrum, n_levels: int):
     """Cluster the lowest eigenvalues into degenerate groups.
 
     Returns [(energy, basis)] covering at least n_levels eigenstates, ground
     group first; the bases are copies, so they do not pin the spectrum.
     """
     ev = spec.eigenvalues
-    thr = tol_deg * max(1.0, float(ev[-1] - ev[0]))
+    thr = DEGENERACY_TOL * max(1.0, float(ev[-1] - ev[0]))
     groups = []
     start = 0
     while start < min(n_levels, ev.size):
@@ -180,11 +180,10 @@ def _match_groups(prev_labeled: dict[int, np.ndarray], groups) -> list[int]:
     return [assigned[gi] if gi in assigned else next(fresh) for gi in range(len(groups))]
 
 
-def _refine_crossing(groups_at, c_lo, c_hi, labeled_lo, ground_lo, ground_hi,
-                     width=1e-6):
+def _refine_crossing(groups_at, c_lo, c_hi, labeled_lo, ground_lo, ground_hi):
     """Bisect until the ground-label change is localized; groups_at(c) solves."""
     min_gap = np.inf
-    while c_hi - c_lo > width:
+    while c_hi - c_lo > CROSSING_WIDTH:
         c_mid = 0.5 * (c_lo + c_hi)
         groups = groups_at(c_mid)
         labels = _match_groups(labeled_lo, groups)
@@ -208,9 +207,7 @@ def _check_grid(c_grid) -> np.ndarray:
     return grid
 
 
-def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4, *,
-                 tol_deg: float = DEFAULT_DEGENERACY_TOL,
-                 allow_double_bond: bool = False) -> LevelTrack:
+def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4) -> LevelTrack:
     """Continue the lowest energy levels across a c-grid and detect crossings.
 
     Levels are continued between adjacent grid points by maximal
@@ -225,19 +222,18 @@ def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4, *,
         raise DomainError("c_grid must have >= 2 points")
     if n_levels < 2:
         raise DomainError("n_levels must be >= 2")
-    return _track(system, J, c_grid, n_levels, tol_deg, allow_double_bond)
+    return _track(system, J, c_grid, n_levels)
 
 
 def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
-           tol_deg: float = DEFAULT_DEGENERACY_TOL, allow_double_bond: bool = False,
            spectrum_at=None) -> LevelTrack:
     """The loop of ``track_levels``.  ``spectrum_at(c)``, called once per grid
     point in grid order, defaults to ``solve``; the bisection always solves."""
     def solve_at(c):
-        return solve(system, J, c, allow_double_bond=allow_double_bond)
+        return solve(system, J, c)
 
     def groups_at(c):
-        return _low_groups(solve_at(c), n_levels, tol_deg)
+        return _low_groups(solve_at(c), n_levels)
 
     tracked: dict[int, list] = {}
     crossings: list[Crossing] = []
@@ -247,7 +243,7 @@ def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
     prev_ground = None
     prev_c = None
     for c in c_grid.tolist():
-        groups = _low_groups((spectrum_at or solve_at)(c), n_levels, tol_deg)
+        groups = _low_groups((spectrum_at or solve_at)(c), n_levels)
         labels = _match_groups(prev_labeled, groups)
         for lab, (energy, _) in zip(labels, groups):
             tracked.setdefault(lab, []).append((c, energy))

@@ -12,6 +12,7 @@ from .system import SpinSystem
 
 NORM_TOL = 1e-12
 PSD_TOL = -1e-10
+SZ_BLOCK_TOL = 1e-10  # largest off-block RDM entry still read as zero
 
 
 class QuantumState:
@@ -116,7 +117,6 @@ class TwoQubitRDM:
     """
 
     matrix: np.ndarray
-    block_tol: float = 1e-10
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
@@ -134,7 +134,7 @@ class TwoQubitRDM:
         """(v, w, x, y, z) when Sz-block-diagonal, else None."""
         m = self.matrix
         off = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
-        if any(abs(m[i, j]) >= self.block_tol or abs(m[j, i]) >= self.block_tol
+        if any(abs(m[i, j]) >= SZ_BLOCK_TOL or abs(m[j, i]) >= SZ_BLOCK_TOL
                for i, j in off):
             return None
         return (m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real, m[1, 2])

@@ -37,7 +37,6 @@ class SweepConfig:
     references: tuple[str, ...] = ("ring", "star")
     ring_eps: float = 0.01
     n_levels: int = 6
-    allow_double_bond: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "c_grid", _check_grid(self.c_grid))
@@ -54,7 +53,12 @@ class SweepConfig:
     def resolved_nnn_pair(self) -> tuple[int, int]:
         if self.nnn_pair is not None:
             return self.nnn_pair
-        return (1, 3) if self.n_outer >= 3 else (1, 2)
+        return _default_nnn_pair(self.n_outer)
+
+
+def _default_nnn_pair(n_outer: int) -> tuple[int, int]:
+    """Next-to-nearest outer pair on the ring: (1, 3), or (1, 2) when N=2."""
+    return (1, 3) if n_outer >= 3 else (1, 2)
 
 
 @dataclass(frozen=True)
@@ -226,8 +230,7 @@ def make_references(config: SweepConfig) -> ReferenceSet:
     system = SpinSystem(config.n_outer, has_central=True)
 
     def ground_density(c):
-        return ground_subspace(solve(system, config.J, c,
-                                     allow_double_bond=config.allow_double_bond)).density
+        return ground_subspace(solve(system, config.J, c)).density
 
     ring = None
     if "ring_eps" in config.references:
@@ -301,7 +304,7 @@ def _record(config: SweepConfig, system: SpinSystem, refs: ReferenceSet,
             c: float) -> tuple[SweepRecord, Spectrum]:
     """The SweepRecord of one grid point, and the spectrum it was built from."""
     try:
-        spec = solve(system, config.J, c, allow_double_bond=config.allow_double_bond)
+        spec = solve(system, config.J, c)
         gs = ground_subspace(spec)
         rho = gs.density
         nn, nnn = config.nn_pair, config.resolved_nnn_pair

@@ -10,13 +10,13 @@ spin-up |0> (sigma_z eigenvalue +1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
 
-#: Largest dense dimension accepted without an explicit override (N=12 outer
-#: spins plus the central one).
-MAX_DENSE_DIMENSION = 8192
+#: Most qubits a system may hold: the dense solver's cap of dimension
+#: 2**13 = 8192, i.e. N=12 outer spins plus the central one.
+MAX_QUBITS = 13
 
 
 @dataclass(frozen=True)
@@ -33,15 +33,15 @@ class SpinSystem:
 
     n_outer: int
     has_central: bool = True
-    allow_large: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.n_outer < 1:
             raise DomainError(f"n_outer must be positive, got {self.n_outer}")
-        if self.dimension > MAX_DENSE_DIMENSION and not self.allow_large:
+        # compare qubit counts: 2**n_qubits is never formed for a huge n_outer
+        if self.n_qubits > MAX_QUBITS:
             raise ResourceLimitError(
-                f"dimension {self.dimension} exceeds the dense cap "
-                f"{MAX_DENSE_DIMENSION}; pass allow_large=True to override"
+                f"{self.n_qubits} qubits exceed the dense-solver cap of "
+                f"{MAX_QUBITS} (n_outer <= {MAX_QUBITS - 1} with the central qubit)"
             )
 
     @property
@@ -50,7 +50,7 @@ class SpinSystem:
 
     @property
     def dimension(self) -> int:
-        return 1 << (self.n_outer + (1 if self.has_central else 0))
+        return 1 << self.n_qubits
 
     @property
     def sites(self) -> tuple[int, ...]:

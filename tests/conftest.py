@@ -29,8 +29,7 @@ def child_env():
 @lru_cache(maxsize=None)
 def _ground(n_outer: int, c: float, J: float = 1.0):
     system = SpinSystem(n_outer, has_central=True)
-    h = build_combined(system, CouplingConfig(J=J, c=c),
-                       allow_double_bond=(n_outer == 2))
+    h = build_combined(system, CouplingConfig(J=J, c=c))
     return ground_subspace(eigendecompose(h))
 
 

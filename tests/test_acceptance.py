@@ -43,8 +43,7 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
 
 def _ground(n_outer, c, J=1.0):
     system = SpinSystem(n_outer, has_central=True)
-    return system, ground_subspace(solve(system, J, c,
-                                         allow_double_bond=(n_outer == 2)))
+    return system, ground_subspace(solve(system, J, c))
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,8 @@ _REF_TOKENS = ["ring", "star", "ansatz", "ring-eps", "ring-eps=0.05",
 
 
 @settings(max_examples=100, deadline=None)
-@given(command=st.sampled_from(["sweep", "spectrum"]), n=st.integers(2, 4),
+@given(command=st.sampled_from(["sweep", "spectrum"]),
+       n=st.one_of(st.integers(-3, 4), st.sampled_from([13, 20000])),
        steps=st.integers(0, 3), j=_mostly(st.floats(-2.0, 2.0)),
        c_min=_mostly(st.floats(0.0, 1.0)), c_max=_mostly(st.floats(0.0, 1.0)),
        levels=st.integers(-3, 8), refs=st.lists(st.sampled_from(_REF_TOKENS), max_size=3))
@@ -123,8 +124,19 @@ def test_cli_exit_code_is_documented_for_any_input(command, n, steps, j, c_min, 
 
 
 def test_resource_guard_exits_4(capsys):
-    assert run_cli("sweep", "--n", "99", "--c-steps", "2") == 4
-    assert "resource guard" in capsys.readouterr().err
+    for n in ("13", "20000", "99"):
+        assert run_cli("sweep", "--n", n, "--c-steps", "2") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("resource guard: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["sweep", "spectrum"])
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_too_few_spins_exit_3(command, n, capsys):
+    assert run_cli(command, "--n", n, "--c-steps", "2") == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1, out.err
 
 
 def test_domain_error_exits_3(capsys):
@@ -283,6 +295,14 @@ def test_spectrum_single_level_skips_crossing_analysis(tmp_path):
     assert payload["crossings"] == []
     assert "no crossing analysis" in payload["reports"]["note"]
     assert len(payload["records"]) == 5
+
+
+@pytest.mark.parametrize("levels", ["0", "-2"])
+def test_spectrum_rejects_nonpositive_levels(levels, capsys):
+    assert main(["spectrum", "--n", "3", "--c-steps", "2", "--levels", levels]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --levels must be >= 1, got {levels}\n"
 
 
 def test_spectrum_csv(tmp_path):

@@ -53,12 +53,11 @@ def test_ring_ignores_central_qubit():
     np.testing.assert_allclose(h[:half, half:], 0.0, atol=1e-15)
 
 
-def test_double_bond_guard():
+def test_two_site_ring_counts_its_bond_twice():
     s = SpinSystem(2, has_central=True)
+    np.testing.assert_allclose(build_ring(s).matrix, 2.0 * xx_coupling(s, 1, 2).matrix)
     with pytest.raises(DomainError):
-        build_ring(s)
-    h = build_ring(s, allow_double_bond=True).matrix
-    np.testing.assert_allclose(h, 2.0 * xx_coupling(s, 1, 2).matrix)
+        build_ring(SpinSystem(1, has_central=True))  # no ring bond at all
 
 
 def test_star_requires_central_qubit():

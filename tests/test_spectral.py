@@ -124,26 +124,24 @@ def test_track_levels_validates_grid(monkeypatch):
 @pytest.mark.parametrize("n_outer", range(2, 8))
 def test_solve_equals_dense_path_exactly(n_outer):
     s = SpinSystem(n_outer, has_central=True)
-    double = n_outer == 2
     for J in (1.0, 0.7):
         for c in (0.0, 0.3, 0.5, 0.694, 1.0):
-            spec = solve(s, J, c, allow_double_bond=double)
-            dense = eigendecompose(build_combined(s, CouplingConfig(J=J, c=c),
-                                                  allow_double_bond=double))
+            spec = solve(s, J, c)
+            dense = eigendecompose(build_combined(s, CouplingConfig(J=J, c=c)))
             np.testing.assert_array_equal(spec.eigenvalues, dense.eigenvalues)
             np.testing.assert_array_equal(spec.eigenvectors, dense.eigenvectors)
 
 
 def test_solve_keeps_builder_guards():
     with pytest.raises(DomainError):
-        solve(SpinSystem(2, has_central=True), 1.0, 0.5)  # double-counted ring bond
+        solve(SpinSystem(1, has_central=True), 1.0, 0.5)  # no ring bond
     with pytest.raises(DomainError):
         solve(SpinSystem(4, has_central=False), 1.0, 0.5)  # no star without centre
     with pytest.raises(DomainError):
         solve(SpinSystem(3, has_central=True), float("nan"), 0.5)
     with pytest.raises(DomainError):
         solve(SpinSystem(3, has_central=True), 1.0, 1.5)
-    _, pairs = spectral._sector_blocks(SpinSystem(3, has_central=True), False)
+    _, pairs = spectral._sector_blocks(SpinSystem(3, has_central=True))
     assert not any(block.flags.writeable for pair in pairs for block in pair)
 
 

@@ -41,7 +41,7 @@ def test_config_validation():
         SweepConfig(n_outer=4, references=("bogus",))
     cfg = SweepConfig(n_outer=4)
     assert cfg.resolved_nnn_pair == (1, 3)
-    assert SweepConfig(n_outer=2, allow_double_bond=True).resolved_nnn_pair == (1, 2)
+    assert SweepConfig(n_outer=2).resolved_nnn_pair == (1, 2)
 
 
 def test_singlet_coverings_structure():

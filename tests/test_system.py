@@ -3,7 +3,7 @@
 import pytest
 
 from spinweb import DomainError, ResourceLimitError, SpinSystem
-from spinweb.system import MAX_DENSE_DIMENSION
+from spinweb.system import MAX_QUBITS
 
 
 def test_sites_and_dimensions():
@@ -53,7 +53,9 @@ def test_site_validation():
 def test_invalid_sizes():
     with pytest.raises(DomainError):
         SpinSystem(0)
-    with pytest.raises(ResourceLimitError):
-        SpinSystem(14)  # 2^15 > dense cap
-    big = SpinSystem(14, allow_large=True)
-    assert big.dimension > MAX_DENSE_DIMENSION
+    # 2**20001 has too many digits for int-to-str conversion, and 2**(10**18)
+    # cannot be allocated: the guard must never form the dimension
+    for n in (14, 20000, 10 ** 18):
+        with pytest.raises(ResourceLimitError):
+            SpinSystem(n)
+    assert SpinSystem(12).n_qubits == SpinSystem(13, has_central=False).n_qubits == MAX_QUBITS
