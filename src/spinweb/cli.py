@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, n4
 from .errors import DomainError, ResourceLimitError
-from .spectral import _track, ground_subspace, solve, track_levels
+from .spectral import _check_grid, _track, ground_subspace, solve
 from .sweep import (SweepConfig, _default_nnn_pair, _record, make_references,
                     pair_concurrence)
 from .system import SpinSystem
@@ -62,12 +62,12 @@ def _fmt(x) -> str:
 
 
 def _system_and_grid(args):
-    """System and c-grid of ``sweep``/``spectrum``; checks precede linspace."""
+    """System and checked c-grid of ``sweep``/``spectrum``; range checks precede linspace."""
     system = SpinSystem(args.n, has_central=True)  # owns the size limit
     if not (0 <= args.c_min <= 1 and 0 <= args.c_max <= 1):  # also rejects nan
         raise DomainError("--c-min and --c-max must lie in [0, 1], "
                           f"got {args.c_min} and {args.c_max}")
-    return system, np.linspace(args.c_min, args.c_max, args.c_steps + 1)
+    return system, _check_grid(np.linspace(args.c_min, args.c_max, args.c_steps + 1))
 
 
 def _parse_refs(spec: str):
@@ -212,7 +212,7 @@ def cmd_spectrum(args) -> int:
         payload = {"manifest": manifest, "records": records, "crossings": [],
                    "reports": {"note": "levels < 2: no crossing analysis"}}
     else:
-        track = track_levels(system, args.j, grid, n_levels=args.levels)
+        track = _track(system, args.j, grid, args.levels)  # unlike track_levels, takes one point
         levels = {
             str(label): [{"c": c, "energy": e} for c, e in points]
             for label, points in track.tracked_levels.items()

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .operators import PAULI, pauli_pair
+from .operators import PAULI, _check_pair
 from .states import QuantumState, TwoQubitRDM
 from .system import SpinSystem
 
@@ -77,10 +77,21 @@ def entanglement_of_formation(concurrence: float) -> float:
 
 def correlation(state: QuantumState, system: SpinSystem, axis: str,
                 site_i: int, site_j: int) -> float:
-    """Two-point correlator <sigma_axis(i) sigma_axis(j)> in the given state."""
-    op = pauli_pair(system, site_i, site_j, axis)
+    """Two-point correlator <sigma_axis(i) sigma_axis(j)> in the given state.
+
+    Computed on the factor F, with m the two sites' bits: XX is
+    Re vdot(F, F[b ^ m]); YY is that gather signed -1 where the bits agree;
+    ZZ is sum(sign |F|^2), sign -1 where the bits differ.
+    """
+    _check_pair(system, site_i, site_j, axis)
+    m = system.site_mask(site_i) | system.site_mask(site_j)
+    b = np.arange(system.dimension)
     f = state.factor
-    val = float(np.real(np.vdot(f, op.matrix @ f)))
+    differ = (np.bitwise_count(b & m) == 1)[:, None]
+    g = f if axis == "z" else f[b ^ m]
+    if axis != "x":  # sign -1 where the bits differ (z) or agree (y)
+        g = np.where(differ == (axis == "z"), -g, g)
+    val = float(np.real(np.vdot(f, g)))
     if abs(val) > 1.0 + 1e-10:
         raise DomainError(f"correlator {val} outside [-1, 1]")
     return val

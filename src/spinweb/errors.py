@@ -10,4 +10,4 @@ class DomainError(SpinwebError):
 
 
 class ResourceLimitError(SpinwebError):
-    """A requested computation exceeds the dense-solver size guard."""
+    """A requested computation exceeds the size guard."""

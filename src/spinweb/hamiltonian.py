@@ -24,6 +24,21 @@ class CouplingConfig:
             raise DomainError(f"c must lie in [0,1], got {self.c}")
 
 
+def ring_bonds(system: SpinSystem) -> list[tuple[int, int]]:
+    """The ring's site pairs (i, i+1), i = 1..N, with N+1 = 1."""
+    n = system.n_outer
+    if n < 2:
+        raise DomainError(f"a ring needs n_outer >= 2, got {n}")
+    return [(i, i % n + 1) for i in range(1, n + 1)]
+
+
+def star_bonds(system: SpinSystem) -> list[tuple[int, int]]:
+    """The star's site pairs (0, i), i = 1..N."""
+    if not system.has_central:
+        raise DomainError("build_star requires a system with a central qubit")
+    return [(0, i) for i in range(1, system.n_outer + 1)]
+
+
 def build_ring(system: SpinSystem, J: float = 1.0) -> HermitianOperator:
     """Nearest-neighbour XX ring on the outer sites, periodic boundary.
 
@@ -31,11 +46,8 @@ def build_ring(system: SpinSystem, J: float = 1.0) -> HermitianOperator:
     central qubit (if present) is untouched.  For N=2 the periodic sum counts
     the single bond twice.
     """
-    n = system.n_outer
-    if n < 2:
-        raise DomainError(f"a ring needs n_outer >= 2, got {n}")
     return HermitianOperator(
-        J * sum(xx_coupling(system, i, i % n + 1).matrix for i in range(1, n + 1)))
+        J * sum(xx_coupling(system, a, b).matrix for a, b in ring_bonds(system)))
 
 
 def build_star(system: SpinSystem, J: float = 1.0) -> HermitianOperator:
@@ -43,10 +55,8 @@ def build_star(system: SpinSystem, J: float = 1.0) -> HermitianOperator:
 
     H = J * sum_{i=1..N} (sx_0 sx_i + sy_0 sy_i).
     """
-    if not system.has_central:
-        raise DomainError("build_star requires a system with a central qubit")
     return HermitianOperator(
-        J * sum(xx_coupling(system, 0, i).matrix for i in range(1, system.n_outer + 1)))
+        J * sum(xx_coupling(system, a, b).matrix for a, b in star_bonds(system)))
 
 
 def build_combined(system: SpinSystem, config: CouplingConfig) -> HermitianOperator:

@@ -10,6 +10,7 @@ extracts a GHZ state from the ground state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
@@ -254,9 +255,17 @@ def detect_regions(J: float = 1.0):
 
     Returns ((c1_lo, c1_hi), (c2_lo, c2_hi)): the two refined crossing
     intervals separating ring, intermediate and star regions, tracked on a
-    201-point grid.
+    201-point grid.  For J > 0 the spectrum scales with J and the eigenvectors
+    do not change, so the bounds are found once per process, at J = 1.
     """
-    track = track_levels(FULL, J, np.linspace(0.0, 1.0, 201), n_levels=4)
+    if not J > 0:
+        raise DomainError(f"N=4 region detection needs J > 0, got {J}")
+    return _regions()
+
+
+@lru_cache(maxsize=1)
+def _regions():
+    track = track_levels(FULL, 1.0, np.linspace(0.0, 1.0, 201), n_levels=4)
     if len(track.crossings) != 2:
         raise DomainError(
             f"expected 2 ground-level crossings for N=4, found {len(track.crossings)}"

@@ -65,18 +65,23 @@ def pauli_site(system: SpinSystem, site: int, axis: str) -> HermitianOperator:
     return HermitianOperator(m)
 
 
-def pauli_pair(system: SpinSystem, site_a: int, site_b: int, axis: str) -> HermitianOperator:
-    """Embedded two-site Pauli product sigma_axis(a) * sigma_axis(b).
-
-    The same-axis product is real for every axis (the imaginary parts of the
-    two sigma_y factors cancel), so the result is stored real-symmetric.
-    """
+def _check_pair(system: SpinSystem, site_a: int, site_b: int, axis: str) -> None:
+    """Reject a bad axis, equal sites or a site the system lacks."""
     if axis not in ("x", "y", "z"):
         raise DomainError(f"axis must be one of x, y, z, got {axis!r}")
     if site_a == site_b:
         raise DomainError(f"site_a and site_b must differ, both are {site_a}")
     system.validate_site(site_a)
     system.validate_site(site_b)
+
+
+def pauli_pair(system: SpinSystem, site_a: int, site_b: int, axis: str) -> HermitianOperator:
+    """Embedded two-site Pauli product sigma_axis(a) * sigma_axis(b).
+
+    The same-axis product is real for every axis (the imaginary parts of the
+    two sigma_y factors cancel), so the result is stored real-symmetric.
+    """
+    _check_pair(system, site_a, site_b, axis)
     m = _embed(system, {site_a: PAULI[axis], site_b: PAULI[axis]})
     if np.abs(m.imag).max() > 1e-14:
         raise DomainError("same-axis Pauli pair should be real")
@@ -110,7 +115,7 @@ class SzSectorDecomposition:
 def popcount_sectors(dim: int) -> list[np.ndarray]:
     """Basis indices grouped by popcount (ascending), for dim a power of two."""
     q = dim.bit_length() - 1
-    pop = np.array([int(b).bit_count() for b in range(dim)])
+    pop = np.bitwise_count(np.arange(dim))
     return [np.flatnonzero(pop == k) for k in range(q + 1)]
 
 

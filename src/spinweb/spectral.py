@@ -9,7 +9,7 @@ from itertools import count
 import numpy as np
 
 from .errors import DomainError
-from .hamiltonian import CouplingConfig, build_ring, build_star
+from .hamiltonian import CouplingConfig, ring_bonds, star_bonds
 from .operators import HermitianOperator, popcount_sectors
 from .states import QuantumState
 from .system import SpinSystem
@@ -28,17 +28,19 @@ class Spectrum:
 
 
 def _solve_blocks(blocks, sectors: list[np.ndarray], dim: int) -> Spectrum:
-    """Eigh of each sector block, merged in ascending order (ties by sector)."""
-    vals, vecs = [], []
-    for idx, block in zip(sectors, blocks):
-        ev, u = np.linalg.eigh(block)
-        full = np.zeros((dim, len(idx)), dtype=u.dtype)
-        full[idx, :] = u
-        vals.append(ev)
-        vecs.append(full)
-    vals = np.concatenate(vals)
+    """Eigh of each sector block, merged in ascending order (ties by sector);
+    each sector's eigenvectors go straight into their sorted columns."""
+    pairs = [np.linalg.eigh(block) for block in blocks]
+    vals = np.concatenate([ev for ev, _ in pairs])
     order = np.argsort(vals, kind="stable")
-    return Spectrum(vals[order], np.hstack(vecs)[:, order])
+    column = np.empty(dim, dtype=np.intp)
+    column[order] = np.arange(dim)
+    vecs = np.zeros((dim, dim), dtype=np.result_type(*(u for _, u in pairs)))
+    start = 0
+    for idx, (_, u) in zip(sectors, pairs):
+        vecs[np.ix_(idx, column[start:start + idx.size])] = u
+        start += idx.size
+    return Spectrum(vals[order], vecs)
 
 
 def eigendecompose(H: HermitianOperator) -> Spectrum:
@@ -64,17 +66,28 @@ def eigendecompose(H: HermitianOperator) -> Spectrum:
     return Spectrum(ev, u)
 
 
+def _bond_block(idx: np.ndarray, masks: list[int]) -> np.ndarray:
+    """Read-only block, on the ascending basis states ``idx``, of the XX bonds with
+    site-bit ``masks``: sx sx + sy sy = 2 (s+ s- + h.c.) takes a state with exactly
+    one of the two bits set to ``state ^ mask``, amplitude 2."""
+    block = np.zeros((idx.size, idx.size))
+    for m in masks:
+        hop = np.flatnonzero(np.bitwise_count(idx & m) == 1)
+        block[hop, np.searchsorted(idx, idx[hop] ^ m)] += 2.0
+    block.setflags(write=False)
+    return block
+
+
 @lru_cache(maxsize=1)
 def _sector_blocks(system: SpinSystem):
-    """Total-Sz sectors and the read-only (ring, star) blocks (J=1) on each."""
+    """Total-Sz sectors and the (ring, star) blocks (J=1) on each, from bit flips;
+    equal, entry for entry, to slices of ``build_ring``/``build_star``."""
+    def masks(bonds):
+        return [system.site_mask(a) | system.site_mask(b) for a, b in bonds]
+
+    ring, star = masks(ring_bonds(system)), masks(star_bonds(system))
     sectors = popcount_sectors(system.dimension)
-    ring = build_ring(system, 1.0).matrix
-    star = build_star(system, 1.0).matrix
-    pairs = [(ring[np.ix_(idx, idx)], star[np.ix_(idx, idx)]) for idx in sectors]
-    for ring_block, star_block in pairs:
-        ring_block.setflags(write=False)
-        star_block.setflags(write=False)
-    return sectors, pairs
+    return sectors, [(_bond_block(idx, ring), _bond_block(idx, star)) for idx in sectors]
 
 
 def solve(system: SpinSystem, J: float, c: float) -> Spectrum:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
 
-#: Most qubits a system may hold: the dense solver's cap of dimension
-#: 2**13 = 8192, i.e. N=12 outer spins plus the central one.
+#: Most qubits a system may hold (N=12 outer spins plus the central one); it
+#: bounds a solve's dim x dim eigenvector matrix, 512 MiB in float64 at 2**13.
 MAX_QUBITS = 13
 
 
@@ -40,7 +40,7 @@ class SpinSystem:
         # compare qubit counts: 2**n_qubits is never formed for a huge n_outer
         if self.n_qubits > MAX_QUBITS:
             raise ResourceLimitError(
-                f"{self.n_qubits} qubits exceed the dense-solver cap of "
+                f"{self.n_qubits} qubits exceed the size cap of "
                 f"{MAX_QUBITS} (n_outer <= {MAX_QUBITS - 1} with the central qubit)"
             )
 
@@ -72,10 +72,13 @@ class SpinSystem:
             return site
         return site - 1
 
+    def site_mask(self, site: int) -> int:
+        """The basis-index bit that holds a site: 1 << (n_qubits - 1 - position)."""
+        return 1 << (self.n_qubits - 1 - self.tensor_position(site))
+
     def bit_of(self, basis_index: int, site: int) -> int:
         """Bit value of a site in a computational-basis index."""
-        pos = self.tensor_position(site)
-        return (basis_index >> (self.n_qubits - 1 - pos)) & 1
+        return int(basis_index & self.site_mask(site) != 0)
 
     def magnetization(self, basis_index: int) -> int:
         """Total sigma_z eigenvalue of a basis state (n_qubits - 2*popcount)."""

@@ -305,6 +305,24 @@ def test_spectrum_rejects_nonpositive_levels(levels, capsys):
     assert out.err == f"error: --levels must be >= 1, got {levels}\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_spectrum_one_point_grid(tmp_path, fmt):
+    out = tmp_path / f"spec0.{fmt}"
+    assert main(["spectrum", "--n", "4", "--c-steps", "0", "--c-min", "0.3",
+                 "--format", fmt, "--out", str(out)]) == 0
+    if fmt == "json":
+        payload = json.loads(out.read_text())
+        assert payload["crossings"] == []
+        assert payload["records"]
+        for points in payload["records"].values():
+            assert [p["c"] for p in points] == [0.3]
+    else:
+        rows = out.read_text().splitlines()[1:]
+        assert rows and all(row.split(",")[1] == "0.3" for row in rows)
+        crossings = out.with_name(out.name + ".crossings.csv").read_text()
+        assert crossings.splitlines() == ["c_lo,c_hi,label_from,label_to,min_gap"]
+
+
 def test_spectrum_csv(tmp_path):
     out = tmp_path / "spec.csv"
     assert main(["spectrum", "--n", "4", "--c-steps", "4", "--format", "csv",
@@ -341,6 +359,33 @@ def test_ghz_star_region(tmp_path):
 
 def test_ghz_out_of_region_exits_3():
     assert run_cli("ghz", "--c", "0.1") == 3
+
+
+def test_second_ghz_makes_only_its_own_solves(monkeypatch, tmp_path):
+    from spinweb import cli, n4, spectral
+    solved = []
+    original = spectral.solve
+
+    def counted(system, J, c, **kwargs):
+        solved.append(c)
+        return original(system, J, c, **kwargs)
+
+    for module in (spectral, cli, n4):
+        monkeypatch.setattr(module, "solve", counted)
+    n4._regions.cache_clear()
+    assert main(["ghz", "--out", str(tmp_path / "a.json")]) == 0
+    assert len(solved) > 200  # the region bounds: a 201-point track plus bisection
+    solved.clear()
+    assert main(["ghz", "--j", "1.7", "--out", str(tmp_path / "b.json")]) == 0
+    c = json.loads((tmp_path / "b.json").read_text())["manifest"]["config"]["c"]
+    assert solved and set(solved) == {c} and len(solved) <= 2
+
+
+@pytest.mark.parametrize("j", ["0", "-1"])
+def test_ghz_needs_positive_coupling(j, capsys):
+    assert run_cli("ghz", "--j", j) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: N=4 region detection needs J > 0, got {float(j)}\n"
 
 
 def test_verify_n4_passes(capsys):

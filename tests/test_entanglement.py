@@ -14,6 +14,7 @@ from spinweb import (
     concurrence_wootters,
     correlation,
     entanglement_of_formation,
+    pauli_pair,
     star_concurrence_closed_form,
 )
 
@@ -108,3 +109,32 @@ def test_correlation_on_bell_state():
     bell = QuantumState.pure(np.array([0, 1, -1, 0]) / np.sqrt(2))
     for axis in "xyz":
         assert correlation(bell, s, axis, 1, 2) == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("has_central", [True, False])
+@pytest.mark.parametrize("n_outer", range(2, 8))
+def test_correlation_equals_dense_pauli_pair(n_outer, has_central):
+    s = SpinSystem(n_outer, has_central=has_central)
+    rng = np.random.default_rng(1000 * n_outer + has_central)
+    factors = []
+    for rank in (1, 2, 3):
+        f = rng.normal(size=(s.dimension, rank)) + 1j * rng.normal(size=(s.dimension, rank))
+        factors.append(f / np.linalg.norm(f))
+    for i, a in enumerate(s.sites):  # site 0 is among them with the central spin
+        for b in s.sites[i + 1:]:
+            for axis in "xyz":
+                op = pauli_pair(s, a, b, axis).matrix
+                for f in factors:
+                    got = correlation(QuantumState("mixed", f), s, axis, a, b)
+                    assert abs(got - np.real(np.vdot(f, op @ f))) < 1e-12, (a, b, axis)
+
+
+@pytest.mark.parametrize("axis, a, b", [("w", 1, 2), ("x", 2, 2), ("z", 1, 9), ("y", 0, 1)])
+def test_correlation_raises_as_pauli_pair(axis, a, b):
+    s = SpinSystem(3, has_central=False)
+    state = QuantumState.pure(np.eye(s.dimension)[0])
+    with pytest.raises(DomainError) as dense:
+        pauli_pair(s, a, b, axis)
+    with pytest.raises(DomainError) as fast:
+        correlation(state, s, axis, a, b)
+    assert str(fast.value) == str(dense.value)

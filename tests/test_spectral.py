@@ -1,5 +1,7 @@
 """Deterministic eigensolver, ground subspace, level tracking."""
 
+import contextlib
+import io
 import warnings
 
 import numpy as np
@@ -11,11 +13,14 @@ from spinweb import (
     HermitianOperator,
     SpinSystem,
     build_combined,
+    build_ring,
+    build_star,
     eigendecompose,
     ground_subspace,
     track_levels,
 )
-from spinweb import spectral
+from spinweb import n4, operators, spectral
+from spinweb.cli import main
 from spinweb.spectral import solve
 from spinweb.sweep import SweepConfig, run_sweep
 
@@ -153,3 +158,35 @@ def test_sweep_then_tracking_builds_blocks_once():
     info = spectral._sector_blocks.cache_info()
     assert info.misses == 1
     assert info.hits > 2 * grid.size  # grid points, references and bisection steps
+
+
+@pytest.mark.parametrize("n_outer", [8, 9])
+def test_sector_blocks_equal_dense_slices(n_outer):
+    s = SpinSystem(n_outer, has_central=True)
+    sectors, pairs = spectral._sector_blocks(s)
+    ring, star = build_ring(s).matrix, build_star(s).matrix
+    assert np.concatenate(sectors).size == s.dimension
+    for idx, (ring_block, star_block) in zip(sectors, pairs):
+        np.testing.assert_array_equal(ring_block, ring[np.ix_(idx, idx)])
+        np.testing.assert_array_equal(star_block, star[np.ix_(idx, idx)])
+
+
+def test_sweep_path_forms_no_dense_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense Kronecker operator was built")
+
+    monkeypatch.setattr(operators, "_embed", refuse)
+    spectral._sector_blocks.cache_clear()
+    n4._regions.cache_clear()
+    grid = np.linspace(0.0, 1.0, 3)
+    for n_outer in range(4, 9):
+        records = run_sweep(SweepConfig(n_outer=n_outer, c_grid=grid,
+                                        references=("ring", "star", "singlet_ansatz")))
+        assert len(records) == grid.size
+    assert len(track_levels(SpinSystem(4, has_central=True), 1.0,
+                            np.linspace(0.0, 1.0, 21)).crossings) == 2
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--n", "5", "--c-steps", "4",
+                     "--refs", "ring,star,ansatz"]) == 0
+        assert main(["spectrum", "--n", "4", "--c-steps", "10"]) == 0
+        assert main(["ghz"]) == 0
