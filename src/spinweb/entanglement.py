@@ -77,17 +77,15 @@ def entanglement_of_formation(concurrence: float) -> float:
 
 def correlation(state: QuantumState, system: SpinSystem, axis: str,
                 site_i: int, site_j: int) -> float:
-    """Two-point correlator <sigma_axis(i) sigma_axis(j)> in the given state.
-
-    Computed on the factor F, with m the two sites' bits: XX is
-    Re vdot(F, F[b ^ m]); YY is that gather signed -1 where the bits agree;
-    ZZ is sum(sign |F|^2), sign -1 where the bits differ.
-    """
+    """Two-point correlator <sigma_axis(i) sigma_axis(j)>, on the factor F with m
+    the two sites' bits: XX = Re vdot(F, F[b ^ m]), YY that gather signed -1 where
+    the bits agree, ZZ = sum(sign |F|^2) with sign -1 where the bits differ."""
     _check_pair(system, site_i, site_j, axis)
     m = system.site_mask(site_i) | system.site_mask(site_j)
     b = np.arange(system.dimension)
     f = state.factor
-    differ = (np.bitwise_count(b & m) == 1)[:, None]
+    t = b & m
+    differ = ((t != 0) & (t != m))[:, None]
     g = f if axis == "z" else f[b ^ m]
     if axis != "x":  # sign -1 where the bits differ (z) or agree (y)
         g = np.where(differ == (axis == "z"), -g, g)

@@ -255,8 +255,9 @@ def detect_regions(J: float = 1.0):
 
     Returns ((c1_lo, c1_hi), (c2_lo, c2_hi)): the two refined crossing
     intervals separating ring, intermediate and star regions, tracked on a
-    201-point grid.  For J > 0 the spectrum scales with J and the eigenvectors
-    do not change, so the bounds are found once per process, at J = 1.
+    201-point grid.  J is only checked to be > 0 and does not change the
+    result: the spectrum scales with J and the eigenvectors do not, so the
+    bounds are found once per process, at J = 1.
     """
     if not J > 0:
         raise DomainError(f"N=4 region detection needs J > 0, got {J}")
@@ -275,7 +276,8 @@ def _regions():
 
 
 def intermediate_region(J: float = 1.0) -> tuple[float, float]:
-    """The c-interval where level II is the ground level."""
+    """The c-interval where level II is the ground level; J is only checked to
+    be > 0 and does not change the result (see ``detect_regions``)."""
     (c1, c2) = detect_regions(J)
     return c1[1], c2[0]
 

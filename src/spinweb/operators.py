@@ -115,7 +115,7 @@ class SzSectorDecomposition:
 def popcount_sectors(dim: int) -> list[np.ndarray]:
     """Basis indices grouped by popcount (ascending), for dim a power of two."""
     q = dim.bit_length() - 1
-    pop = np.bitwise_count(np.arange(dim))
+    pop = np.array([int(b).bit_count() for b in range(dim)])
     return [np.flatnonzero(pop == k) for k in range(q + 1)]
 
 

@@ -72,7 +72,8 @@ def _bond_block(idx: np.ndarray, masks: list[int]) -> np.ndarray:
     one of the two bits set to ``state ^ mask``, amplitude 2."""
     block = np.zeros((idx.size, idx.size))
     for m in masks:
-        hop = np.flatnonzero(np.bitwise_count(idx & m) == 1)
+        t = idx & m
+        hop = np.flatnonzero((t != 0) & (t != m))
         block[hop, np.searchsorted(idx, idx[hop] ^ m)] += 2.0
     block.setflags(write=False)
     return block

@@ -75,6 +75,7 @@ def test_bad_sweep_input_exits_with_code_not_traceback(extra, code):
     ["ghz", "--field-h", "0"],
     ["ghz", "--field-h", "-1"],
     ["spectrum", "--n", "3", "--c-steps", "2", "--c-max", "inf"],
+    ["spectrum", "--n", "3", "--levels", "1", "--c-min", "0.9", "--c-max", "0.1"],
 ])
 def test_non_finite_coupling_exits_3(argv):
     proc = subprocess.run([sys.executable, "-m", "spinweb.cli", *argv],
