@@ -10,19 +10,18 @@ projects the outer spins either onto |D> (probability alpha'^2) or onto the
 still-entangled |C3'> (probability gamma'^2).
 """
 
-from spinweb import CouplingConfig, build_combined, eigendecompose, ground_subspace, n4
+from spinweb import ground_subspace, n4
+from spinweb.spectral import solve
 
 lo, hi = n4.intermediate_region()
 c = 0.5 * (lo + hi)
 print(f"intermediate region ({lo:.5f}, {hi:.5f}); working at its midpoint c = {c:.5f}")
 
-h = build_combined(n4.FULL, CouplingConfig(J=1.0, c=c))
-gs = ground_subspace(eigendecompose(h))
-coeffs = n4.extract_coefficients(gs, c)
+coeffs = n4.extract_coefficients(ground_subspace(solve(n4.FULL, 1.0, c)), c)
 print(f"level {coeffs.level} coefficients: alpha' = {coeffs.alpha_p:+.5f}, "
       f"gamma' = {coeffs.gamma_p:+.5f}")
 
-for o in n4.ghz_protocol(gs, c, region=(lo, hi)):
+for o in n4.ghz_protocol(c, region=(lo, hi)):
     print(f"\ncentral spin measured as |{o.central_result}>  ->  {o.outcome}"
           f"  (probability {o.probability:.5f})")
     print("  bipartition entropies:",
@@ -35,8 +34,6 @@ for o in n4.ghz_protocol(gs, c, region=(lo, hi)):
 # procedure in the star region (level I ground state) instead yields |C3>
 # with probability gamma^2, about 0.49 near c = 1:
 
-gs95 = ground_subspace(eigendecompose(
-    build_combined(n4.FULL, CouplingConfig(J=1.0, c=0.95))))
 print("\nstar region, c = 0.95:")
-for o in n4.star_region_protocol(gs95, 0.95, region=(hi, 1.0)):
+for o in n4.star_region_protocol(0.95, region=(hi, 1.0)):
     print(f"  |{o.central_result}> -> {o.outcome}  (probability {o.probability:.5f})")

@@ -40,19 +40,25 @@ def _manifest(command: str, config: dict) -> dict:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".spinweb-")
+    """Write through a temp file beside ``path``.  A path that cannot be written
+    exits 2, as argparse does for a file argument it cannot open."""
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".spinweb-")
+        try:
+            with os.fdopen(fd, "w", newline="\n") as fh:
+                fh.write(text)
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {path}: {exc.strerror or exc}\n")
+        raise SystemExit(2) from None
 
 
 def _fmt(x) -> str:
@@ -93,9 +99,11 @@ def _parse_refs(spec: str):
 
 
 def _pair_tokens(spec: str) -> list:
-    """argparse type for --pairs: 'nn', 'nnn' or 'a:b' tokens, comma separated."""
+    """argparse type for --pairs: at most two comma-separated 'nn', 'nnn' or 'a:b'."""
     tokens = []
     for t in filter(None, spec.split(",")):
+        if len(tokens) == 2:
+            raise argparse.ArgumentTypeError("at most two pairs: the nn and the nnn pair")
         if t in ("nn", "nnn"):
             tokens.append(t)
             continue
@@ -251,17 +259,14 @@ def _outcome_report(o) -> dict:
 
 
 def cmd_ghz(args) -> int:
-    regions = n4.detect_regions(args.j)
-    intermediate = (regions[0][1], regions[1][0])
-    star = (regions[1][1], 1.0)
+    intermediate = n4.intermediate_region()
     if args.region == "intermediate":
         protocol, region = n4.ghz_protocol, intermediate
         default_c = 0.5 * (region[0] + region[1])
     else:
-        protocol, region, default_c = n4.star_region_protocol, star, 0.95
+        protocol, region, default_c = n4.star_region_protocol, n4._star_region(), 0.95
     c = args.c if args.c is not None else default_c
-    gs = ground_subspace(solve(n4.FULL, args.j, c))
-    outcomes = protocol(gs, c, args.field_h, J=args.j, region=region)
+    outcomes = protocol(c, args.field_h, J=args.j, region=region)
     manifest = _manifest("ghz", {
         "c": c, "j": args.j, "field_h": args.field_h, "region": args.region,
     })
@@ -288,19 +293,18 @@ def cmd_verify_n4(args) -> int:
             _, ok = n4.verify_table_action(which, bit, label)
             checks.append((f"action_table[{which}, |{bit}>|{label}>]", ok))
 
-    def coeffs_at(c):
-        gs = ground_subspace(solve(n4.FULL, 1.0, c))
-        return gs, n4.extract_coefficients(gs, c)
+    grounds = {c: ground_subspace(solve(n4.FULL, 1.0, c))
+               for c in (0.0, 0.2, 0.4, 0.9, 1.0)}
+    coeffs = {c: n4.extract_coefficients(gs, c) for c, gs in grounds.items()}
 
     for c, expected in ((0.0, (1 / np.sqrt(2), -1 / np.sqrt(2), 0.0)),
                         (1.0, (-np.sqrt(1 / 6), -np.sqrt(2 / 6), 1 / np.sqrt(2)))):
-        _, k = coeffs_at(c)
+        k = coeffs[c]
         err = max(abs(g - e) for g, e in zip((k.alpha, k.beta, k.gamma), expected))
         checks.append((f"coefficients at c={c:g}", err < 1e-8))
 
-    for c in (0.0, 0.2, 0.4, 0.9, 1.0):
-        gs, coeffs = coeffs_at(c)
-        c_nn, c_nnn = n4.level_I_concurrences(coeffs)
+    for c, gs in grounds.items():
+        c_nn, c_nnn = n4.level_I_concurrences(coeffs[c])
         p_nn = pair_concurrence(gs.density, n4.FULL, (1, 2))
         p_nnn = pair_concurrence(gs.density, n4.FULL, (1, 3))
         ok = abs(c_nn - p_nn) < 1e-8 and abs(c_nnn - p_nnn) < 1e-8
@@ -308,11 +312,7 @@ def cmd_verify_n4(args) -> int:
 
     failed = [name for name, ok in checks if not ok]
     lines = [f"{'PASS' if ok else 'FAIL'}  {name}" for name, ok in checks]
-    report = "\n".join(lines) + "\n"
-    if args.out:
-        _atomic_write(args.out, report)
-    else:
-        sys.stdout.write(report)
+    _emit(args.out, "\n".join(lines) + "\n")
     if failed:
         sys.stderr.write(f"{len(failed)} of {len(checks)} checks failed\n")
         return 1

@@ -18,7 +18,6 @@ import numpy as np
 
 from .entanglement import concurrence_wootters
 from .errors import DomainError
-from .hamiltonian import build_ring, build_star
 from .spectral import GroundSubspace, ground_subspace, solve, track_levels
 from .states import QuantumState, TwoQubitRDM, partial_trace
 from .system import SpinSystem
@@ -101,15 +100,18 @@ def verify_table_action(which: str, central_bit: int, label: str,
                         tol: float = 1e-12):
     """Apply H_star or H_ring (J=1) to |central>|label> and check the oracle.
 
-    Returns (result_vector, match).
+    H is U diag(E) U^T from ``solve`` at c = 1 (star) or 0 (ring), as sweeps use
+    it.  Returns (result_vector, match).
     """
     if which not in ("star", "ring"):
         raise DomainError(f"which must be 'star' or 'ring', got {which!r}")
     key = (central_bit, label)
     if key not in ACTION_TABLE:
         raise DomainError(f"no oracle entry for central={central_bit}, label={label!r}")
-    h = build_star(FULL, 1.0) if which == "star" else build_ring(FULL, 1.0)
-    result = h.matrix @ with_central(central_bit, named_state(label).vector)
+    v = with_central(central_bit, named_state(label).vector)
+    spec = solve(FULL, 1.0, 1.0 if which == "star" else 0.0)
+    u = spec.eigenvectors
+    result = u @ (spec.eigenvalues * (u.T @ v))
     action = ACTION_TABLE[key][0 if which == "star" else 1]
     if action is None:
         expected = np.zeros(32)
@@ -167,6 +169,26 @@ def _sector_member(basis: np.ndarray, magnetization: int) -> np.ndarray:
     return u.real
 
 
+# level -> (m of the fitted member, its templates (central bit, label) by
+# coefficient name, the templates of the -m partner).  The first coefficient
+# fixes the sign gauge and the second breaks its tie.
+_FORMS = {
+    # m=+1: |0>(alpha A + beta B) + gamma |1>|C1>
+    "I": (+1, {"gamma": (1, "C1"), "alpha": (0, "A"), "beta": (0, "B")},
+          [(0, "C3"), (1, "A"), (1, "B")]),
+    # m=-1: gamma' |0>|C3'> + alpha' |1>|D>
+    "II": (-1, {"gamma_p": (0, "C3p"), "alpha_p": (1, "D")},
+           [(0, "D"), (1, "C1p")]),
+}
+
+
+def _project(u: np.ndarray, templates) -> tuple[np.ndarray, float]:
+    """Coefficients of ``u`` on orthonormal templates, and the norm of its rest."""
+    t = np.column_stack([with_central(bit, _NAMED[label]) for bit, label in templates])
+    coeffs = t.T @ u
+    return coeffs, float(np.linalg.norm(u - t @ coeffs))
+
+
 def extract_coefficients(ground: GroundSubspace, c: float) -> LevelCoefficients:
     """Fit the N=4 ground subspace to the level-I or level-II form.
 
@@ -183,50 +205,20 @@ def extract_coefficients(ground: GroundSubspace, c: float) -> LevelCoefficients:
         raise DomainError(
             f"expected a 2-fold degenerate ground subspace, got {ground.degeneracy}"
         )
-    u_plus = _sector_member(ground.basis, +1)
-    u_minus = _sector_member(ground.basis, -1)
-
-    # level I: m=+1 member is |0>(alpha A + beta B) + gamma |1>|C1>
-    t_a = with_central(0, _NAMED["A"])
-    t_b = with_central(0, _NAMED["B"])
-    t_g = with_central(1, _NAMED["C1"])
-    alpha, beta, gamma = (float(t @ u_plus) for t in (t_a, t_b, t_g))
-    residual = np.linalg.norm(u_plus - alpha * t_a - beta * t_b - gamma * t_g)
-    partner_res = _template_residual(
-        u_minus, [with_central(0, _NAMED["C3"]), with_central(1, _NAMED["A"]),
-                  with_central(1, _NAMED["B"])])
-    if residual < 1e-8 and partner_res < 1e-8:
-        sign = 1.0
-        if gamma < -1e-10 or (abs(gamma) <= 1e-10 and alpha < 0):
-            sign = -1.0
-        return LevelCoefficients("I", alpha=sign * alpha, beta=sign * beta,
-                                 gamma=sign * gamma)
-
-    # level II: m=-1 member is gamma' |0>|C3'> + alpha' |1>|D>
-    t_gp = with_central(0, _NAMED["C3p"])
-    t_ap = with_central(1, _NAMED["D"])
-    gamma_p = float(t_gp @ u_minus)
-    alpha_p = float(t_ap @ u_minus)
-    residual = np.linalg.norm(u_minus - gamma_p * t_gp - alpha_p * t_ap)
-    partner_res = _template_residual(
-        u_plus, [with_central(0, _NAMED["D"]), with_central(1, _NAMED["C1p"])])
-    if residual < 1e-8 and partner_res < 1e-8:
-        sign = 1.0
-        if gamma_p < -1e-10 or (abs(gamma_p) <= 1e-10 and alpha_p < 0):
-            sign = -1.0
-        return LevelCoefficients("II", alpha_p=sign * alpha_p,
-                                 gamma_p=sign * gamma_p)
+    members = {m: _sector_member(ground.basis, m) for m in (+1, -1)}
+    for level, (m, fields, partner) in _FORMS.items():
+        coeffs, residual = _project(members[m], fields.values())
+        _, partner_res = _project(members[-m], partner)
+        if residual < 1e-8 and partner_res < 1e-8:
+            g, a = coeffs[:2]
+            sign = -1.0 if g < -1e-10 or (abs(g) <= 1e-10 and a < 0) else 1.0
+            return LevelCoefficients(
+                level, **{name: sign * float(x) for name, x in zip(fields, coeffs)})
 
     raise DomainError(
         "ground subspace is not of the postulated level-I or level-II form "
         f"(residual {residual:.2e})"
     )
-
-
-def _template_residual(u: np.ndarray, templates: list[np.ndarray]) -> float:
-    t = np.column_stack(templates)
-    coeffs = t.T @ u
-    return float(np.linalg.norm(u - t @ coeffs))
 
 
 def level_I_concurrences(coeffs: LevelCoefficients) -> tuple[float, float]:
@@ -250,17 +242,14 @@ def level_II_concurrences(coeffs: LevelCoefficients) -> tuple[float, float]:
 # Regions and the measurement protocol
 # ---------------------------------------------------------------------------
 
-def detect_regions(J: float = 1.0):
+def detect_regions():
     """Ground-level crossing boundaries of the N=4 sweep.
 
     Returns ((c1_lo, c1_hi), (c2_lo, c2_hi)): the two refined crossing
     intervals separating ring, intermediate and star regions, tracked on a
-    201-point grid.  J is only checked to be > 0 and does not change the
-    result: the spectrum scales with J and the eigenvectors do not, so the
-    bounds are found once per process, at J = 1.
+    201-point grid.  They hold for every J > 0: the spectrum scales with J and
+    the eigenvectors do not, so the bounds are found once per process, at J = 1.
     """
-    if not J > 0:
-        raise DomainError(f"N=4 region detection needs J > 0, got {J}")
     return _regions()
 
 
@@ -275,11 +264,15 @@ def _regions():
     return (x1.c_lo, x1.c_hi), (x2.c_lo, x2.c_hi)
 
 
-def intermediate_region(J: float = 1.0) -> tuple[float, float]:
-    """The c-interval where level II is the ground level; J is only checked to
-    be > 0 and does not change the result (see ``detect_regions``)."""
-    (c1, c2) = detect_regions(J)
+def intermediate_region() -> tuple[float, float]:
+    """The open c-interval where level II is the ground level."""
+    (c1, c2) = detect_regions()
     return c1[1], c2[0]
+
+
+def _star_region() -> tuple[float, float]:
+    """The star region (c2_hi, 1] as (lo, hi): level I is the ground level."""
+    return detect_regions()[1][1], 1.0
 
 
 @dataclass(frozen=True)
@@ -327,12 +320,26 @@ def _classify(outer_vec: np.ndarray) -> str:
     return "symmetric_state"
 
 
-def _measurement_outcomes(c: float, J: float, field_h: float):
-    """Split the degeneracy with h*sum(sigma_z), measure the central spin."""
-    if not 0 < field_h < np.inf:  # the degeneracy check below needs field_h > 0
-        raise DomainError(f"field_h must be finite and > 0, got {field_h}")
+def _protocol(level: str, c: float, field_h: float, J: float,
+              region: Optional[tuple[float, float]]):
+    """The protocol body: check the input, make one solve at (J, c), check that
+    its ground is ``level``, split it with h*sum(sigma_z), measure the central spin."""
+    if not J > 0:
+        raise DomainError(f"N=4 region detection needs J > 0, got {J}")
+    # > 0 for the degeneracy check; the cap keeps h * sum(sigma_z) clear of overflow
+    if not 0 < field_h <= 1e100:
+        raise DomainError(f"field_h must be > 0 and <= 1e100, got {field_h}")
+    star = level == "I"
+    lo, hi = region or (_star_region() if star else intermediate_region())
+    if not (lo < c <= hi if star else lo < c < hi):
+        name, close = ("star", "]") if star else ("intermediate", ")")
+        raise DomainError(
+            f"c={c} is outside the {name} region ({lo:.6f}, {hi:.6f}{close}")
     spec = solve(FULL, J, c)
     unperturbed = ground_subspace(spec)
+    if extract_coefficients(unperturbed, c).level != level:
+        raise DomainError(f"ground subspace at this c is not level {level}")
+
     # each eigenvector lies in one Sz sector: the field shifts it by h * <sum(sigma_z)>
     shifted = spec.eigenvalues + field_h * (_MAGS @ np.abs(spec.eigenvectors) ** 2)
     lowest, second = np.argsort(shifted, kind="stable")[:2]
@@ -363,46 +370,27 @@ def _measurement_outcomes(c: float, J: float, field_h: float):
     return outcomes
 
 
-def ghz_protocol(ground: GroundSubspace, c: float, field_h: float = 1e-3, *,
-                 J: float = 1.0, region: Optional[tuple[float, float]] = None):
+def ghz_protocol(c: float, field_h: float = 1e-3, *, J: float = 1.0,
+                 region: Optional[tuple[float, float]] = None):
     """GHZ extraction in the intermediate region.
 
     A uniform field h * sum_i sigma_z^i splits the two degenerate level-II
     states by magnetization; measuring the central spin of the now-unique
     ground state projects the outer spins onto |D> (the GHZ state, with
-    probability alpha'^2) or onto |C3'> (probability gamma'^2).
+    probability alpha'^2) or onto |C3'> (probability gamma'^2).  The ground
+    state comes from one ``solve`` at (J, c); ``region`` defaults to
+    ``intermediate_region()``.
     """
-    if region is None:
-        region = intermediate_region(J)
-    lo, hi = region
-    if not lo < c < hi:
-        raise DomainError(
-            f"c={c} is outside the intermediate region ({lo:.6f}, {hi:.6f})"
-        )
-    coeffs = extract_coefficients(ground, c)
-    if coeffs.level != "II":
-        raise DomainError("ground subspace at this c is not level II")
-    return _measurement_outcomes(c, J, field_h)
+    return _protocol("II", c, field_h, J, region)
 
 
-def star_region_protocol(ground: GroundSubspace, c: float, field_h: float = 1e-3, *,
-                         J: float = 1.0,
+def star_region_protocol(c: float, field_h: float = 1e-3, *, J: float = 1.0,
                          region: Optional[tuple[float, float]] = None):
     """The same field-plus-measurement procedure in the star region.
 
     Here the ground level is level I; the central-spin measurement projects
     the outer spins onto |C3> (probability gamma^2, about 0.49 near c=1) or
-    onto the symmetric combination alpha |A> + beta |B>.
+    onto the symmetric combination alpha |A> + beta |B>.  ``region`` defaults
+    to the star region (c2_hi, 1] of ``detect_regions``.
     """
-    if region is None:
-        _, x2 = detect_regions(J)
-        region = (x2[1], 1.0)
-    lo, hi = region
-    if not lo < c <= hi:
-        raise DomainError(
-            f"c={c} is outside the star region ({lo:.6f}, {hi:.6f}]"
-        )
-    coeffs = extract_coefficients(ground, c)
-    if coeffs.level != "I":
-        raise DomainError("ground subspace at this c is not level I")
-    return _measurement_outcomes(c, J, field_h)
+    return _protocol("I", c, field_h, J, region)

@@ -135,8 +135,7 @@ def test_04_intermediate_region():
 def test_05_ghz_protocol_at_midpoint():
     lo, hi = n4.intermediate_region()
     c = 0.5 * (lo + hi)
-    _, gs = _ground(4, c)
-    outcomes = {o.outcome: o for o in n4.ghz_protocol(gs, c, region=(lo, hi))}
+    outcomes = {o.outcome: o for o in n4.ghz_protocol(c, region=(lo, hi))}
     d, c_out = outcomes["D_state"], outcomes["C_state"]
     p_ok = 0.25 <= d.probability <= 0.36
     s_err = max(abs(s - 1.0) for s in d.bipartition_entropies)
@@ -148,9 +147,8 @@ def test_05_ghz_protocol_at_midpoint():
 
 
 def test_06_star_region_protocol():
-    _, gs = _ground(4, 0.95)
     outcomes = {o.outcome: o for o in
-                n4.star_region_protocol(gs, 0.95, region=(0.77, 1.0))}
+                n4.star_region_protocol(0.95, region=(0.77, 1.0))}
     p = outcomes["C_state"].probability
     report(6, "star-region protocol at c=0.95: P(C-outcome) near 0.49",
            abs(p - 0.49) <= 0.03, f"P={p:.4f}")

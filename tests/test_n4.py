@@ -130,10 +130,10 @@ def test_detect_regions_boundaries():
     assert 0.75 < c2[0] < 0.77
 
 
-def test_ghz_protocol_outcomes(ground):
+def test_ghz_protocol_outcomes():
     lo, hi = n4.intermediate_region()
     c = 0.5 * (lo + hi)
-    outcomes = n4.ghz_protocol(ground(4, c), c, region=(lo, hi))
+    outcomes = n4.ghz_protocol(c, region=(lo, hi))
     by_name = {o.outcome: o for o in outcomes}
     assert set(by_name) == {"D_state", "C_state"}
 
@@ -150,13 +150,24 @@ def test_ghz_protocol_outcomes(ground):
         assert conc == pytest.approx(0.5, abs=1e-8)
 
 
-def test_ghz_protocol_rejects_out_of_region(ground):
+def test_ghz_protocol_rejects_out_of_region():
     with pytest.raises(DomainError):
-        n4.ghz_protocol(ground(4, 0.1), 0.1, region=(0.53, 0.76))
+        n4.ghz_protocol(0.1, region=(0.53, 0.76))
 
 
-def test_star_region_protocol(ground):
-    outcomes = n4.star_region_protocol(ground(4, 0.95), 0.95, region=(0.77, 1.0))
+def test_protocol_solves_its_own_ground_and_checks_coupling():
+    # c = 0.9 lies inside the given region but its ground is level I
+    with pytest.raises(DomainError, match="not level II"):
+        n4.ghz_protocol(0.9, region=(0.53, 0.95))
+    c = sum(n4.intermediate_region()) / 2
+    for protocol in (n4.ghz_protocol, n4.star_region_protocol):
+        with pytest.raises(DomainError,
+                           match=r"^N=4 region detection needs J > 0, got 0$"):
+            protocol(c, J=0)
+
+
+def test_star_region_protocol():
+    outcomes = n4.star_region_protocol(0.95, region=(0.77, 1.0))
     by_name = {o.outcome: o for o in outcomes}
     assert set(by_name) == {"C_state", "symmetric_state"}
     assert by_name["C_state"].probability == pytest.approx(0.49, abs=0.03)
@@ -169,7 +180,7 @@ def test_protocol_probability_equals_level_coefficient(ground):
     c = 0.5 * (lo + hi)
     gs = ground(4, c)
     coeffs = n4.extract_coefficients(gs, c)
-    outcomes = n4.ghz_protocol(gs, c, region=(lo, hi))
+    outcomes = n4.ghz_protocol(c, region=(lo, hi))
     by_name = {o.outcome: o for o in outcomes}
     assert by_name["D_state"].probability == pytest.approx(
         coeffs.alpha_p ** 2, abs=1e-6)

@@ -190,3 +190,4 @@ def test_sweep_path_forms_no_dense_operator(monkeypatch):
                      "--refs", "ring,star,ansatz"]) == 0
         assert main(["spectrum", "--n", "4", "--c-steps", "10"]) == 0
         assert main(["ghz"]) == 0
+        assert main(["verify-n4"]) == 0
