@@ -341,7 +341,14 @@ def _protocol(level: str, c: float, field_h: float, J: float,
         raise DomainError(f"ground subspace at this c is not level {level}")
 
     # each eigenvector lies in one Sz sector: the field shifts it by h * <sum(sigma_z)>
-    shifted = spec.eigenvalues + field_h * (_MAGS @ np.abs(spec.eigenvectors) ** 2)
+    mags = _MAGS @ np.abs(spec.eigenvectors) ** 2
+    ground_mags = mags[:unperturbed.degeneracy]
+    split = field_h * float(ground_mags.max() - ground_mags.min())
+    # a split of a few ulps of E0 or less is lost to round-off in E0 + shift
+    if split < 4 * np.spacing(max(1.0, abs(unperturbed.energy))):
+        raise DomainError(f"field_h={field_h} splits the ground level by {split:.3g}, "
+                          f"below float resolution at E0={unperturbed.energy:.6g}")
+    shifted = spec.eigenvalues + field_h * mags
     lowest, second = np.argsort(shifted, kind="stable")[:2]
     if shifted[second] - shifted[lowest] < 0.1 * field_h:
         raise DomainError("field did not lift the ground degeneracy")

@@ -79,16 +79,102 @@ def _bond_block(idx: np.ndarray, masks: list[int]) -> np.ndarray:
     return block
 
 
+def _bond_masks(system: SpinSystem) -> tuple[list[int], list[int]]:
+    """Site-bit masks of the ring bonds and of the star bonds."""
+    def masks(bonds):
+        return [system.site_mask(a) | system.site_mask(b) for a, b in bonds]
+
+    return masks(ring_bonds(system)), masks(star_bonds(system))
+
+
 @lru_cache(maxsize=1)
 def _sector_blocks(system: SpinSystem):
     """Total-Sz sectors and the (ring, star) blocks (J=1) on each, from bit flips;
     equal, entry for entry, to slices of ``build_ring``/``build_star``."""
-    def masks(bonds):
-        return [system.site_mask(a) | system.site_mask(b) for a, b in bonds]
-
-    ring, star = masks(ring_bonds(system)), masks(star_bonds(system))
+    ring, star = _bond_masks(system)
     sectors = popcount_sectors(system.dimension)
     return sectors, [(_bond_block(idx, ring), _bond_block(idx, star)) for idx in sectors]
+
+
+def _momentum_hops(reps, period, rep_at, shift_at, idx, masks):
+    """Hop table of the XX bonds with site-bit ``masks`` between cycle
+    representatives: (from a, to b, shift l, amplitude 2 sqrt(R_a / R_b)), where the
+    bond takes ``reps[a]`` to the state T^-l ``reps[b]``."""
+    frm, to, shift = [], [], []
+    for m in masks:
+        t = reps & m
+        hop = np.flatnonzero((t != 0) & (t != m))
+        pos = np.searchsorted(idx, reps[hop] ^ m)
+        frm.append(hop)
+        to.append(rep_at[pos])
+        shift.append(shift_at[pos])
+    frm, to, shift = (np.concatenate(x) for x in (frm, to, shift))
+    return frm, to, shift, 2.0 * np.sqrt(period[frm] / period[to])
+
+
+def _momentum_block(hops, keep, n_outer, m):
+    """Block of one hop table on the representatives ``keep`` at k = 2 pi m / N:
+    the hop a -> b adds amplitude * e^{-ikl} to entry (b, a).  Real at k = 0, pi."""
+    frm, to, shift, amp = hops
+    pos = np.cumsum(keep) - 1
+    inside = keep[frm] & keep[to]
+    l = shift[inside]
+    if (2 * m) % n_outer:
+        phase = np.exp(-2j * np.pi * m * l / n_outer)
+    else:  # k = 0 or pi: e^{-ikl} is 1 or (-1)^l, so the block is real
+        phase = 1.0 - 2.0 * (l % 2) if m else np.ones(l.size)
+    block = np.zeros((int(keep.sum()),) * 2, dtype=phase.dtype)
+    np.add.at(block, (pos[to[inside]], pos[frm[inside]]), amp[inside] * phase)
+    return 0.5 * (block + block.conj().T)  # exactly Hermitian despite sqrt round-off
+
+
+@lru_cache(maxsize=1)
+def _momentum_blocks(system: SpinSystem):
+    """The (Sz, k) blocks (J=1) as stacks ``[(ring, star, ids)]`` of equal-size
+    blocks.  ``ids[i]`` numbers the blocks that ``ring[i]``, ``star[i]`` stand for:
+    one at k = 0 or pi, where the blocks are real; else two, for k and for -k,
+    whose block is the complex conjugate, with the same spectrum.
+
+    k = 2 pi m / N is the momentum of the outer-ring translation T, which commutes
+    with H_ring and, since the star couples every outer site equally, with H_star.
+    In each Sz sector, rotating the N outer bits (central bit fixed) splits the
+    states into cycles; the smallest state a of a cycle of period R_a represents
+    |a(k)> = R_a^-1/2 sum_r e^{-ikr} T^r |a>, which exists when m R_a / N is an
+    integer.  A bond taking a to T^-l b, with b a representative, adds
+    2 sqrt(R_a / R_b) e^{-ikl} to <b(k)|H|a(k)> (Sandvik, arXiv:1101.3281, sec. 4).
+    """
+    n = system.n_outer
+    outer = (1 << n) - 1
+    ring, star = _bond_masks(system)
+    grouped: dict[tuple, list] = {}
+    block_id = count()
+    for idx in popcount_sectors(system.dimension):
+        o, rots = idx & outer, [idx]  # rots[r] = T^r applied to each state
+        for _ in range(n - 1):
+            o = ((o << 1) | (o >> (n - 1))) & outer
+            rots.append((idx & ~outer) | o)
+        rots = np.stack(rots)
+        rep_state, shift_at = rots.min(axis=0), rots.argmin(axis=0)
+        is_rep = rep_state == idx
+        reps = idx[is_rep]
+        period = n // np.count_nonzero(rots == idx, axis=0)[is_rep]
+        rep_at = np.searchsorted(reps, rep_state)
+        tables = [_momentum_hops(reps, period, rep_at, shift_at, idx, masks)
+                  for masks in (ring, star)]
+        for m in range(n // 2 + 1):
+            keep = (m * period) % n == 0
+            if not keep.any():
+                continue
+            r, s = (_momentum_block(t, keep, n, m) for t in tables)
+            ids = [next(block_id) for _ in range(1 if 2 * m % n == 0 else 2)]
+            grouped.setdefault((r.shape[0], r.dtype.kind), []).append((r, s, ids))
+    stacks = []
+    for entries in grouped.values():
+        r, s, ids = (np.stack(x) for x in zip(*entries))
+        for a in (r, s, ids):
+            a.setflags(write=False)
+        stacks.append((r, s, ids))
+    return stacks
 
 
 def solve(system: SpinSystem, J: float, c: float) -> Spectrum:
@@ -140,7 +226,7 @@ class Crossing:
     c_lo: float
     c_hi: float
     labels: tuple[int, int]  # (outgoing ground label, incoming ground label)
-    min_gap: float
+    min_gap: float  # least gap between the two levels over the bisection midpoints
 
 
 @dataclass
@@ -194,7 +280,54 @@ def _match_groups(prev_labeled: dict[int, np.ndarray], groups) -> list[int]:
     return [assigned[gi] if gi in assigned else next(fresh) for gi in range(len(groups))]
 
 
-def _refine_crossing(groups_at, c_lo, c_hi, labeled_lo, ground_lo, ground_hi):
+def _ground_blocks(system: SpinSystem, J: float, c: float):
+    """The lowest eigenvalue of each (Sz, k) block at c, and the set of blocks
+    whose lowest lies within ``ground_subspace``'s degeneracy threshold of the
+    minimum, the range being that of the whole spectrum."""
+    config = CouplingConfig(J=J, c=c)
+    stacks = _momentum_blocks(system)
+    lowest = np.empty(sum(ids.size for _, _, ids in stacks))
+    top = -np.inf
+    for ring, star, ids in stacks:
+        vals = np.linalg.eigvalsh(config.J * (config.c * star + (1.0 - config.c) * ring))
+        lowest[ids] = vals[:, :1]
+        top = max(top, float(vals[:, -1].max()))
+    e0 = float(lowest.min())
+    thr = DEGENERACY_TOL * max(1.0, top - e0)
+    return lowest, frozenset(np.flatnonzero(lowest <= e0 + thr).tolist())
+
+
+def _refine_crossing(system, J, groups_at, c_lo, c_hi, labeled_lo, ground_lo, ground_hi):
+    """Bisect [c_lo, c_hi] until the ground change lies within CROSSING_WIDTH.
+
+    Levels in different (Sz, k) blocks cross without repelling, so a ground
+    change is a change of the set of ground blocks, and each step reads only
+    block eigenvalues: c_lo moves to the midpoint exactly when the midpoint's
+    ground blocks are those at c_lo.  ``min_gap`` is the least |E_a - E_b| over
+    the midpoints, E the lowest eigenvalue of a block, with a the first block
+    that leaves the ground set (else the first ground block at c_lo) and b the
+    first that enters it (else the first at c_hi).  When both ends have the
+    same ground blocks, the change is within one block and ``_refine_by_overlap``
+    bisects it with full solves instead.
+    """
+    ground_a = _ground_blocks(system, J, c_lo)[1]
+    ground_b = _ground_blocks(system, J, c_hi)[1]
+    if ground_a == ground_b:
+        return _refine_by_overlap(groups_at, c_lo, c_hi, labeled_lo, ground_lo, ground_hi)
+    a, b = min(ground_a - ground_b or ground_a), min(ground_b - ground_a or ground_b)
+    min_gap = np.inf
+    while c_hi - c_lo > CROSSING_WIDTH:
+        c_mid = 0.5 * (c_lo + c_hi)
+        lowest, ground = _ground_blocks(system, J, c_mid)
+        min_gap = min(min_gap, abs(lowest[a] - lowest[b]))
+        if ground == ground_a:
+            c_lo = c_mid
+        else:
+            c_hi = c_mid
+    return c_lo, c_hi, float(min_gap)
+
+
+def _refine_by_overlap(groups_at, c_lo, c_hi, labeled_lo, ground_lo, ground_hi):
     """Bisect until the ground-label change is localized; groups_at(c) solves."""
     min_gap = np.inf
     while c_hi - c_lo > CROSSING_WIDTH:
@@ -228,8 +361,9 @@ def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4) -> Lev
     eigenvector-subspace overlap rather than by energy order, so that a level
     keeps its identity through a crossing.  Every grid interval where the
     ground level's continuation label changes is refined by bisection to a
-    width of 1e-6 in c; the minimum gap seen between the two competing levels
-    is reported so exact and narrowly avoided crossings can be told apart.
+    width of 1e-6 in c, reading only (Sz, k) block eigenvalues when the ground
+    changes block; the minimum gap seen between the two competing levels is
+    reported so exact and narrowly avoided crossings can be told apart.
     """
     c_grid = _check_grid(c_grid)
     if c_grid.size < 2:
@@ -242,7 +376,8 @@ def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4) -> Lev
 def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
            spectrum_at=None) -> LevelTrack:
     """The loop of ``track_levels``.  ``spectrum_at(c)``, called once per grid
-    point in grid order, defaults to ``solve``; the bisection always solves."""
+    point in grid order, defaults to ``solve``; only a bisection within one
+    (Sz, k) block solves."""
     def solve_at(c):
         return solve(system, J, c)
 
@@ -267,7 +402,7 @@ def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
             flagged.append((prev_c, c))
         if prev_ground is not None and ground != prev_ground:
             lo, hi, gap = _refine_crossing(
-                groups_at, prev_c, c, prev_labeled, prev_ground, ground)
+                system, J, groups_at, prev_c, c, prev_labeled, prev_ground, ground)
             crossings.append(Crossing(lo, hi, (prev_ground, ground), gap))
         prev_labeled = {lab: v for lab, (_, v) in zip(labels, groups)}
         prev_ground = ground

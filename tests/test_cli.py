@@ -78,6 +78,7 @@ def test_bad_sweep_input_exits_with_code_not_traceback(extra, code):
     ["spectrum", "--n", "3", "--c-steps", "2", "--c-max", "inf"],
     ["spectrum", "--n", "3", "--levels", "1", "--c-min", "0.9", "--c-max", "0.1"],
     ["ghz", "--field-h", "1e308"],
+    ["ghz", "--field-h", "1e-300"],  # a split below float resolution at E0
 ])
 def test_non_finite_coupling_exits_3(argv):
     proc = subprocess.run([sys.executable, "-m", "spinweb.cli", *argv],
@@ -397,11 +398,36 @@ def test_second_ghz_makes_only_its_own_solves(monkeypatch, tmp_path):
         monkeypatch.setattr(module, "solve", counted)
     n4._regions.cache_clear()
     assert main(["ghz", "--out", str(tmp_path / "a.json")]) == 0
-    assert len(solved) > 200  # the region bounds: a 201-point track plus bisection
+    assert len(solved) > 200  # the region bounds: a 201-point track
     solved.clear()
     assert main(["ghz", "--j", "1.7", "--out", str(tmp_path / "b.json")]) == 0
     c = json.loads((tmp_path / "b.json").read_text())["manifest"]["config"]["c"]
     assert solved == [c]
+
+
+@pytest.mark.parametrize("argv, solves, n_crossings", [
+    (["sweep", "--n", "8", "--c-max", "0.5", "--c-steps", "2", "--refs", "ring,star"], 5, 1),
+    (["spectrum", "--n", "4", "--c-steps", "50"], 51, 2),
+])
+def test_crossing_bisection_makes_no_solve(monkeypatch, tmp_path, argv, solves, n_crossings):
+    from spinweb import cli, spectral, sweep
+    solved = []
+    original = spectral.solve
+
+    def counted(system, J, c, **kwargs):
+        solved.append(c)
+        return original(system, J, c, **kwargs)
+
+    for module in (spectral, cli, sweep):
+        monkeypatch.setattr(module, "solve", counted)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert len(solved) == solves  # one per grid point, plus the reference states
+    if argv[0] == "sweep":
+        found = len((tmp_path / "out.crossings.csv").read_text().splitlines()) - 1
+    else:
+        found = len(json.loads(out.read_text())["crossings"])
+    assert found == n_crossings
 
 
 @pytest.mark.parametrize("j", ["0", "-1"])

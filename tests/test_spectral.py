@@ -126,6 +126,60 @@ def test_track_levels_validates_grid(monkeypatch):
     assert solved == []
 
 
+@pytest.mark.parametrize("n_outer", range(2, 10))
+def test_momentum_blocks_split_the_spectrum(n_outer):
+    s = SpinSystem(n_outer, has_central=True)
+    stacks = spectral._momentum_blocks(s)
+    # a complex block at k stands for itself and its conjugate at -k
+    assert sum(ring.shape[1] * ids.size for ring, _, ids in stacks) == s.dimension
+    ids = np.concatenate([ids.ravel() for _, _, ids in stacks])
+    np.testing.assert_array_equal(np.sort(ids), np.arange(ids.size))
+    for ring, star, ids in stacks:
+        assert ids.shape[1] == (2 if np.iscomplexobj(ring) else 1)
+        for block in (ring, star):
+            np.testing.assert_array_equal(block, block.conj().transpose(0, 2, 1))
+    for J in (1.0, 0.7):
+        for c in (0.0, 0.3, 0.694, 1.0):
+            vals = [np.repeat(np.linalg.eigvalsh(J * (c * star + (1.0 - c) * ring)),
+                              ids.shape[1], axis=0).ravel()
+                    for ring, star, ids in stacks]
+            np.testing.assert_allclose(np.sort(np.concatenate(vals)),
+                                       solve(s, J, c).eigenvalues, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_outer, steps, n_levels",
+                         [(n, 401, 6) for n in range(2, 8)] + [(4, 201, 4)])
+def test_block_bisection_matches_overlap_bisection(monkeypatch, n_outer, steps, n_levels):
+    s = SpinSystem(n_outer, has_central=True)
+    grid = np.linspace(0.0, 1.0, steps)
+    by_blocks = spectral._track(s, 1.0, grid, n_levels)
+
+    def by_overlap(system, J, groups_at, *args):
+        return spectral._refine_by_overlap(groups_at, *args)
+
+    monkeypatch.setattr(spectral, "_refine_crossing", by_overlap)
+    oracle = spectral._track(s, 1.0, grid, n_levels)
+    assert len(by_blocks.crossings) == len(oracle.crossings) > 0
+    for new, old in zip(by_blocks.crossings, oracle.crossings):
+        assert (new.c_lo, new.c_hi, new.labels) == (old.c_lo, old.c_hi, old.labels)
+        assert abs(new.min_gap - old.min_gap) <= 1e-12
+
+
+def test_change_within_one_block_falls_back_to_overlap_bisection():
+    s = SpinSystem(4, has_central=True)
+    solved = []
+
+    def groups_at(c):
+        solved.append(c)
+        return spectral._low_groups(solve(s, 1.0, c), 4)
+
+    labeled = {0: groups_at(0.8)[0][1]}
+    solved.clear()
+    # no ground change in [0.8, 0.9]: the ground blocks agree at both ends
+    lo, hi, _ = spectral._refine_crossing(s, 1.0, groups_at, 0.8, 0.9, labeled, 0, 1)
+    assert solved and hi - lo <= spectral.CROSSING_WIDTH
+
+
 @pytest.mark.parametrize("n_outer", range(2, 8))
 def test_solve_equals_dense_path_exactly(n_outer):
     s = SpinSystem(n_outer, has_central=True)
@@ -157,7 +211,7 @@ def test_sweep_then_tracking_builds_blocks_once():
     track_levels(SpinSystem(4, has_central=True), 1.0, grid)
     info = spectral._sector_blocks.cache_info()
     assert info.misses == 1
-    assert info.hits > 2 * grid.size  # grid points, references and bisection steps
+    assert info.hits > 2 * grid.size  # grid points and references
 
 
 @pytest.mark.parametrize("n_outer", [8, 9])
