@@ -11,22 +11,15 @@ are checked here against the full diagonalization pipeline.
 
 import numpy as np
 
-from spinweb import (
-    CouplingConfig,
-    SpinSystem,
-    build_combined,
-    build_star,
-    eigendecompose,
-    ground_subspace,
-    star_concurrence_closed_form,
-)
+from spinweb import SpinSystem, ground_subspace, star_concurrence_closed_form
+from spinweb.spectral import solve
 from spinweb.sweep import pair_concurrence
 
 print("outer-pair concurrence of the star ground state")
 print(f"{'N':>3} {'pipeline':>12} {'closed form':>12}")
 for n in range(2, 9):
     system = SpinSystem(n, has_central=True)
-    gs = ground_subspace(eigendecompose(build_star(system)))
+    gs = ground_subspace(solve(system, 1.0, 1.0))
     value = pair_concurrence(gs.density, system, (1, 2))
     print(f"{n:>3} {value:>12.8f} {star_concurrence_closed_form(n):>12.8f}")
 
@@ -37,13 +30,11 @@ print()
 print("next-to-nearest-neighbour concurrence of the pure ring (c = 0)")
 for n in (4, 5, 6, 7):
     system = SpinSystem(n, has_central=True)
-    h = build_combined(system, CouplingConfig(J=1.0, c=0.0))
-    gs = ground_subspace(eigendecompose(h))
+    gs = ground_subspace(solve(system, 1.0, 0.0))
     c_nnn = pair_concurrence(gs.density, system, (1, 3))
     print(f"  N={n}: C_nnn = {c_nnn:.2e}  (degeneracy {gs.degeneracy})")
 
 print()
 print("ground energy of the N=4 ring:",
-      ground_subspace(eigendecompose(build_combined(
-          SpinSystem(4), CouplingConfig(c=0.0)))).energy,
+      ground_subspace(solve(SpinSystem(4), 1.0, 0.0)).energy,
       "= -4*sqrt(2) =", -4 * np.sqrt(2))

@@ -4,8 +4,10 @@ Tracking energy levels through crossings
 
 Ground-state observables jump where the identity of the lowest level changes.
 Levels are continued between grid points by eigenvector-subspace overlap (not
-by energy order), so a level keeps its label through a crossing; every ground
-label change is then refined by bisection to a width of 1e-6 in c.
+by energy order), so a level keeps its label through a crossing.  A grid
+interval where the ground label changes is bisected to a width of 1e-6 in c on
+the (total Sz, ring momentum k) blocks that hold the ground level; it is a
+crossing only if that set of blocks changes.
 
 For N = 4 there are exactly two such crossings.  They bound the intermediate
 region in which a different level -- carrying no two-qubit entanglement at

@@ -17,7 +17,7 @@ lo, hi = n4.intermediate_region()
 c = 0.5 * (lo + hi)
 print(f"intermediate region ({lo:.5f}, {hi:.5f}); working at its midpoint c = {c:.5f}")
 
-coeffs = n4.extract_coefficients(ground_subspace(solve(n4.FULL, 1.0, c)), c)
+coeffs = n4.extract_coefficients(ground_subspace(solve(n4.FULL, 1.0, c)))
 print(f"level {coeffs.level} coefficients: alpha' = {coeffs.alpha_p:+.5f}, "
       f"gamma' = {coeffs.gamma_p:+.5f}")
 

@@ -17,14 +17,8 @@ over unit-modulus term phases (``optimize_ansatz_phases``).
 
 import numpy as np
 
-from spinweb import (
-    CouplingConfig,
-    SpinSystem,
-    build_combined,
-    eigendecompose,
-    ground_subspace,
-    singlet_coverings,
-)
+from spinweb import SpinSystem, ground_subspace, singlet_coverings
+from spinweb.spectral import solve
 from spinweb.sweep import ansatz_overlap
 
 print("coverings for N = 4 (outer sites only):", singlet_coverings(4))
@@ -37,8 +31,7 @@ for n, c_values in ((4, [0.02, 0.05, 0.2]), (6, [0.0, 0.05, 0.2]),
     system = SpinSystem(n, has_central=True)
     print(f"\nN = {n}: best ansatz overlap with the ground state")
     for c in c_values:
-        h = build_combined(system, CouplingConfig(J=1.0, c=c))
-        gs = ground_subspace(eigendecompose(h))
+        gs = ground_subspace(solve(system, 1.0, c))
         f = ansatz_overlap(n, gs.density, system)
         print(f"  c = {c:<5} F = {f:.6f}")
 

@@ -295,7 +295,7 @@ def cmd_verify_n4(args) -> int:
 
     grounds = {c: ground_subspace(solve(n4.FULL, 1.0, c))
                for c in (0.0, 0.2, 0.4, 0.9, 1.0)}
-    coeffs = {c: n4.extract_coefficients(gs, c) for c, gs in grounds.items()}
+    coeffs = {c: n4.extract_coefficients(gs) for c, gs in grounds.items()}
 
     for c, expected in ((0.0, (1 / np.sqrt(2), -1 / np.sqrt(2), 0.0)),
                         (1.0, (-np.sqrt(1 / 6), -np.sqrt(2 / 6), 1 / np.sqrt(2)))):

@@ -189,7 +189,7 @@ def _project(u: np.ndarray, templates) -> tuple[np.ndarray, float]:
     return coeffs, float(np.linalg.norm(u - t @ coeffs))
 
 
-def extract_coefficients(ground: GroundSubspace, c: float) -> LevelCoefficients:
+def extract_coefficients(ground: GroundSubspace) -> LevelCoefficients:
     """Fit the N=4 ground subspace to the level-I or level-II form.
 
     The two degenerate partners live in the m=+1 and m=-1 Sz sectors; the
@@ -337,7 +337,7 @@ def _protocol(level: str, c: float, field_h: float, J: float,
             f"c={c} is outside the {name} region ({lo:.6f}, {hi:.6f}{close}")
     spec = solve(FULL, J, c)
     unperturbed = ground_subspace(spec)
-    if extract_coefficients(unperturbed, c).level != level:
+    if extract_coefficients(unperturbed).level != level:
         raise DomainError(f"ground subspace at this c is not level {level}")
 
     # each eigenvector lies in one Sz sector: the field shifts it by h * <sum(sigma_z)>

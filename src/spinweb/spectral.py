@@ -221,12 +221,12 @@ def ground_subspace(spec: Spectrum) -> GroundSubspace:
 
 @dataclass(frozen=True)
 class Crossing:
-    """Refined interval where the ground level's continuation label changes."""
+    """Refined interval where the set of ground (Sz, k) blocks changes."""
 
     c_lo: float
     c_hi: float
     labels: tuple[int, int]  # (outgoing ground label, incoming ground label)
-    min_gap: float  # least gap between the two levels over the bisection midpoints
+    min_gap: float  # least gap between the two blocks' lowest levels at the midpoints
 
 
 @dataclass
@@ -297,51 +297,41 @@ def _ground_blocks(system: SpinSystem, J: float, c: float):
     return lowest, frozenset(np.flatnonzero(lowest <= e0 + thr).tolist())
 
 
-def _refine_crossing(system, J, groups_at, c_lo, c_hi, labeled_lo, ground_lo, ground_hi):
-    """Bisect [c_lo, c_hi] until the ground change lies within CROSSING_WIDTH.
+def _refine_crossing(system, J, c_lo, c_hi):
+    """Bisect [c_lo, c_hi] on the set of ground (Sz, k) blocks until its change
+    lies within CROSSING_WIDTH.  Returns ``(c_lo, c_hi, min_gap)``, or None when
+    no change of that set is found.
 
-    Levels in different (Sz, k) blocks cross without repelling, so a ground
-    change is a change of the set of ground blocks, and each step reads only
-    block eigenvalues: c_lo moves to the midpoint exactly when the midpoint's
-    ground blocks are those at c_lo.  ``min_gap`` is the least |E_a - E_b| over
-    the midpoints, E the lowest eigenvalue of a block, with a the first block
-    that leaves the ground set (else the first ground block at c_lo) and b the
-    first that enters it (else the first at c_hi).  When both ends have the
-    same ground blocks, the change is within one block and ``_refine_by_overlap``
-    bisects it with full solves instead.
+    Levels in different blocks cross without repelling, so a ground change is a
+    change of the set of ground blocks, and each step reads only block
+    eigenvalues: c_lo moves to the midpoint exactly when the midpoint's set is
+    c_lo's, else c_hi does.  When both ends have the same set, the first
+    midpoint with a different set takes the place of c_hi's; if no midpoint
+    differs, there is no crossing.  ``min_gap`` is the least |E_a - E_b| over
+    the midpoints (over the one midpoint of an interval already narrower than
+    CROSSING_WIDTH), E the lowest eigenvalue of a block, with a the first block
+    that leaves the ground set (else the first at c_lo) and b the first that
+    enters it (else the first of the other set).
     """
-    ground_a = _ground_blocks(system, J, c_lo)[1]
-    ground_b = _ground_blocks(system, J, c_hi)[1]
-    if ground_a == ground_b:
-        return _refine_by_overlap(groups_at, c_lo, c_hi, labeled_lo, ground_lo, ground_hi)
-    a, b = min(ground_a - ground_b or ground_a), min(ground_b - ground_a or ground_b)
-    min_gap = np.inf
+    ground_lo = _ground_blocks(system, J, c_lo)[1]
+    ground_hi = _ground_blocks(system, J, c_hi)[1]
+    lowests = []
     while c_hi - c_lo > CROSSING_WIDTH:
         c_mid = 0.5 * (c_lo + c_hi)
         lowest, ground = _ground_blocks(system, J, c_mid)
-        min_gap = min(min_gap, abs(lowest[a] - lowest[b]))
-        if ground == ground_a:
+        lowests.append(lowest)
+        if ground == ground_lo:
             c_lo = c_mid
         else:
+            if ground_hi == ground_lo:
+                ground_hi = ground
             c_hi = c_mid
-    return c_lo, c_hi, float(min_gap)
-
-
-def _refine_by_overlap(groups_at, c_lo, c_hi, labeled_lo, ground_lo, ground_hi):
-    """Bisect until the ground-label change is localized; groups_at(c) solves."""
-    min_gap = np.inf
-    while c_hi - c_lo > CROSSING_WIDTH:
-        c_mid = 0.5 * (c_lo + c_hi)
-        groups = groups_at(c_mid)
-        labels = _match_groups(labeled_lo, groups)
-        energies = {lab: e for lab, (e, _) in zip(labels, groups)}
-        if ground_lo in energies and ground_hi in energies:
-            min_gap = min(min_gap, abs(energies[ground_lo] - energies[ground_hi]))
-        if labels[0] == ground_lo:
-            c_lo, labeled_lo = c_mid, {lab: v for lab, (_, v) in zip(labels, groups)}
-        else:
-            c_hi = c_mid
-    return c_lo, c_hi, float(min_gap)
+    if ground_hi == ground_lo:
+        return None
+    if not lowests:
+        lowests.append(_ground_blocks(system, J, 0.5 * (c_lo + c_hi))[0])
+    a, b = min(ground_lo - ground_hi or ground_lo), min(ground_hi - ground_lo or ground_hi)
+    return c_lo, c_hi, float(min(abs(lowest[a] - lowest[b]) for lowest in lowests))
 
 
 def _check_grid(c_grid) -> np.ndarray:
@@ -360,10 +350,10 @@ def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4) -> Lev
     Levels are continued between adjacent grid points by maximal
     eigenvector-subspace overlap rather than by energy order, so that a level
     keeps its identity through a crossing.  Every grid interval where the
-    ground level's continuation label changes is refined by bisection to a
-    width of 1e-6 in c, reading only (Sz, k) block eigenvalues when the ground
-    changes block; the minimum gap seen between the two competing levels is
-    reported so exact and narrowly avoided crossings can be told apart.
+    ground level's continuation label changes is bisected to a width of 1e-6 in
+    c on the set of ground (Sz, k) blocks, reading only block eigenvalues; it is
+    a crossing only if that set changes in it.  The minimum gap seen between the
+    two blocks' lowest levels is reported with each crossing.
     """
     c_grid = _check_grid(c_grid)
     if c_grid.size < 2:
@@ -376,14 +366,8 @@ def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4) -> Lev
 def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
            spectrum_at=None) -> LevelTrack:
     """The loop of ``track_levels``.  ``spectrum_at(c)``, called once per grid
-    point in grid order, defaults to ``solve``; only a bisection within one
-    (Sz, k) block solves."""
-    def solve_at(c):
-        return solve(system, J, c)
-
-    def groups_at(c):
-        return _low_groups(solve_at(c), n_levels)
-
+    point in grid order, defaults to ``solve``; the tracker makes no other solve."""
+    spectrum_at = spectrum_at or (lambda c: solve(system, J, c))
     tracked: dict[int, list] = {}
     crossings: list[Crossing] = []
     flagged: list[tuple[float, float]] = []
@@ -392,7 +376,7 @@ def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
     prev_ground = None
     prev_c = None
     for c in c_grid.tolist():
-        groups = _low_groups((spectrum_at or solve_at)(c), n_levels)
+        groups = _low_groups(spectrum_at(c), n_levels)
         labels = _match_groups(prev_labeled, groups)
         for lab, (energy, _) in zip(labels, groups):
             tracked.setdefault(lab, []).append((c, energy))
@@ -401,9 +385,10 @@ def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
             # the new ground matched nothing from the previous point
             flagged.append((prev_c, c))
         if prev_ground is not None and ground != prev_ground:
-            lo, hi, gap = _refine_crossing(
-                system, J, groups_at, prev_c, c, prev_labeled, prev_ground, ground)
-            crossings.append(Crossing(lo, hi, (prev_ground, ground), gap))
+            refined = _refine_crossing(system, J, prev_c, c)
+            if refined is not None:
+                lo, hi, gap = refined
+                crossings.append(Crossing(lo, hi, (prev_ground, ground), gap))
         prev_labeled = {lab: v for lab, (_, v) in zip(labels, groups)}
         prev_ground = ground
         prev_c = c

@@ -200,18 +200,18 @@ def test_10_nnn_maximum_interior(sweep_data):
 
 def test_11_coefficient_endpoints_and_closed_forms():
     _, gs0 = _ground(4, 0.0)
-    c0 = n4.extract_coefficients(gs0, 0.0)
+    c0 = n4.extract_coefficients(gs0)
     err0 = max(abs(c0.alpha - 1 / np.sqrt(2)),
                abs(c0.beta + 1 / np.sqrt(2)), abs(c0.gamma))
     _, gs1 = _ground(4, 1.0)
-    c1 = n4.extract_coefficients(gs1, 1.0)
+    c1 = n4.extract_coefficients(gs1)
     err1 = max(abs(c1.alpha + np.sqrt(1 / 6)),
                abs(c1.beta + np.sqrt(2 / 6)),
                abs(c1.gamma - 1 / np.sqrt(2)))
     worst_cf = 0.0
     for c in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.8, 0.9, 1.0):
         sys_, gs = _ground(4, c)
-        coeffs = n4.extract_coefficients(gs, c)
+        coeffs = n4.extract_coefficients(gs)
         c_nn, c_nnn = n4.level_I_concurrences(coeffs)
         worst_cf = max(
             worst_cf,

@@ -347,6 +347,19 @@ def test_spectrum_one_point_grid(tmp_path, fmt):
         assert crossings.splitlines() == ["c_lo,c_hi,label_from,label_to,min_gap"]
 
 
+def test_crossing_narrower_than_the_bisection_width_has_a_finite_gap(tmp_path):
+    out = tmp_path / "spec.json"
+    assert main(["spectrum", "--n", "4", "--c-min", "0.5314208", "--c-max", "0.5314214",
+                 "--c-steps", "1", "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"not standard JSON: {constant}")
+
+    (x,) = json.loads(out.read_text(), parse_constant=reject)["crossings"]
+    assert (x["c_lo"], x["c_hi"]) == (0.5314208, 0.5314214)
+    assert x["min_gap"] < 1e-5
+
+
 def test_spectrum_csv(tmp_path):
     out = tmp_path / "spec.csv"
     assert main(["spectrum", "--n", "4", "--c-steps", "4", "--format", "csv",
@@ -408,6 +421,8 @@ def test_second_ghz_makes_only_its_own_solves(monkeypatch, tmp_path):
 @pytest.mark.parametrize("argv, solves, n_crossings", [
     (["sweep", "--n", "8", "--c-max", "0.5", "--c-steps", "2", "--refs", "ring,star"], 5, 1),
     (["spectrum", "--n", "4", "--c-steps", "50"], 51, 2),
+    (["sweep", "--n", "6", "--c-steps", "10", "--refs", "ring,star"], 13, 1),
+    (["spectrum", "--n", "4", "--c-steps", "2"], 3, 1),
 ])
 def test_crossing_bisection_makes_no_solve(monkeypatch, tmp_path, argv, solves, n_crossings):
     from spinweb import cli, spectral, sweep

@@ -68,7 +68,7 @@ def test_oracle_rejects_unknown_entry():
 # ---------------------------------------------------------------------------
 
 def test_coefficients_at_ring_point(ground):
-    coeffs = n4.extract_coefficients(ground(4, 0.0), 0.0)
+    coeffs = n4.extract_coefficients(ground(4, 0.0))
     assert coeffs.level == "I"
     assert coeffs.alpha == pytest.approx(1 / np.sqrt(2), abs=1e-8)
     assert coeffs.beta == pytest.approx(-1 / np.sqrt(2), abs=1e-8)
@@ -76,7 +76,7 @@ def test_coefficients_at_ring_point(ground):
 
 
 def test_coefficients_at_star_point(ground):
-    coeffs = n4.extract_coefficients(ground(4, 1.0), 1.0)
+    coeffs = n4.extract_coefficients(ground(4, 1.0))
     assert coeffs.level == "I"
     assert coeffs.alpha == pytest.approx(-np.sqrt(1 / 6), abs=1e-8)
     assert coeffs.beta == pytest.approx(-np.sqrt(2 / 6), abs=1e-8)
@@ -87,7 +87,7 @@ def test_intermediate_region_is_level_two(ground):
     lo, hi = n4.intermediate_region()
     assert lo < 0.7 < hi
     c = 0.5 * (lo + hi)
-    coeffs = n4.extract_coefficients(ground(4, c), c)
+    coeffs = n4.extract_coefficients(ground(4, c))
     assert coeffs.level == "II"
     assert coeffs.alpha_p ** 2 + coeffs.gamma_p ** 2 == pytest.approx(1.0)
     assert n4.level_II_concurrences(coeffs) == (0.0, 0.0)
@@ -97,7 +97,7 @@ def test_closed_form_concurrences_match_pipeline(ground):
     from spinweb.sweep import pair_concurrence
     for c in (0.0, 0.3, 0.9, 1.0):
         gs = ground(4, c)
-        coeffs = n4.extract_coefficients(gs, c)
+        coeffs = n4.extract_coefficients(gs)
         c_nn, c_nnn = n4.level_I_concurrences(coeffs)
         assert c_nn == pytest.approx(
             pair_concurrence(gs.density, n4.FULL, (1, 2)), abs=1e-8)
@@ -107,7 +107,7 @@ def test_closed_form_concurrences_match_pipeline(ground):
 
 def test_level_mismatch_raises(ground):
     gs_ring = ground(4, 0.0)
-    coeffs = n4.extract_coefficients(gs_ring, 0.0)
+    coeffs = n4.extract_coefficients(gs_ring)
     with pytest.raises(DomainError):
         n4.level_II_concurrences(coeffs)
 
@@ -115,7 +115,7 @@ def test_level_mismatch_raises(ground):
 def test_extract_rejects_wrong_degeneracy(ground):
     gs = ground(5, 1.0)  # odd-N star ground is unique and 64-dimensional
     with pytest.raises(DomainError):
-        n4.extract_coefficients(gs, 1.0)
+        n4.extract_coefficients(gs)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_protocol_probability_equals_level_coefficient(ground):
     lo, hi = n4.intermediate_region()
     c = 0.5 * (lo + hi)
     gs = ground(4, c)
-    coeffs = n4.extract_coefficients(gs, c)
+    coeffs = n4.extract_coefficients(gs)
     outcomes = n4.ghz_protocol(c, region=(lo, hi))
     by_name = {o.outcome: o for o in outcomes}
     assert by_name["D_state"].probability == pytest.approx(

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinweb import (
     CouplingConfig,
@@ -147,6 +149,29 @@ def test_momentum_blocks_split_the_spectrum(n_outer):
                                        solve(s, J, c).eigenvalues, rtol=0, atol=1e-12)
 
 
+def _refine_by_overlap(system, J, c_lo, c_hi, n_levels):
+    """Oracle of ``_refine_crossing``: bisect until the ground level's overlap
+    continuation label changes, with a full solve at every step."""
+    def groups_at(c):
+        return spectral._low_groups(solve(system, J, c), n_levels)
+
+    labeled_lo = {lab: v for lab, (_, v) in enumerate(groups_at(c_lo))}
+    ground_lo, ground_hi = 0, spectral._match_groups(labeled_lo, groups_at(c_hi))[0]
+    min_gap = np.inf
+    while c_hi - c_lo > spectral.CROSSING_WIDTH:
+        c_mid = 0.5 * (c_lo + c_hi)
+        groups = groups_at(c_mid)
+        labels = spectral._match_groups(labeled_lo, groups)
+        energies = {lab: e for lab, (e, _) in zip(labels, groups)}
+        if ground_lo in energies and ground_hi in energies:
+            min_gap = min(min_gap, abs(energies[ground_lo] - energies[ground_hi]))
+        if labels[0] == ground_lo:
+            c_lo, labeled_lo = c_mid, {lab: v for lab, (_, v) in zip(labels, groups)}
+        else:
+            c_hi = c_mid
+    return c_lo, c_hi, float(min_gap)
+
+
 @pytest.mark.parametrize("n_outer, steps, n_levels",
                          [(n, 401, 6) for n in range(2, 8)] + [(4, 201, 4)])
 def test_block_bisection_matches_overlap_bisection(monkeypatch, n_outer, steps, n_levels):
@@ -154,8 +179,8 @@ def test_block_bisection_matches_overlap_bisection(monkeypatch, n_outer, steps, 
     grid = np.linspace(0.0, 1.0, steps)
     by_blocks = spectral._track(s, 1.0, grid, n_levels)
 
-    def by_overlap(system, J, groups_at, *args):
-        return spectral._refine_by_overlap(groups_at, *args)
+    def by_overlap(system, J, c_lo, c_hi):
+        return _refine_by_overlap(system, J, c_lo, c_hi, n_levels)
 
     monkeypatch.setattr(spectral, "_refine_crossing", by_overlap)
     oracle = spectral._track(s, 1.0, grid, n_levels)
@@ -165,19 +190,27 @@ def test_block_bisection_matches_overlap_bisection(monkeypatch, n_outer, steps, 
         assert abs(new.min_gap - old.min_gap) <= 1e-12
 
 
-def test_change_within_one_block_falls_back_to_overlap_bisection():
-    s = SpinSystem(4, has_central=True)
-    solved = []
+def test_ends_with_the_same_ground_blocks_bisect_without_solving(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bisection step solved")
 
-    def groups_at(c):
-        solved.append(c)
-        return spectral._low_groups(solve(s, 1.0, c), 4)
+    monkeypatch.setattr(spectral, "solve", refuse)
+    # N=4: the ground blocks at 0.5 and 1 agree, but change at c ~ 0.531 and back
+    lo, hi, gap = spectral._refine_crossing(SpinSystem(4, has_central=True), 1.0, 0.5, 1.0)
+    assert (lo, hi) == (0.5314207077026367, 0.5314216613769531)
+    assert gap < 1e-5
+    # N=6: no bisection midpoint in [0.5, 1] has other ground blocks than the ends
+    assert spectral._refine_crossing(SpinSystem(6, has_central=True), 1.0, 0.5, 1.0) is None
 
-    labeled = {0: groups_at(0.8)[0][1]}
-    solved.clear()
-    # no ground change in [0.8, 0.9]: the ground blocks agree at both ends
-    lo, hi, _ = spectral._refine_crossing(s, 1.0, groups_at, 0.8, 0.9, labeled, 0, 1)
-    assert solved and hi - lo <= spectral.CROSSING_WIDTH
+
+@settings(max_examples=25, deadline=None)
+@given(n_outer=st.integers(2, 7), steps=st.integers(1, 40), n_levels=st.sampled_from([4, 6]))
+def test_every_crossing_changes_the_ground_blocks(n_outer, steps, n_levels):
+    s = SpinSystem(n_outer, has_central=True)
+    for x in spectral._track(s, 1.0, np.linspace(0.0, 1.0, steps + 1), n_levels).crossings:
+        assert np.isfinite(x.min_gap)
+        assert (spectral._ground_blocks(s, 1.0, x.c_lo)[1]
+                != spectral._ground_blocks(s, 1.0, x.c_hi)[1])
 
 
 @pytest.mark.parametrize("n_outer", range(2, 8))
