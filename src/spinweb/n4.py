@@ -110,7 +110,7 @@ def verify_table_action(which: str, central_bit: int, label: str,
         raise DomainError(f"no oracle entry for central={central_bit}, label={label!r}")
     v = with_central(central_bit, named_state(label).vector)
     spec = solve(FULL, 1.0, 1.0 if which == "star" else 0.0)
-    u = spec.eigenvectors
+    u = spec.vectors()
     result = u @ (spec.eigenvalues * (u.T @ v))
     action = ACTION_TABLE[key][0 if which == "star" else 1]
     if action is None:
@@ -341,7 +341,8 @@ def _protocol(level: str, c: float, field_h: float, J: float,
         raise DomainError(f"ground subspace at this c is not level {level}")
 
     # each eigenvector lies in one Sz sector: the field shifts it by h * <sum(sigma_z)>
-    mags = _MAGS @ np.abs(spec.eigenvectors) ** 2
+    vecs = spec.vectors()
+    mags = _MAGS @ vecs ** 2
     ground_mags = mags[:unperturbed.degeneracy]
     split = field_h * float(ground_mags.max() - ground_mags.min())
     # a split of a few ulps of E0 or less is lost to round-off in E0 + shift
@@ -352,7 +353,7 @@ def _protocol(level: str, c: float, field_h: float, J: float,
     lowest, second = np.argsort(shifted, kind="stable")[:2]
     if shifted[second] - shifted[lowest] < 0.1 * field_h:
         raise DomainError("field did not lift the ground degeneracy")
-    v = spec.eigenvectors[:, lowest]
+    v = vecs[:, lowest]
     # the perturbed ground must still live in the unperturbed subspace
     proj = unperturbed.basis @ (unperturbed.basis.conj().T @ v)
     if np.linalg.norm(proj) ** 2 < 1.0 - 1e-6:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,10 +22,21 @@ CROSSING_WIDTH = 1e-6  # bisection stops once a crossing lies in an interval thi
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full eigendecomposition with ascending eigenvalues."""
+    """Every eigenvalue, ascending, with eigenvector columns formed on request.
+
+    ``vectors(start, stop)`` returns the orthonormal columns start..stop-1 as a
+    dim x (stop - start) array; its column i pairs with ``eigenvalues[start + i]``.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
+    _columns: Callable[[int, int], np.ndarray] = field(repr=False, compare=False)
+
+    def vectors(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        return self._columns(start, self.eigenvalues.size if stop is None else stop)
+
+
+def _dense_spectrum(vals: np.ndarray, vecs: np.ndarray) -> Spectrum:
+    return Spectrum(vals, lambda start, stop: vecs[:, start:stop])
 
 
 def _solve_blocks(blocks, sectors: list[np.ndarray], dim: int) -> Spectrum:
@@ -40,11 +52,12 @@ def _solve_blocks(blocks, sectors: list[np.ndarray], dim: int) -> Spectrum:
     for idx, (_, u) in zip(sectors, pairs):
         vecs[np.ix_(idx, column[start:start + idx.size])] = u
         start += idx.size
-    return Spectrum(vals[order], vecs)
+    return _dense_spectrum(vals[order], vecs)
 
 
 def eigendecompose(H: HermitianOperator) -> Spectrum:
-    """Eigendecompose a Hermitian operator deterministically.
+    """Eigendecompose a Hermitian operator deterministically, with a dense
+    dim x dim eigenvector matrix; the tests' oracle for ``solve``.
 
     When the dimension is a power of two and the matrix is block diagonal in
     the total-Sz (popcount) sectors, each sector block is diagonalized
@@ -62,21 +75,7 @@ def eigendecompose(H: HermitianOperator) -> Spectrum:
             mask[np.ix_(idx, idx)] = True
         if np.abs(m[~mask]).max(initial=0.0) < 1e-12:
             return _solve_blocks((m[np.ix_(idx, idx)] for idx in sectors), sectors, dim)
-    ev, u = np.linalg.eigh(m)
-    return Spectrum(ev, u)
-
-
-def _bond_block(idx: np.ndarray, masks: list[int]) -> np.ndarray:
-    """Read-only block, on the ascending basis states ``idx``, of the XX bonds with
-    site-bit ``masks``: sx sx + sy sy = 2 (s+ s- + h.c.) takes a state with exactly
-    one of the two bits set to ``state ^ mask``, amplitude 2."""
-    block = np.zeros((idx.size, idx.size))
-    for m in masks:
-        t = idx & m
-        hop = np.flatnonzero((t != 0) & (t != m))
-        block[hop, np.searchsorted(idx, idx[hop] ^ m)] += 2.0
-    block.setflags(write=False)
-    return block
+    return _dense_spectrum(*np.linalg.eigh(m))
 
 
 def _bond_masks(system: SpinSystem) -> tuple[list[int], list[int]]:
@@ -87,13 +86,11 @@ def _bond_masks(system: SpinSystem) -> tuple[list[int], list[int]]:
     return masks(ring_bonds(system)), masks(star_bonds(system))
 
 
-@lru_cache(maxsize=1)
-def _sector_blocks(system: SpinSystem):
-    """Total-Sz sectors and the (ring, star) blocks (J=1) on each, from bit flips;
-    equal, entry for entry, to slices of ``build_ring``/``build_star``."""
-    ring, star = _bond_masks(system)
-    sectors = popcount_sectors(system.dimension)
-    return sectors, [(_bond_block(idx, ring), _bond_block(idx, star)) for idx in sectors]
+def _bloch(m: int, l: np.ndarray, n_outer: int) -> np.ndarray:
+    """e^{-ikl} at k = 2 pi m / N; real (1 or (-1)^l) at k = 0 and pi."""
+    if (2 * m) % n_outer:
+        return np.exp(-2j * np.pi * m * l / n_outer)
+    return 1.0 - 2.0 * (l % 2) if m else np.ones(l.size)
 
 
 def _momentum_hops(reps, period, rep_at, shift_at, idx, masks):
@@ -118,22 +115,41 @@ def _momentum_block(hops, keep, n_outer, m):
     frm, to, shift, amp = hops
     pos = np.cumsum(keep) - 1
     inside = keep[frm] & keep[to]
-    l = shift[inside]
-    if (2 * m) % n_outer:
-        phase = np.exp(-2j * np.pi * m * l / n_outer)
-    else:  # k = 0 or pi: e^{-ikl} is 1 or (-1)^l, so the block is real
-        phase = 1.0 - 2.0 * (l % 2) if m else np.ones(l.size)
+    phase = _bloch(m, shift[inside], n_outer)
     block = np.zeros((int(keep.sum()),) * 2, dtype=phase.dtype)
     np.add.at(block, (pos[to[inside]], pos[frm[inside]]), amp[inside] * phase)
     return 0.5 * (block + block.conj().T)  # exactly Hermitian despite sqrt round-off
 
 
+@dataclass(frozen=True)
+class _Blocks:
+    """The (Sz, k) blocks of one system (J=1), as ``_momentum_blocks`` builds them.
+
+    ``stacks[s] = (ring, star, ids)`` holds equal-size blocks; ``ids[b]`` numbers
+    the blocks that block b stands for: one at k = 0 or pi, where the blocks are
+    real, else two, for k and for -k, whose block is the complex conjugate.  With
+    ``maps[s][b] = (states, rows, amps)``, the eigenvector v of block b expands to
+    the computational-basis vector with ``amps * v[rows]`` on ``states``.
+
+    A solve concatenates the stacks' flattened eigenvalues and takes them in
+    block-id order with ``gather``, which repeats a complex block's for -k.  Entry
+    q of that order is level ``entries[q, 2]`` of block ``entries[q, 1]`` of stack
+    ``entries[q, 0]``, and its column is part ``entries[q, 3]`` of the expanded v:
+    0 the vector itself (real blocks), 1 its real and 2 its imaginary part.
+    """
+
+    dim: int
+    stacks: list
+    maps: list
+    gather: np.ndarray
+    entries: np.ndarray
+
+
 @lru_cache(maxsize=1)
-def _momentum_blocks(system: SpinSystem):
-    """The (Sz, k) blocks (J=1) as stacks ``[(ring, star, ids)]`` of equal-size
-    blocks.  ``ids[i]`` numbers the blocks that ``ring[i]``, ``star[i]`` stand for:
-    one at k = 0 or pi, where the blocks are real; else two, for k and for -k,
-    whose block is the complex conjugate, with the same spectrum.
+def _momentum_blocks(system: SpinSystem) -> _Blocks:
+    """The (Sz, k) blocks (J=1) of ``system``, their expansion maps and their
+    eigenvalue order; built once per system and shared by ``solve`` and the
+    crossing bisection.
 
     k = 2 pi m / N is the momentum of the outer-ring translation T, which commutes
     with H_ring and, since the star couples every outer site equally, with H_star.
@@ -142,12 +158,16 @@ def _momentum_blocks(system: SpinSystem):
     |a(k)> = R_a^-1/2 sum_r e^{-ikr} T^r |a>, which exists when m R_a / N is an
     integer.  A bond taking a to T^-l b, with b a representative, adds
     2 sqrt(R_a / R_b) e^{-ikl} to <b(k)|H|a(k)> (Sandvik, arXiv:1101.3281, sec. 4).
+    A state s with T^l s = a has amplitude e^{ikl} / sqrt(R_a) in |a(k)>.  For a
+    complex block that amplitude carries a factor sqrt 2, so that the real and
+    imaginary parts of an expanded eigenvector v are orthonormal (v is orthogonal
+    to its conjugate, the -k eigenvector): two real columns for the k, -k pair.
     """
     n = system.n_outer
     outer = (1 << n) - 1
     ring, star = _bond_masks(system)
     grouped: dict[tuple, list] = {}
-    block_id = count()
+    layout = []  # (stack key, position in the stack, part), one per block id
     for idx in popcount_sectors(system.dimension):
         o, rots = idx & outer, [idx]  # rots[r] = T^r applied to each state
         for _ in range(n - 1):
@@ -166,26 +186,70 @@ def _momentum_blocks(system: SpinSystem):
             if not keep.any():
                 continue
             r, s = (_momentum_block(t, keep, n, m) for t in tables)
-            ids = [next(block_id) for _ in range(1 if 2 * m % n == 0 else 2)]
-            grouped.setdefault((r.shape[0], r.dtype.kind), []).append((r, s, ids))
-    stacks = []
-    for entries in grouped.values():
-        r, s, ids = (np.stack(x) for x in zip(*entries))
+            parts = (1, 2) if np.iscomplexobj(r) else (0,)
+            inside = keep[rep_at]
+            rep = rep_at[inside]
+            amps = _bloch(m, shift_at[inside], n).conj() * np.sqrt(len(parts) / period[rep])
+            expand = (idx[inside], (np.cumsum(keep) - 1)[rep], amps)
+            for a in expand:
+                a.setflags(write=False)
+            key = (r.shape[0], r.dtype.kind)
+            group = grouped.setdefault(key, [])
+            ids = list(range(len(layout), len(layout) + len(parts)))
+            layout += [(key, len(group), part) for part in parts]
+            group.append(((r, s, ids), expand))
+    stacks, maps = [], []
+    for group in grouped.values():
+        blocks, expands = zip(*group)
+        r, s, ids = (np.stack(x) for x in zip(*blocks))
         for a in (r, s, ids):
             a.setflags(write=False)
         stacks.append((r, s, ids))
-    return stacks
+        maps.append(expands)
+    stack_of = {key: i for i, key in enumerate(grouped)}
+    entries = np.array([(stack_of[key], b, level, part)
+                        for key, b, part in layout for level in range(key[0])])
+    sizes = np.array([ring.shape[1] for ring, _, _ in stacks])
+    offsets = np.concatenate(([0], np.cumsum([ring.shape[0] * ring.shape[1]
+                                              for ring, _, _ in stacks])))
+    stack, b, level = entries[:, 0], entries[:, 1], entries[:, 2]
+    gather = offsets[stack] + b * sizes[stack] + level
+    for a in (gather, entries):
+        a.setflags(write=False)
+    return _Blocks(system.dimension, stacks, maps, gather, entries)
+
+
+def _columns(blocks: _Blocks, vecs: list[np.ndarray], picks: np.ndarray) -> np.ndarray:
+    """The real computational-basis columns of the entries ``picks`` of the block
+    order, one gather each from the stacks' eigenvectors ``vecs``."""
+    out = np.zeros((blocks.dim, picks.size))
+    for i, (s, b, level, part) in enumerate(blocks.entries[picks].tolist()):
+        states, rows, amps = blocks.maps[s][b]
+        v = amps * vecs[s][b, rows, level]
+        out[states, i] = v.imag if part == 2 else v.real
+    return out
 
 
 def solve(system: SpinSystem, J: float, c: float) -> Spectrum:
-    """Spectrum of J * [c * H_star + (1-c) * H_ring] from Sz blocks built once.
+    """Spectrum of J * [c * H_star + (1-c) * H_ring] from the (Sz, k) blocks of
+    ``_momentum_blocks``: one batched ``eigh`` per stack and one stable argsort.
 
-    Equal, bit for bit, to ``eigendecompose(build_combined(...))``.
+    The eigenvalues agree with ``eigendecompose(build_combined(...))`` to
+    round-off (about 1e-14), not bit for bit.  Every column is real and lies in
+    one Sz sector; a k, -k pair of levels gives the two columns sqrt 2 Re v and
+    sqrt 2 Im v, with exactly equal eigenvalues.  Columns are formed only when
+    ``Spectrum.vectors`` asks for them.
     """
     config = CouplingConfig(J=J, c=c)
-    sectors, pairs = _sector_blocks(system)
-    return _solve_blocks((config.J * (config.c * s + (1.0 - config.c) * r)
-                          for r, s in pairs), sectors, system.dimension)
+    blocks = _momentum_blocks(system)
+    vals, vecs = [], []
+    for ring, star, _ in blocks.stacks:
+        w, u = np.linalg.eigh(config.J * (config.c * star + (1.0 - config.c) * ring))
+        vals.append(w.ravel())
+        vecs.append(u)
+    ev = np.concatenate(vals)[blocks.gather]
+    order = np.argsort(ev, kind="stable")
+    return Spectrum(ev[order], lambda start, stop: _columns(blocks, vecs, order[start:stop]))
 
 
 @dataclass(frozen=True)
@@ -210,7 +274,7 @@ def ground_subspace(spec: Spectrum) -> GroundSubspace:
         raise DomainError("empty spectrum")
     thr = DEGENERACY_TOL * max(1.0, float(ev[-1] - ev[0]))
     deg = int(np.count_nonzero(ev <= ev[0] + thr))
-    basis = spec.eigenvectors[:, :deg]
+    basis = spec.vectors(0, deg)
     return GroundSubspace(float(ev[0]), deg, basis,
                           QuantumState("mixed", basis / np.sqrt(deg)))
 
@@ -245,16 +309,15 @@ def _low_groups(spec: Spectrum, n_levels: int):
     """
     ev = spec.eigenvalues
     thr = DEGENERACY_TOL * max(1.0, float(ev[-1] - ev[0]))
-    groups = []
-    start = 0
-    while start < min(n_levels, ev.size):
-        stop = start + 1
+    bounds = [0]
+    while bounds[-1] < min(n_levels, ev.size):
+        stop = bounds[-1] + 1
         while stop < ev.size and ev[stop] - ev[stop - 1] <= thr:
             stop += 1
-        groups.append((float(ev[start:stop].mean()),
-                       spec.eigenvectors[:, start:stop].copy()))
-        start = stop
-    return groups
+        bounds.append(stop)
+    vecs = spec.vectors(0, bounds[-1])
+    return [(float(ev[start:stop].mean()), vecs[:, start:stop].copy())
+            for start, stop in zip(bounds, bounds[1:])]
 
 
 def _match_groups(prev_labeled: dict[int, np.ndarray], groups) -> list[int]:
@@ -285,7 +348,7 @@ def _ground_blocks(system: SpinSystem, J: float, c: float):
     whose lowest lies within ``ground_subspace``'s degeneracy threshold of the
     minimum, the range being that of the whole spectrum."""
     config = CouplingConfig(J=J, c=c)
-    stacks = _momentum_blocks(system)
+    stacks = _momentum_blocks(system).stacks
     lowest = np.empty(sum(ids.size for _, _, ids in stacks))
     top = -np.inf
     for ring, star, ids in stacks:

@@ -24,8 +24,8 @@ def default_c_grid(n_steps: int = 400) -> np.ndarray:
 class SweepConfig:
     """Configuration of a c-sweep.
 
-    ``pairs`` holds the (nearest, next-to-nearest) outer site pairs; the
-    defaults follow ring adjacency.  ``references`` selects which overlap
+    ``nn_pair`` and ``nnn_pair`` are the (nearest, next-to-nearest) site pairs,
+    checked here, before any solve; the defaults follow ring adjacency.  ``references`` selects which overlap
     columns are produced: any of "ring", "star", "ring_eps", "singlet_ansatz".
     """
 
@@ -48,6 +48,10 @@ class SweepConfig:
                               "O_r column; choose one")
         if self.n_levels < 1:
             raise DomainError(f"n_levels must be >= 1, got {self.n_levels}")
+        for name, (a, b) in (("nn", self.nn_pair), ("nnn", self.resolved_nnn_pair)):
+            if a == b or not {a, b} <= set(range(self.n_outer + 1)):
+                raise DomainError(f"{name} pair {a}:{b} must be two different sites "
+                                  f"of 0..{self.n_outer}")
 
     @property
     def resolved_nnn_pair(self) -> tuple[int, int]:

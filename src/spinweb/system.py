@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
 
-#: Most qubits a system may hold (N=12 outer spins plus the central one); it
-#: bounds a solve's dim x dim eigenvector matrix, 512 MiB in float64 at 2**13.
+#: Most qubits a system may hold (N=12 outer spins plus the central one), the
+#: largest size that the tests check against the closed-form ring and star energies.
 MAX_QUBITS = 13
 
 

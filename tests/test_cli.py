@@ -56,6 +56,8 @@ def test_missing_subcommand_exits_2():
     (["--c-max", "inf"], 3),
     (["--c-min", "nan"], 3),
     (["--pairs", "1:2,1:3,2:4"], 2),
+    (["--pairs", "1:99"], 3),
+    (["--pairs", "1:1"], 3),
 ])
 def test_bad_sweep_input_exits_with_code_not_traceback(extra, code):
     proc = subprocess.run(
@@ -443,6 +445,18 @@ def test_crossing_bisection_makes_no_solve(monkeypatch, tmp_path, argv, solves, 
     else:
         found = len(json.loads(out.read_text())["crossings"])
     assert found == n_crossings
+
+
+@pytest.mark.parametrize("pairs", ["1:99", "1:1", "nn,4:4"])
+def test_bad_pair_sites_are_rejected_before_any_solve(monkeypatch, capsys, pairs):
+    from spinweb import cli, spectral, sweep
+    solved = []
+    for module in (spectral, cli, sweep):
+        monkeypatch.setattr(module, "solve", lambda *args, **kwargs: solved.append(args))
+    assert main(["sweep", "--n", "12", "--c-steps", "0", "--pairs", pairs]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert solved == []
 
 
 @pytest.mark.parametrize("j", ["0", "-1"])

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,10 +22,12 @@ from spinweb import (
     ground_subspace,
     track_levels,
 )
-from spinweb import n4, operators, spectral
+from spinweb import n4, operators, spectral, sweep
 from spinweb.cli import main
 from spinweb.spectral import solve
 from spinweb.sweep import SweepConfig, run_sweep
+
+import oracle
 
 
 def _solve(n_outer, c, J=1.0):
@@ -36,10 +39,11 @@ def _solve(n_outer, c, J=1.0):
 def test_eigendecomposition_reconstructs_matrix():
     spec = _solve(3, 0.4)
     h = build_combined(SpinSystem(3, True), CouplingConfig(c=0.4)).matrix
-    recon = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.conj().T
+    v = spec.vectors()
+    recon = v @ np.diag(spec.eigenvalues) @ v.conj().T
     np.testing.assert_allclose(recon, h, atol=1e-10)
     # orthonormal columns
-    gram = spec.eigenvectors.conj().T @ spec.eigenvectors
+    gram = v.conj().T @ v
     np.testing.assert_allclose(gram, np.eye(h.shape[0]), atol=1e-10)
 
 
@@ -52,19 +56,18 @@ def test_eigenvalues_ascending_and_match_numpy():
 def test_eigenvectors_are_sector_pure():
     # even degenerate eigenvectors must carry a single magnetization each
     s = SpinSystem(4, has_central=True)
-    spec = _solve(4, 0.0)
     mags = np.array([s.magnetization(b) for b in range(s.dimension)])
-    for k in range(s.dimension):
-        v = spec.eigenvectors[:, k]
-        present = {m for m, a in zip(mags, v) if abs(a) > 1e-10}
-        assert len(present) == 1
+    for spec in (_solve(4, 0.0), solve(s, 1.0, 0.0)):
+        for v in spec.vectors().T:
+            present = {m for m, a in zip(mags, v) if abs(a) > 1e-10}
+            assert len(present) == 1
 
 
 def test_eigendecompose_is_deterministic():
     a = _solve(5, 0.5)
     b = _solve(5, 0.5)
     np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
-    np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
+    np.testing.assert_array_equal(a.vectors(), b.vectors())
 
 
 def test_generic_matrix_falls_back_to_full_solve():
@@ -131,7 +134,7 @@ def test_track_levels_validates_grid(monkeypatch):
 @pytest.mark.parametrize("n_outer", range(2, 10))
 def test_momentum_blocks_split_the_spectrum(n_outer):
     s = SpinSystem(n_outer, has_central=True)
-    stacks = spectral._momentum_blocks(s)
+    stacks = spectral._momentum_blocks(s).stacks
     # a complex block at k stands for itself and its conjugate at -k
     assert sum(ring.shape[1] * ids.size for ring, _, ids in stacks) == s.dimension
     ids = np.concatenate([ids.ravel() for _, _, ids in stacks])
@@ -218,10 +221,10 @@ def test_solve_equals_dense_path_exactly(n_outer):
     s = SpinSystem(n_outer, has_central=True)
     for J in (1.0, 0.7):
         for c in (0.0, 0.3, 0.5, 0.694, 1.0):
-            spec = solve(s, J, c)
+            spec = oracle.sz_block_solve(s, J, c)
             dense = eigendecompose(build_combined(s, CouplingConfig(J=J, c=c)))
             np.testing.assert_array_equal(spec.eigenvalues, dense.eigenvalues)
-            np.testing.assert_array_equal(spec.eigenvectors, dense.eigenvectors)
+            np.testing.assert_array_equal(spec.vectors(), dense.vectors())
 
 
 def test_solve_keeps_builder_guards():
@@ -233,24 +236,122 @@ def test_solve_keeps_builder_guards():
         solve(SpinSystem(3, has_central=True), float("nan"), 0.5)
     with pytest.raises(DomainError):
         solve(SpinSystem(3, has_central=True), 1.0, 1.5)
-    _, pairs = spectral._sector_blocks(SpinSystem(3, has_central=True))
-    assert not any(block.flags.writeable for pair in pairs for block in pair)
+    blocks = spectral._momentum_blocks(SpinSystem(3, has_central=True))
+    arrays = [a for stack in blocks.stacks for a in stack]
+    arrays += [a for maps in blocks.maps for expand in maps for a in expand]
+    assert not any(a.flags.writeable for a in arrays + [blocks.gather, blocks.entries])
 
 
 def test_sweep_then_tracking_builds_blocks_once():
-    spectral._sector_blocks.cache_clear()
+    spectral._momentum_blocks.cache_clear()
     grid = np.linspace(0.0, 1.0, 5)
     run_sweep(SweepConfig(n_outer=4, c_grid=grid))
     track_levels(SpinSystem(4, has_central=True), 1.0, grid)
-    info = spectral._sector_blocks.cache_info()
+    info = spectral._momentum_blocks.cache_info()
     assert info.misses == 1
-    assert info.hits > 2 * grid.size  # grid points and references
+    assert info.hits > 2 * grid.size  # grid points, references and bisection steps
+
+
+def _grid_run(n_outer):
+    """Records and crossings of a 401-point sweep, built as ``cmd_sweep`` builds them."""
+    config = SweepConfig(n_outer=n_outer, references=("ring", "star", "singlet_ansatz"))
+    system = SpinSystem(n_outer, has_central=True)
+    refs = sweep.make_references(config)
+    records = []
+
+    def spectrum_at(c):
+        record, spec = sweep._record(config, system, refs, c)
+        records.append(record)
+        return spec
+
+    track = spectral._track(system, config.J, config.c_grid, config.n_levels,
+                            spectrum_at=spectrum_at)
+    return records, track.crossings
+
+
+@pytest.mark.parametrize("n_outer", range(2, 8))
+def test_solve_matches_sz_block_oracle_on_the_grid(monkeypatch, n_outer):
+    new, new_crossings = _grid_run(n_outer)
+    monkeypatch.setattr(sweep, "solve", oracle.sz_block_solve)
+    old, old_crossings = _grid_run(n_outer)
+    if n_outer != 3:
+        # at N = 3 a 3-fold level holds both of the next ground groups, so the overlap
+        # continuation meets exact ties there, which round-off decides on either path
+        assert new_crossings == old_crossings
+    assert len(new) == len(old) == 401
+    for a, b in zip(new, old):
+        assert a.ground_degeneracy == b.ground_degeneracy, a.c
+        np.testing.assert_allclose([a.ground_energy, *a.low_energies],
+                                   [b.ground_energy, *b.low_energies], rtol=0, atol=1e-10)
+        for name in ("C_nn", "C_nnn", "XX_nn", "XX_nnn", "ZZ_nn", "ZZ_nnn",
+                     "O_r", "O_s", "O_p"):
+            assert abs(getattr(a, name) - getattr(b, name)) <= 1e-8, (a.c, name)
+
+
+@pytest.mark.parametrize("n_outer, cs", [(8, (0.0, 0.4002)), (9, (0.694,)),
+                                         (10, (0.36008, 1.0))])
+def test_solve_columns_are_real_orthonormal_sector_eigenvectors(n_outer, cs):
+    s = SpinSystem(n_outer, has_central=True)
+    sectors, pairs = oracle.sector_blocks(s)
+    for c in cs:
+        spec = solve(s, 1.0, c)
+        ev, v = spec.eigenvalues, spec.vectors()
+        assert v.dtype == np.float64
+        np.testing.assert_allclose(v.T @ v, np.eye(s.dimension), rtol=0, atol=1e-12)
+        weight = np.array([np.count_nonzero(v[idx], axis=0) for idx in sectors])
+        np.testing.assert_array_equal(np.count_nonzero(weight, axis=0), 1)
+        tol = 1e-12 * max(1.0, float(ev[-1] - ev[0]))
+        for idx, (ring, star), w in zip(sectors, pairs, weight):
+            cols = np.flatnonzero(w)
+            block = v[np.ix_(idx, cols)]
+            residual = (c * star + (1.0 - c) * ring) @ block - block * ev[cols]
+            assert np.linalg.norm(residual, axis=0).max(initial=0.0) <= tol
+
+
+def _free_fermion_ring_energy(n_outer, J):
+    """Ring ground energy (Lieb, Schultz and Mattis): the least, over fermion
+    number n_f, sum of the n_f lowest 4J cos q, with q = 2 pi (j + 1/2) / N for
+    even n_f and q = 2 pi j / N for odd n_f."""
+    j = np.arange(n_outer)
+    best = 0.0
+    for n_f in range(1, n_outer + 1):
+        q = 2.0 * np.pi * (j + 0.5 * (n_f % 2 == 0)) / n_outer
+        best = min(best, float(np.sort(4.0 * J * np.cos(q))[:n_f].sum()))
+    return best
+
+
+def _star_energy(n_outer, J):
+    """Star ground energy: -2J max_m sqrt(S(S+1) - m(m+1)) with S = N/2."""
+    S = n_outer / 2
+    m = np.arange(-S, S)
+    return float(-2.0 * J * np.sqrt(S * (S + 1) - m * (m + 1)).max())
+
+
+@pytest.mark.parametrize("n_outer", [10, 12])
+@pytest.mark.parametrize("J", [1.0, 0.7])
+def test_solve_meets_ring_and_star_closed_forms(n_outer, J):
+    s = SpinSystem(n_outer, has_central=True)
+    assert abs(solve(s, J, 0.0).eigenvalues[0] - _free_fermion_ring_energy(n_outer, J)) <= 1e-10
+    assert abs(solve(s, J, 1.0).eigenvalues[0] - _star_energy(n_outer, J)) <= 1e-10
+
+
+def test_n12_solve_and_ground_allocate_no_dense_matrix():
+    s = SpinSystem(12, has_central=True)
+    spectral._momentum_blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        gs = ground_subspace(solve(s, 1.0, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gs.basis.shape == (s.dimension, gs.degeneracy)
+    assert peak < 64 * 2**20  # a dim x dim float64 matrix alone is 512 MiB
 
 
 @pytest.mark.parametrize("n_outer", [8, 9])
 def test_sector_blocks_equal_dense_slices(n_outer):
     s = SpinSystem(n_outer, has_central=True)
-    sectors, pairs = spectral._sector_blocks(s)
+    sectors, pairs = oracle.sector_blocks(s)
     ring, star = build_ring(s).matrix, build_star(s).matrix
     assert np.concatenate(sectors).size == s.dimension
     for idx, (ring_block, star_block) in zip(sectors, pairs):
@@ -263,7 +364,7 @@ def test_sweep_path_forms_no_dense_operator(monkeypatch):
         raise AssertionError("a dense Kronecker operator was built")
 
     monkeypatch.setattr(operators, "_embed", refuse)
-    spectral._sector_blocks.cache_clear()
+    spectral._momentum_blocks.cache_clear()
     n4._regions.cache_clear()
     grid = np.linspace(0.0, 1.0, 3)
     for n_outer in range(4, 9):
