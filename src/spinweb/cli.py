@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, n4
 from .errors import DomainError, ResourceLimitError
-from .spectral import _check_grid, _track, ground_subspace, solve
+from .spectral import _check_grid, _track, ground_subspace, solve_grid
 from .sweep import (SweepConfig, _default_nnn_pair, _record, make_references,
                     pair_concurrence)
 from .system import SpinSystem
@@ -164,10 +164,11 @@ def cmd_sweep(args) -> int:
     )
     refs = make_references(config)
     records = []
+    points = solve_grid(system, config.J, config.c_grid)
 
-    def spectrum_at(c):  # one solve per grid point feeds its record and the tracker
-        record, spec = _record(config, system, refs, c)
-        records.append(record)
+    def spectrum_at(c):  # one solve_grid pass feeds each point's record and the tracker
+        spec = next(points)
+        records.append(_record(config, system, refs, c, spec))
         return spec
 
     crossings = [_crossing_row(x) for x in _track(
@@ -213,10 +214,9 @@ def cmd_spectrum(args) -> int:
     })
     if args.levels < 2:
         # energies only; no continuation, hence no crossing analysis
-        records = []
-        for c in grid:
-            spec = solve(system, args.j, float(c))
-            records.append({"c": float(c), "energies": [float(spec.eigenvalues[0])]})
+        points = solve_grid(system, args.j, grid)
+        records = [{"c": c, "energies": [float(next(points).eigenvalues[0])]}
+                   for c in grid.tolist()]
         payload = {"manifest": manifest, "records": records, "crossings": [],
                    "reports": {"note": "levels < 2: no crossing analysis"}}
     else:
@@ -293,8 +293,9 @@ def cmd_verify_n4(args) -> int:
             _, ok = n4.verify_table_action(which, bit, label)
             checks.append((f"action_table[{which}, |{bit}>|{label}>]", ok))
 
-    grounds = {c: ground_subspace(solve(n4.FULL, 1.0, c))
-               for c in (0.0, 0.2, 0.4, 0.9, 1.0)}
+    cs = (0.0, 0.2, 0.4, 0.9, 1.0)
+    points = solve_grid(n4.FULL, 1.0, cs)
+    grounds = {c: ground_subspace(next(points)) for c in cs}
     coeffs = {c: n4.extract_coefficients(gs) for c, gs in grounds.items()}
 
     for c, expected in ((0.0, (1 / np.sqrt(2), -1 / np.sqrt(2), 0.0)),

@@ -18,7 +18,8 @@ import numpy as np
 
 from .entanglement import concurrence_wootters
 from .errors import DomainError
-from .spectral import GroundSubspace, ground_subspace, solve, track_levels
+from .spectral import (GroundSubspace, _grid_ground_blocks, _refine_crossing,
+                       ground_subspace, solve)
 from .states import QuantumState, TwoQubitRDM, partial_trace
 from .system import SpinSystem
 
@@ -101,7 +102,7 @@ def verify_table_action(which: str, central_bit: int, label: str,
     """Apply H_star or H_ring (J=1) to |central>|label> and check the oracle.
 
     H is U diag(E) U^T from ``solve`` at c = 1 (star) or 0 (ring), as sweeps use
-    it.  Returns (result_vector, match).
+    it; each of the two is solved once per process.  Returns (result_vector, match).
     """
     if which not in ("star", "ring"):
         raise DomainError(f"which must be 'star' or 'ring', got {which!r}")
@@ -109,9 +110,8 @@ def verify_table_action(which: str, central_bit: int, label: str,
     if key not in ACTION_TABLE:
         raise DomainError(f"no oracle entry for central={central_bit}, label={label!r}")
     v = with_central(central_bit, named_state(label).vector)
-    spec = solve(FULL, 1.0, 1.0 if which == "star" else 0.0)
-    u = spec.vectors()
-    result = u @ (spec.eigenvalues * (u.T @ v))
+    energies, u = _table_hamiltonian(which)
+    result = u @ (energies * (u.T @ v))
     action = ACTION_TABLE[key][0 if which == "star" else 1]
     if action is None:
         expected = np.zeros(32)
@@ -119,6 +119,16 @@ def verify_table_action(which: str, central_bit: int, label: str,
         coeff, out_bit, out_label = action
         expected = coeff * with_central(out_bit, named_state(out_label).vector)
     return result, bool(np.abs(result - expected).max() <= tol)
+
+
+@lru_cache(maxsize=None)
+def _table_hamiltonian(which: str) -> tuple[np.ndarray, np.ndarray]:
+    """(E, U) of H_star or H_ring (J=1), from one ``solve`` at c = 1 or 0."""
+    spec = solve(FULL, 1.0, 1.0 if which == "star" else 0.0)
+    energies, u = spec.eigenvalues, spec.vectors()
+    for a in (energies, u):
+        a.setflags(write=False)
+    return energies, u
 
 
 # ---------------------------------------------------------------------------
@@ -246,22 +256,27 @@ def detect_regions():
     """Ground-level crossing boundaries of the N=4 sweep.
 
     Returns ((c1_lo, c1_hi), (c2_lo, c2_hi)): the two refined crossing
-    intervals separating ring, intermediate and star regions, tracked on a
-    201-point grid.  They hold for every J > 0: the spectrum scales with J and
-    the eigenvectors do not, so the bounds are found once per process, at J = 1.
+    intervals separating ring, intermediate and star regions.  The sets of
+    ground (Sz, k) blocks are scanned on a 201-point grid, from block
+    eigenvalues only, and each grid interval where the set changes is bisected
+    by ``_refine_crossing``; no eigenvector is formed.  The bounds hold for
+    every J > 0: the spectrum scales with J and the eigenvectors do not, so
+    they are found once per process, at J = 1.
     """
     return _regions()
 
 
 @lru_cache(maxsize=1)
 def _regions():
-    track = track_levels(FULL, 1.0, np.linspace(0.0, 1.0, 201), n_levels=4)
-    if len(track.crossings) != 2:
+    grid = np.linspace(0.0, 1.0, 201).tolist()
+    grounds = _grid_ground_blocks(FULL, 1.0, grid)[1]
+    crossings = [_refine_crossing(FULL, 1.0, lo, hi)[:2]
+                 for lo, hi, a, b in zip(grid, grid[1:], grounds, grounds[1:]) if a != b]
+    if len(crossings) != 2:
         raise DomainError(
-            f"expected 2 ground-level crossings for N=4, found {len(track.crossings)}"
+            f"expected 2 ground-level crossings for N=4, found {len(crossings)}"
         )
-    (x1, x2) = track.crossings
-    return (x1.c_lo, x1.c_hi), (x2.c_lo, x2.c_hi)
+    return tuple(crossings)
 
 
 def intermediate_region() -> tuple[float, float]:

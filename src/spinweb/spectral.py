@@ -18,6 +18,7 @@ from .system import SpinSystem
 DEGENERACY_TOL = 1e-9
 OVERLAP_THRESHOLD = 0.5
 CROSSING_WIDTH = 1e-6  # bisection stops once a crossing lies in an interval this wide
+GRID_CHUNK_BYTES = 1 << 20  # eigenvectors one chunk of ``solve_grid`` holds (>= 1 point)
 
 
 @dataclass(frozen=True)
@@ -230,9 +231,62 @@ def _columns(blocks: _Blocks, vecs: list[np.ndarray], picks: np.ndarray) -> np.n
     return out
 
 
+def _checked_cs(J: float, cs) -> np.ndarray:
+    """The c values of ``cs`` as a float array, each checked with ``J`` by
+    ``CouplingConfig``."""
+    cs = np.asarray(cs, dtype=float).ravel()
+    for c in cs.tolist():
+        CouplingConfig(J=J, c=c)
+    return cs
+
+
+def _spectrum(blocks: _Blocks, ev: np.ndarray, vecs: list[np.ndarray],
+              order: np.ndarray) -> Spectrum:
+    return Spectrum(ev, lambda start, stop: _columns(blocks, vecs, order[start:stop]))
+
+
+def _solve_chunk(blocks: _Blocks, J: float, c: np.ndarray) -> list[Spectrum]:
+    """Spectra at the c values of ``c`` (shape (points, 1, 1, 1)): one batched
+    ``eigh`` per stack, each stack's matrices built just before it, and one
+    stable argsort per point along axis 1."""
+    vals, vecs = [], []
+    for ring, star, _ in blocks.stacks:
+        w, u = np.linalg.eigh(J * (c * star + (1.0 - c) * ring))
+        vals.append(w.reshape(c.shape[0], -1))
+        vecs.append(u)
+    ev = np.concatenate(vals, axis=1)[:, blocks.gather]
+    order = np.argsort(ev, axis=1, kind="stable")
+    ev = np.take_along_axis(ev, order, axis=1)
+    return [_spectrum(blocks, ev[i], [u[i] for u in vecs], order[i])
+            for i in range(c.shape[0])]
+
+
+def solve_grid(system: SpinSystem, J: float, cs):
+    """Yield the ``Spectrum`` of J * [c * H_star + (1-c) * H_ring] for each c of
+    ``cs``, in order, from the (Sz, k) blocks of ``_momentum_blocks``.
+
+    The c values are solved in chunks whose eigenvectors take at most
+    ``GRID_CHUNK_BYTES`` (at least one point per chunk): one batched ``eigh`` per
+    stack on all the chunk's matrices, and one stable argsort.  LAPACK factors
+    each matrix of a batch as it would factor it alone, so every spectrum is
+    bit for bit that of ``solve`` at its c.  Every c is checked, at the first
+    ``next``, before any is solved.  A chunk's arrays live until its last spectrum is handed out
+    and dropped; pull points with ``next()`` rather than keep the previous one
+    bound while the next is made, or two chunks are alive at once.
+    """
+    cs = _checked_cs(J, cs)
+    blocks = _momentum_blocks(system)
+    step = max(1, GRID_CHUNK_BYTES // sum(ring.nbytes for ring, _, _ in blocks.stacks))
+    for start in range(0, cs.size, step):
+        spectra = _solve_chunk(blocks, J, cs[start:start + step, None, None, None])
+        spectra.reverse()
+        while spectra:  # the generator keeps only the spectra not yet handed out
+            yield spectra.pop()
+
+
 def solve(system: SpinSystem, J: float, c: float) -> Spectrum:
-    """Spectrum of J * [c * H_star + (1-c) * H_ring] from the (Sz, k) blocks of
-    ``_momentum_blocks``: one batched ``eigh`` per stack and one stable argsort.
+    """Spectrum of J * [c * H_star + (1-c) * H_ring]: the one-point case of
+    ``solve_grid``, so one batched ``eigh`` per (Sz, k) stack and one stable argsort.
 
     The eigenvalues agree with ``eigendecompose(build_combined(...))`` to
     round-off (about 1e-14), not bit for bit.  Every column is real and lies in
@@ -240,16 +294,7 @@ def solve(system: SpinSystem, J: float, c: float) -> Spectrum:
     sqrt 2 Im v, with exactly equal eigenvalues.  Columns are formed only when
     ``Spectrum.vectors`` asks for them.
     """
-    config = CouplingConfig(J=J, c=c)
-    blocks = _momentum_blocks(system)
-    vals, vecs = [], []
-    for ring, star, _ in blocks.stacks:
-        w, u = np.linalg.eigh(config.J * (config.c * star + (1.0 - config.c) * ring))
-        vals.append(w.ravel())
-        vecs.append(u)
-    ev = np.concatenate(vals)[blocks.gather]
-    order = np.argsort(ev, kind="stable")
-    return Spectrum(ev[order], lambda start, stop: _columns(blocks, vecs, order[start:stop]))
+    return next(solve_grid(system, J, [c]))
 
 
 @dataclass(frozen=True)
@@ -343,21 +388,29 @@ def _match_groups(prev_labeled: dict[int, np.ndarray], groups) -> list[int]:
     return [assigned[gi] if gi in assigned else next(fresh) for gi in range(len(groups))]
 
 
-def _ground_blocks(system: SpinSystem, J: float, c: float):
-    """The lowest eigenvalue of each (Sz, k) block at c, and the set of blocks
-    whose lowest lies within ``ground_subspace``'s degeneracy threshold of the
-    minimum, the range being that of the whole spectrum."""
-    config = CouplingConfig(J=J, c=c)
+def _grid_ground_blocks(system: SpinSystem, J: float, cs):
+    """For each c of ``cs``: the lowest eigenvalue of each (Sz, k) block, as one
+    row of an array, and the set of blocks whose lowest lies within
+    ``ground_subspace``'s degeneracy threshold of the minimum, the range being
+    that of the whole spectrum.  One batched ``eigvalsh`` per stack."""
+    c = _checked_cs(J, cs)[:, None, None, None]
     stacks = _momentum_blocks(system).stacks
-    lowest = np.empty(sum(ids.size for _, _, ids in stacks))
-    top = -np.inf
+    lowest = np.empty((c.shape[0], sum(ids.size for _, _, ids in stacks)))
+    top = np.full(c.shape[0], -np.inf)
     for ring, star, ids in stacks:
-        vals = np.linalg.eigvalsh(config.J * (config.c * star + (1.0 - config.c) * ring))
-        lowest[ids] = vals[:, :1]
-        top = max(top, float(vals[:, -1].max()))
-    e0 = float(lowest.min())
-    thr = DEGENERACY_TOL * max(1.0, top - e0)
-    return lowest, frozenset(np.flatnonzero(lowest <= e0 + thr).tolist())
+        vals = np.linalg.eigvalsh(J * (c * star + (1.0 - c) * ring))
+        lowest[:, ids] = vals[..., :1]
+        top = np.maximum(top, vals[..., -1].max(axis=1))
+    e0 = lowest.min(axis=1)
+    thr = DEGENERACY_TOL * np.maximum(1.0, top - e0)
+    return lowest, [frozenset(np.flatnonzero(row <= e + t).tolist())
+                    for row, e, t in zip(lowest, e0, thr)]
+
+
+def _ground_blocks(system: SpinSystem, J: float, c: float):
+    """``_grid_ground_blocks`` at the one point c."""
+    lowest, grounds = _grid_ground_blocks(system, J, [c])
+    return lowest[0], grounds[0]
 
 
 def _refine_crossing(system, J, c_lo, c_hi):
@@ -429,8 +482,11 @@ def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4) -> Lev
 def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
            spectrum_at=None) -> LevelTrack:
     """The loop of ``track_levels``.  ``spectrum_at(c)``, called once per grid
-    point in grid order, defaults to ``solve``; the tracker makes no other solve."""
-    spectrum_at = spectrum_at or (lambda c: solve(system, J, c))
+    point in grid order, defaults to the next spectrum of one ``solve_grid`` pass
+    over ``c_grid``; the tracker makes no other solve."""
+    if spectrum_at is None:
+        points = solve_grid(system, J, c_grid)
+        spectrum_at = lambda c: next(points)
     tracked: dict[int, list] = {}
     crossings: list[Crossing] = []
     flagged: list[tuple[float, float]] = []

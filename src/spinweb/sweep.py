@@ -11,7 +11,7 @@ import numpy as np
 
 from .entanglement import concurrence_symmetric, concurrence_wootters, correlation
 from .errors import DomainError
-from .spectral import Spectrum, _check_grid, ground_subspace, solve
+from .spectral import Spectrum, _check_grid, ground_subspace, solve_grid
 from .states import QuantumState, TwoQubitRDM, fidelity, partial_trace
 from .system import SpinSystem
 
@@ -231,18 +231,19 @@ class ReferenceSet:
 
 
 def make_references(config: SweepConfig) -> ReferenceSet:
+    """The reference densities of ``config.references``; the ring (c = 0 or
+    ``ring_eps``) and star (c = 1) grounds come from one ``solve_grid`` pass."""
     system = SpinSystem(config.n_outer, has_central=True)
+    refs = config.references
+    ring_c = config.ring_eps if "ring_eps" in refs else 0.0 if "ring" in refs else None
+    star_c = 1.0 if "star" in refs else None
+    points = solve_grid(system, config.J, [c for c in (ring_c, star_c) if c is not None])
 
     def ground_density(c):
-        return ground_subspace(solve(system, config.J, c)).density
+        return None if c is None else ground_subspace(next(points)).density
 
-    ring = None
-    if "ring_eps" in config.references:
-        ring = ground_density(config.ring_eps)
-    elif "ring" in config.references:
-        ring = ground_density(0.0)
-    star = ground_density(1.0) if "star" in config.references else None
-    ansatz_n = config.n_outer if "singlet_ansatz" in config.references else None
+    ring, star = ground_density(ring_c), ground_density(star_c)
+    ansatz_n = config.n_outer if "singlet_ansatz" in refs else None
     return ReferenceSet(ring=ring, star=star, ansatz_n_outer=ansatz_n)
 
 
@@ -305,10 +306,9 @@ def pair_concurrence(density: QuantumState, system: SpinSystem,
 
 
 def _record(config: SweepConfig, system: SpinSystem, refs: ReferenceSet,
-            c: float) -> tuple[SweepRecord, Spectrum]:
-    """The SweepRecord of one grid point, and the spectrum it was built from."""
+            c: float, spec: Spectrum) -> SweepRecord:
+    """The SweepRecord of the grid point c, built from its spectrum ``spec``."""
     try:
-        spec = solve(system, config.J, c)
         gs = ground_subspace(spec)
         rho = gs.density
         nn, nnn = config.nn_pair, config.resolved_nnn_pair
@@ -325,13 +325,15 @@ def _record(config: SweepConfig, system: SpinSystem, refs: ReferenceSet,
             ZZ_nn=correlation(rho, system, "z", *nn),
             ZZ_nnn=correlation(rho, system, "z", *nnn),
             O_r=o_r, O_s=o_s, O_p=o_p,
-        ), spec
+        )
     except DomainError as exc:
         raise DomainError(f"sweep failed at c={c}: {exc}") from exc
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """Compute one SweepRecord per grid point, in grid order."""
+    """Compute one SweepRecord per grid point, in grid order, from one
+    ``solve_grid`` pass."""
     system = SpinSystem(config.n_outer, has_central=True)
     refs = make_references(config)
-    return [_record(config, system, refs, c)[0] for c in config.c_grid.tolist()]
+    points = solve_grid(system, config.J, config.c_grid)
+    return [_record(config, system, refs, c, next(points)) for c in config.c_grid.tolist()]

@@ -1,4 +1,5 @@
-"""Total-Sz block solver: the tests' oracle for the (Sz, k) solver ``spectral.solve``.
+"""Total-Sz block solver: the tests' oracle for the (Sz, k) solvers
+``spectral.solve`` and ``spectral.solve_grid``.
 
 Each popcount sector's ring and star blocks are built from bit flips and
 diagonalized whole, and the eigenvectors are written into one dense
@@ -43,3 +44,9 @@ def sz_block_solve(system: SpinSystem, J: float, c: float) -> spectral.Spectrum:
     sectors, pairs = sector_blocks(system)
     return spectral._solve_blocks((config.J * (config.c * s + (1.0 - config.c) * r)
                                    for r, s in pairs), sectors, system.dimension)
+
+
+def sz_block_solve_grid(system: SpinSystem, J: float, cs):
+    """``sz_block_solve`` at each c of ``cs`` in turn, in the form of ``solve_grid``."""
+    for c in np.asarray(cs, dtype=float).ravel().tolist():
+        yield sz_block_solve(system, J, c)

@@ -23,6 +23,23 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def count_grid_solves(monkeypatch):
+    """The list of every c that reaches ``spectral.solve_grid`` (``solve`` is its
+    one-point case), patched in each module that binds it."""
+    from spinweb import cli, spectral, sweep
+    solved = []
+    original = spectral.solve_grid
+
+    def counted(system, J, cs):
+        cs = np.asarray(cs, dtype=float).ravel()
+        solved.extend(cs.tolist())
+        return original(system, J, cs)
+
+    for module in (spectral, cli, sweep):
+        monkeypatch.setattr(module, "solve_grid", counted)
+    return solved
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 # ---------------------------------------------------------------------------
@@ -277,16 +294,7 @@ def test_sweep_custom_pairs(tmp_path):
 
 
 def test_sweep_solves_each_grid_point_once(monkeypatch):
-    from spinweb import cli, spectral, sweep
-    solved = []
-    original = spectral.solve
-
-    def counted(system, J, c, **kwargs):
-        solved.append(c)
-        return original(system, J, c, **kwargs)
-
-    for module in (spectral, cli, sweep):
-        monkeypatch.setattr(module, "solve", counted)
+    solved = count_grid_solves(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["sweep", "--n", "4", "--c-min", "0.1", "--c-max", "0.9",
                      "--c-steps", "8", "--refs", "ring,star"]) == 0
@@ -401,23 +409,22 @@ def test_ghz_out_of_region_exits_3():
 
 
 def test_second_ghz_makes_only_its_own_solves(monkeypatch, tmp_path):
-    from spinweb import cli, n4, spectral
-    solved = []
-    original = spectral.solve
+    from spinweb import n4
 
-    def counted(system, J, c, **kwargs):
-        solved.append(c)
-        return original(system, J, c, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("region detection formed eigenvectors")
 
-    for module in (spectral, cli, n4):
-        monkeypatch.setattr(module, "solve", counted)
+    solved = count_grid_solves(monkeypatch)
     n4._regions.cache_clear()
-    assert main(["ghz", "--out", str(tmp_path / "a.json")]) == 0
-    assert len(solved) > 200  # the region bounds: a 201-point track
-    solved.clear()
-    assert main(["ghz", "--j", "1.7", "--out", str(tmp_path / "b.json")]) == 0
-    c = json.loads((tmp_path / "b.json").read_text())["manifest"]["config"]["c"]
-    assert solved == [c]
+    with monkeypatch.context() as m:  # the region bounds come from block eigenvalues
+        m.setattr(np.linalg, "eigh", refuse)
+        n4.detect_regions()
+    assert solved == []
+    for name, j in (("a.json", "1.0"), ("b.json", "1.7")):
+        assert main(["ghz", "--j", j, "--out", str(tmp_path / name)]) == 0
+        c = json.loads((tmp_path / name).read_text())["manifest"]["config"]["c"]
+        assert solved == [c]
+        solved.clear()
 
 
 @pytest.mark.parametrize("argv, solves, n_crossings", [
@@ -427,16 +434,7 @@ def test_second_ghz_makes_only_its_own_solves(monkeypatch, tmp_path):
     (["spectrum", "--n", "4", "--c-steps", "2"], 3, 1),
 ])
 def test_crossing_bisection_makes_no_solve(monkeypatch, tmp_path, argv, solves, n_crossings):
-    from spinweb import cli, spectral, sweep
-    solved = []
-    original = spectral.solve
-
-    def counted(system, J, c, **kwargs):
-        solved.append(c)
-        return original(system, J, c, **kwargs)
-
-    for module in (spectral, cli, sweep):
-        monkeypatch.setattr(module, "solve", counted)
+    solved = count_grid_solves(monkeypatch)
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 0
     assert len(solved) == solves  # one per grid point, plus the reference states
@@ -449,10 +447,7 @@ def test_crossing_bisection_makes_no_solve(monkeypatch, tmp_path, argv, solves, 
 
 @pytest.mark.parametrize("pairs", ["1:99", "1:1", "nn,4:4"])
 def test_bad_pair_sites_are_rejected_before_any_solve(monkeypatch, capsys, pairs):
-    from spinweb import cli, spectral, sweep
-    solved = []
-    for module in (spectral, cli, sweep):
-        monkeypatch.setattr(module, "solve", lambda *args, **kwargs: solved.append(args))
+    solved = count_grid_solves(monkeypatch)
     assert main(["sweep", "--n", "12", "--c-steps", "0", "--pairs", pairs]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -471,6 +466,18 @@ def test_verify_n4_passes(capsys):
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
     assert all(ln.startswith("PASS") for ln in lines)
     assert len(lines) >= 30  # 28 action checks + endpoints + cross-checks
+
+
+def test_verify_n4_solves_each_hamiltonian_once(monkeypatch):
+    from spinweb import n4
+    solved = count_grid_solves(monkeypatch)
+    n4._table_hamiltonian.cache_clear()
+    assert run_cli("verify-n4") == 0
+    # the action table's H_star (c = 1) and H_ring (c = 0), then the five grounds
+    assert solved == [1.0, 0.0, 0.0, 0.2, 0.4, 0.9, 1.0]
+    solved.clear()
+    assert run_cli("verify-n4") == 0
+    assert solved == [0.0, 0.2, 0.4, 0.9, 1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ level coefficients and the measurement protocol."""
 import numpy as np
 import pytest
 
-from spinweb import DomainError, n4
+from spinweb import DomainError, n4, spectral
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +128,21 @@ def test_detect_regions_boundaries():
     assert c2[1] - c2[0] <= 1e-6
     assert 0.52 < c1[0] < 0.54
     assert 0.75 < c2[0] < 0.77
+
+
+def test_detect_regions_are_pinned_and_need_no_solve(monkeypatch):
+    # these bounds set the default ``ghz`` c
+    pinned = ((0.5314202880859376, 0.5314208984375001),
+              (0.7606341552734376, 0.7606347656250001))
+    assert n4.detect_regions() == pinned
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("region detection solved")
+
+    for module, name in ((spectral, "solve"), (spectral, "solve_grid"), (n4, "solve")):
+        monkeypatch.setattr(module, name, refuse)
+    n4._regions.cache_clear()
+    assert n4.detect_regions() == pinned
 
 
 def test_ghz_protocol_outcomes():

@@ -252,16 +252,49 @@ def test_sweep_then_tracking_builds_blocks_once():
     assert info.hits > 2 * grid.size  # grid points, references and bisection steps
 
 
+@pytest.mark.parametrize("n_outer, steps", [(n, 8) for n in range(2, 8)]
+                         + [(8, 400), (9, 20), (10, 2)])
+def test_solve_grid_equals_one_point_solve(n_outer, steps):
+    s = SpinSystem(n_outer, has_central=True)
+    grid = np.linspace(0.0, 1.0, steps + 1)
+    per_point = sum(ring.nbytes for ring, _, _ in spectral._momentum_blocks(s).stacks)
+    if n_outer >= 8:  # the grid spans several chunks
+        assert spectral.GRID_CHUNK_BYTES // per_point < grid.size
+    for J in (1.0, 0.7):
+        points = spectral.solve_grid(s, J, grid)
+        for c in grid.tolist():
+            spec, one = next(points), solve(s, J, c)
+            np.testing.assert_array_equal(spec.eigenvalues, one.eigenvalues)
+            np.testing.assert_array_equal(spec.vectors(0, 8), one.vectors(0, 8))
+        assert next(points, None) is None
+
+
+def test_n12_sweep_holds_no_more_than_one_point(tmp_path):
+    spectral._momentum_blocks(SpinSystem(12, has_central=True))  # cached, 15 MiB
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "--n", "12", "--c-steps", "2",
+                     "--out", str(tmp_path / "n12.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 8.3 MiB.  Building every stack's matrices before the first eigh, keeping
+    # a point's eigenvectors alive through the bisection, or keeping the previous
+    # point's while the next is solved each reads 12.5 MiB or more
+    assert peak <= 9 * 2**20
+
+
 def _grid_run(n_outer):
     """Records and crossings of a 401-point sweep, built as ``cmd_sweep`` builds them."""
     config = SweepConfig(n_outer=n_outer, references=("ring", "star", "singlet_ansatz"))
     system = SpinSystem(n_outer, has_central=True)
     refs = sweep.make_references(config)
     records = []
+    points = sweep.solve_grid(system, config.J, config.c_grid)
 
     def spectrum_at(c):
-        record, spec = sweep._record(config, system, refs, c)
-        records.append(record)
+        spec = next(points)
+        records.append(sweep._record(config, system, refs, c, spec))
         return spec
 
     track = spectral._track(system, config.J, config.c_grid, config.n_levels,
@@ -272,7 +305,7 @@ def _grid_run(n_outer):
 @pytest.mark.parametrize("n_outer", range(2, 8))
 def test_solve_matches_sz_block_oracle_on_the_grid(monkeypatch, n_outer):
     new, new_crossings = _grid_run(n_outer)
-    monkeypatch.setattr(sweep, "solve", oracle.sz_block_solve)
+    monkeypatch.setattr(sweep, "solve_grid", oracle.sz_block_solve_grid)
     old, old_crossings = _grid_run(n_outer)
     if n_outer != 3:
         # at N = 3 a 3-fold level holds both of the next ground groups, so the overlap
