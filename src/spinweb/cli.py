@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
+from functools import lru_cache
 
 import numpy as np
 
@@ -334,7 +335,10 @@ def _add_grid_flags(p):
                    help="number of grid intervals (points = steps + 1)")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` returns a fresh
+    namespace each call and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="spinweb",
         description="Ground-state entanglement of combined ring/star XX spin networks",

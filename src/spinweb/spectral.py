@@ -19,6 +19,7 @@ DEGENERACY_TOL = 1e-9
 OVERLAP_THRESHOLD = 0.5
 CROSSING_WIDTH = 1e-6  # bisection stops once a crossing lies in an interval this wide
 GRID_CHUNK_BYTES = 1 << 20  # eigenvectors one chunk of ``solve_grid`` holds (>= 1 point)
+CHORD_MARGIN = 1e-11  # round-off allowance of the bisection's chord bounds, relative to |H|
 
 
 @dataclass(frozen=True)
@@ -27,17 +28,23 @@ class Spectrum:
 
     ``vectors(start, stop)`` returns the orthonormal columns start..stop-1 as a
     dim x (stop - start) array; its column i pairs with ``eigenvalues[start + i]``.
+    ``blocks[i]`` labels the invariant subspace that holds column i: columns with
+    different labels are orthogonal, whatever c.  ``solve`` labels each level by
+    its (Sz, k) block (a k, -k pair sharing one label); the dense and Sz-block
+    oracles label the whole space as one block.
     """
 
     eigenvalues: np.ndarray
     _columns: Callable[[int, int], np.ndarray] = field(repr=False, compare=False)
+    blocks: np.ndarray = field(repr=False, compare=False)
 
     def vectors(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         return self._columns(start, self.eigenvalues.size if stop is None else stop)
 
 
 def _dense_spectrum(vals: np.ndarray, vecs: np.ndarray) -> Spectrum:
-    return Spectrum(vals, lambda start, stop: vecs[:, start:stop])
+    return Spectrum(vals, lambda start, stop: vecs[:, start:stop],
+                    np.zeros(vals.size, dtype=np.intp))
 
 
 def _solve_blocks(blocks, sectors: list[np.ndarray], dim: int) -> Spectrum:
@@ -137,6 +144,9 @@ class _Blocks:
     q of that order is level ``entries[q, 2]`` of block ``entries[q, 1]`` of stack
     ``entries[q, 0]``, and its column is part ``entries[q, 3]`` of the expanded v:
     0 the vector itself (real blocks), 1 its real and 2 its imaginary part.
+
+    The stacked matrices are numbered stack by stack: entry q belongs to matrix
+    ``matrix[q]``, and block id i to matrix ``owner[i]``.
     """
 
     dim: int
@@ -144,13 +154,17 @@ class _Blocks:
     maps: list
     gather: np.ndarray
     entries: np.ndarray
+    matrix: np.ndarray
+    owner: np.ndarray
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=4)
 def _momentum_blocks(system: SpinSystem) -> _Blocks:
     """The (Sz, k) blocks (J=1) of ``system``, their expansion maps and their
     eigenvalue order; built once per system and shared by ``solve`` and the
-    crossing bisection.
+    crossing bisection.  The cache holds the last four systems, so a process
+    that alternates a few N builds each once (the blocks take under 1 MiB at
+    N <= 10 and 15 MiB at N = 12).
 
     k = 2 pi m / N is the momentum of the outer-ring translation T, which commutes
     with H_ring and, since the star couples every outer site equally, with H_star.
@@ -215,9 +229,14 @@ def _momentum_blocks(system: SpinSystem) -> _Blocks:
                                               for ring, _, _ in stacks])))
     stack, b, level = entries[:, 0], entries[:, 1], entries[:, 2]
     gather = offsets[stack] + b * sizes[stack] + level
-    for a in (gather, entries):
+    first = np.cumsum([0] + [ids.shape[0] for _, _, ids in stacks])
+    matrix = first[stack] + b
+    owner = np.empty(len(layout), dtype=np.intp)
+    for (_, _, ids), start in zip(stacks, first):
+        owner[ids] = start + np.arange(ids.shape[0])[:, None]
+    for a in (gather, entries, matrix, owner):
         a.setflags(write=False)
-    return _Blocks(system.dimension, stacks, maps, gather, entries)
+    return _Blocks(system.dimension, stacks, maps, gather, entries, matrix, owner)
 
 
 def _columns(blocks: _Blocks, vecs: list[np.ndarray], picks: np.ndarray) -> np.ndarray:
@@ -242,7 +261,8 @@ def _checked_cs(J: float, cs) -> np.ndarray:
 
 def _spectrum(blocks: _Blocks, ev: np.ndarray, vecs: list[np.ndarray],
               order: np.ndarray) -> Spectrum:
-    return Spectrum(ev, lambda start, stop: _columns(blocks, vecs, order[start:stop]))
+    return Spectrum(ev, lambda start, stop: _columns(blocks, vecs, order[start:stop]),
+                    blocks.matrix[order])
 
 
 def _solve_chunk(blocks: _Blocks, J: float, c: np.ndarray) -> list[Spectrum]:
@@ -349,8 +369,9 @@ class LevelTrack:
 def _low_groups(spec: Spectrum, n_levels: int):
     """Cluster the lowest eigenvalues into degenerate groups.
 
-    Returns [(energy, basis)] covering at least n_levels eigenstates, ground
-    group first; the bases are copies, so they do not pin the spectrum.
+    Returns [(energy, basis, blocks)] covering at least n_levels eigenstates,
+    ground group first, ``blocks`` being the set of the group's block labels;
+    the bases are copies, so they do not pin the spectrum.
     """
     ev = spec.eigenvalues
     thr = DEGENERACY_TOL * max(1.0, float(ev[-1] - ev[0]))
@@ -361,20 +382,28 @@ def _low_groups(spec: Spectrum, n_levels: int):
             stop += 1
         bounds.append(stop)
     vecs = spec.vectors(0, bounds[-1])
-    return [(float(ev[start:stop].mean()), vecs[:, start:stop].copy())
+    return [(float(ev[start:stop].mean()), vecs[:, start:stop].copy(),
+             frozenset(spec.blocks[start:stop].tolist()))
             for start, stop in zip(bounds, bounds[1:])]
 
 
-def _match_groups(prev_labeled: dict[int, np.ndarray], groups) -> list[int]:
+def _match_groups(prev_labeled: dict[int, tuple], groups) -> list[int]:
     """Greedy assignment of new groups to previous labels by subspace overlap.
 
-    The score is the largest principal-angle cosine between subspaces.  A group
-    left unmatched is a level entering the tracked window from above; it gets a
-    fresh label, larger than every previous one.
+    ``prev_labeled`` maps each previous label to its group's (basis, blocks).
+    The score is the largest principal-angle cosine between subspaces, one SVD
+    of the dim-space overlap per pair of groups that share a block label.  A
+    pair that shares none lies in orthogonal blocks: its overlap is 0, or
+    round-off far below ``OVERLAP_THRESHOLD``, so it is not scored and can be
+    assigned no more than before.  A group left unmatched is a level entering
+    the tracked window from above; it gets a fresh label, larger than every
+    previous one.
     """
     scores = []
-    for gi, (_, v) in enumerate(groups):
-        for label, v_prev in prev_labeled.items():
+    for gi, (_, v, blocks) in enumerate(groups):
+        for label, (v_prev, blocks_prev) in prev_labeled.items():
+            if blocks.isdisjoint(blocks_prev):
+                continue
             s = np.linalg.svd(v_prev.conj().T @ v, compute_uv=False)
             scores.append((float(s.max(initial=0.0)), gi, label))
     scores.sort(reverse=True)
@@ -388,29 +417,106 @@ def _match_groups(prev_labeled: dict[int, np.ndarray], groups) -> list[int]:
     return [assigned[gi] if gi in assigned else next(fresh) for gi in range(len(groups))]
 
 
+def _extremes(stacks, J: float, c: np.ndarray):
+    """Lowest and highest eigenvalue of every stacked matrix at each c of ``c``
+    (shape (points, 1, 1, 1)), as two (points, matrices) arrays, the matrices
+    numbered stack by stack: one batched ``eigvalsh`` per stack."""
+    low, top = [], []
+    for ring, star, _ in stacks:
+        vals = np.linalg.eigvalsh(J * (c * star + (1.0 - c) * ring))
+        low.append(vals[..., 0])
+        top.append(vals[..., -1])
+    return np.concatenate(low, axis=1), np.concatenate(top, axis=1)
+
+
+def _ground_bound(e0: float, top: float) -> float:
+    """The highest energy in the ground level when the spectrum spans [e0, top]:
+    ``ground_subspace``'s degeneracy threshold above e0."""
+    return e0 + DEGENERACY_TOL * max(1.0, top - e0)
+
+
+def _ground_set(lowest: np.ndarray, bound: float) -> frozenset:
+    """The block ids whose lowest eigenvalue (``lowest``, by id) is in the ground."""
+    return frozenset(np.flatnonzero(lowest <= bound).tolist())
+
+
 def _grid_ground_blocks(system: SpinSystem, J: float, cs):
     """For each c of ``cs``: the lowest eigenvalue of each (Sz, k) block, as one
     row of an array, and the set of blocks whose lowest lies within
     ``ground_subspace``'s degeneracy threshold of the minimum, the range being
     that of the whole spectrum.  One batched ``eigvalsh`` per stack."""
-    c = _checked_cs(J, cs)[:, None, None, None]
-    stacks = _momentum_blocks(system).stacks
-    lowest = np.empty((c.shape[0], sum(ids.size for _, _, ids in stacks)))
-    top = np.full(c.shape[0], -np.inf)
-    for ring, star, ids in stacks:
-        vals = np.linalg.eigvalsh(J * (c * star + (1.0 - c) * ring))
-        lowest[:, ids] = vals[..., :1]
-        top = np.maximum(top, vals[..., -1].max(axis=1))
-    e0 = lowest.min(axis=1)
-    thr = DEGENERACY_TOL * np.maximum(1.0, top - e0)
-    return lowest, [frozenset(np.flatnonzero(row <= e + t).tolist())
-                    for row, e, t in zip(lowest, e0, thr)]
+    blocks = _momentum_blocks(system)
+    low, top = _extremes(blocks.stacks, J, _checked_cs(J, cs)[:, None, None, None])
+    lowest = low[:, blocks.owner]
+    return lowest, [_ground_set(row, _ground_bound(row.min(), t))
+                    for row, t in zip(lowest, top.max(axis=1))]
 
 
-def _ground_blocks(system: SpinSystem, J: float, c: float):
-    """``_grid_ground_blocks`` at the one point c."""
-    lowest, grounds = _grid_ground_blocks(system, J, [c])
-    return lowest[0], grounds[0]
+class _Bisection:
+    """The (Sz, k) blocks of one bracket [c0, c1] of ``_refine_crossing``, with
+    every block's lowest and highest eigenvalue at both ends.
+
+    For the pencil J (c S + (1 - c) R) a block's lowest eigenvalue is a minimum
+    of functions affine in c, so concave, and its highest is convex: inside
+    [c0, c1] the chord between the ends is a lower bound on the lowest and an
+    upper bound on the highest.  ``margin`` widens both bounds by round-off:
+    CHORD_MARGIN times the largest |eigenvalue| at the ends (at least 1), which
+    bounds |H| over the bracket.
+    """
+
+    def __init__(self, system: SpinSystem, J: float, c0: float, c1: float):
+        blocks = _momentum_blocks(system)
+        self.J, self.stacks, self.owner = J, blocks.stacks, blocks.owner
+        self.first = np.cumsum([0] + [ids.shape[0] for _, _, ids in self.stacks])
+        (self.low0, self.low1), (self.top0, self.top1) = ends = _extremes(
+            self.stacks, J, _checked_cs(J, [c0, c1])[:, None, None, None])
+        self.c0, self.width = c0, c1 - c0
+        self.margin = CHORD_MARGIN * max(1.0, float(np.abs(ends).max()))
+        self.ends = [_ground_set(low[self.owner], _ground_bound(low.min(), top.max()))
+                     for low, top in zip(*ends)]
+
+    def evaluate(self, c: float, picks: np.ndarray, low: np.ndarray, top: np.ndarray):
+        """Write the lowest and highest eigenvalue at c of the matrices ``picks``
+        (ascending) into ``low`` and ``top``: one ``eigvalsh`` per stack touched,
+        on the same matrices, built the same way, as ``_extremes``."""
+        cut = np.searchsorted(picks, self.first)
+        for s, (ring, star, _) in enumerate(self.stacks):
+            part = picks[cut[s]:cut[s + 1]]
+            if part.size:
+                at = part - self.first[s]
+                vals = np.linalg.eigvalsh(self.J * (c * star[at] + (1.0 - c) * ring[at]))
+                low[part], top[part] = vals[:, 0], vals[:, -1]
+
+    def ground(self, c: float, seed: np.ndarray):
+        """The lowest eigenvalue of each matrix at c (inf where it is not
+        evaluated) and the set of ground block ids, equal to those of
+        ``_grid_ground_blocks``, evaluating only the matrices that can decide them.
+
+        The matrices ``seed`` (a mask) and the one with the highest top chord are
+        evaluated first.  Then every matrix is added whose lowest-chord, less the
+        margin, is within the ground bound of the evaluated minimum, or whose
+        top chord, plus the margin, reaches the evaluated top, until none is.  No
+        other matrix then holds the minimum, the top or a ground level.
+        """
+        t = (c - self.c0) / self.width
+        floor = self.low0 + t * (self.low1 - self.low0) - self.margin
+        ceiling = self.top0 + t * (self.top1 - self.top0) + self.margin
+        low, top = np.full(floor.size, np.inf), np.full(floor.size, -np.inf)
+        seed = seed.copy()
+        seed[ceiling.argmax()] = True
+        picks = np.flatnonzero(seed)
+        while picks.size:
+            self.evaluate(c, picks, low, top)
+            e_top = top.max()
+            bound = _ground_bound(low.min(), e_top)
+            picks = np.flatnonzero(np.isinf(low) & ((floor <= bound) | (ceiling >= e_top)))
+        return low, _ground_set(low[self.owner], bound)
+
+    def mask(self, ids) -> np.ndarray:
+        """The matrices of the block ids ``ids``, as a mask."""
+        seed = np.zeros(self.low0.size, dtype=bool)
+        seed[self.owner[list(ids)]] = True
+        return seed
 
 
 def _refine_crossing(system, J, c_lo, c_hi):
@@ -428,26 +534,44 @@ def _refine_crossing(system, J, c_lo, c_hi):
     CROSSING_WIDTH), E the lowest eigenvalue of a block, with a the first block
     that leaves the ground set (else the first at c_lo) and b the first that
     enters it (else the first of the other set).
+
+    Every block is diagonalized at the two ends only.  A midpoint diagonalizes
+    the blocks of both ends' ground sets, the block with the highest top chord,
+    and then only the blocks that the chord bounds of ``_Bisection`` cannot rule
+    out of the minimum, the top or the ground set; blocks a and b are added at
+    the midpoints that skipped them.  LAPACK factors each matrix of a batch as it
+    would factor it alone, so every eigenvalue read, and with it every set,
+    c_lo, c_hi and ``min_gap``, equals that of diagonalizing every block at
+    every midpoint.
     """
-    ground_lo = _ground_blocks(system, J, c_lo)[1]
-    ground_hi = _ground_blocks(system, J, c_hi)[1]
-    lowests = []
+    bisect = _Bisection(system, J, c_lo, c_hi)
+    ground_lo, ground_hi = bisect.ends
+    seed = bisect.mask(ground_lo | ground_hi)
+    visited = []  # (midpoint, lowest eigenvalue of each matrix, inf if not evaluated)
     while c_hi - c_lo > CROSSING_WIDTH:
         c_mid = 0.5 * (c_lo + c_hi)
-        lowest, ground = _ground_blocks(system, J, c_mid)
-        lowests.append(lowest)
+        lowest, ground = bisect.ground(c_mid, seed)
+        visited.append((c_mid, lowest))
         if ground == ground_lo:
             c_lo = c_mid
         else:
             if ground_hi == ground_lo:
                 ground_hi = ground
+                seed = bisect.mask(ground_lo | ground_hi)
             c_hi = c_mid
     if ground_hi == ground_lo:
         return None
-    if not lowests:
-        lowests.append(_ground_blocks(system, J, 0.5 * (c_lo + c_hi))[0])
+    if not visited:
+        c_mid = 0.5 * (c_lo + c_hi)
+        visited.append((c_mid, np.full(bisect.low0.size, np.inf)))
     a, b = min(ground_lo - ground_hi or ground_lo), min(ground_hi - ground_lo or ground_hi)
-    return c_lo, c_hi, float(min(abs(lowest[a] - lowest[b]) for lowest in lowests))
+    a, b = bisect.owner[a], bisect.owner[b]
+    pair = np.array(sorted({a, b}))
+    for c_mid, lowest in visited:
+        missing = pair[np.isinf(lowest[pair])]
+        if missing.size:
+            bisect.evaluate(c_mid, missing, lowest, np.empty_like(lowest))
+    return c_lo, c_hi, float(min(abs(lowest[a] - lowest[b]) for _, lowest in visited))
 
 
 def _check_grid(c_grid) -> np.ndarray:
@@ -491,13 +615,13 @@ def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
     crossings: list[Crossing] = []
     flagged: list[tuple[float, float]] = []
 
-    prev_labeled: dict[int, np.ndarray] = {}
+    prev_labeled: dict[int, tuple] = {}
     prev_ground = None
     prev_c = None
     for c in c_grid.tolist():
         groups = _low_groups(spectrum_at(c), n_levels)
         labels = _match_groups(prev_labeled, groups)
-        for lab, (energy, _) in zip(labels, groups):
+        for lab, (energy, _, _) in zip(labels, groups):
             tracked.setdefault(lab, []).append((c, energy))
         ground = labels[0]
         if prev_labeled and ground not in prev_labeled:
@@ -508,7 +632,7 @@ def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
             if refined is not None:
                 lo, hi, gap = refined
                 crossings.append(Crossing(lo, hi, (prev_ground, ground), gap))
-        prev_labeled = {lab: v for lab, (_, v) in zip(labels, groups)}
+        prev_labeled = {lab: (v, blocks) for lab, (_, v, blocks) in zip(labels, groups)}
         prev_ground = ground
         prev_c = c
 

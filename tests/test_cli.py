@@ -57,6 +57,21 @@ def test_missing_subcommand_exits_2():
     assert proc.returncode == 2
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    from spinweb.cli import build_parser
+    assert build_parser() is build_parser()
+    assert main(["sweep", "--n", "3", "--c-steps", "2", "--out", str(tmp_path / "a.csv")]) == 0
+    for argv, code in ((["sweep", "--n", "3", "--pairs", "1-2"], 2), (["sweep"], 2),
+                       (["spectrum", "--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code, argv
+    assert "usage: spinweb spectrum" in capsys.readouterr().out
+    # the failed parses left no state behind: the same run gives the same file
+    assert main(["sweep", "--n", "3", "--c-steps", "2", "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 @pytest.mark.parametrize("extra, code", [
     (["--pairs", "1-2"], 2),
     (["--pairs", "1:x"], 2),

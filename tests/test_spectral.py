@@ -158,18 +158,22 @@ def _refine_by_overlap(system, J, c_lo, c_hi, n_levels):
     def groups_at(c):
         return spectral._low_groups(solve(system, J, c), n_levels)
 
-    labeled_lo = {lab: v for lab, (_, v) in enumerate(groups_at(c_lo))}
+    def labeled(labels, groups):
+        return {lab: (v, blocks) for lab, (_, v, blocks) in zip(labels, groups)}
+
+    groups = groups_at(c_lo)
+    labeled_lo = labeled(range(len(groups)), groups)
     ground_lo, ground_hi = 0, spectral._match_groups(labeled_lo, groups_at(c_hi))[0]
     min_gap = np.inf
     while c_hi - c_lo > spectral.CROSSING_WIDTH:
         c_mid = 0.5 * (c_lo + c_hi)
         groups = groups_at(c_mid)
         labels = spectral._match_groups(labeled_lo, groups)
-        energies = {lab: e for lab, (e, _) in zip(labels, groups)}
+        energies = {lab: e for lab, (e, _, _) in zip(labels, groups)}
         if ground_lo in energies and ground_hi in energies:
             min_gap = min(min_gap, abs(energies[ground_lo] - energies[ground_hi]))
         if labels[0] == ground_lo:
-            c_lo, labeled_lo = c_mid, {lab: v for lab, (_, v) in zip(labels, groups)}
+            c_lo, labeled_lo = c_mid, labeled(labels, groups)
         else:
             c_hi = c_mid
     return c_lo, c_hi, float(min_gap)
@@ -199,11 +203,139 @@ def test_ends_with_the_same_ground_blocks_bisect_without_solving(monkeypatch):
 
     monkeypatch.setattr(spectral, "solve", refuse)
     # N=4: the ground blocks at 0.5 and 1 agree, but change at c ~ 0.531 and back
-    lo, hi, gap = spectral._refine_crossing(SpinSystem(4, has_central=True), 1.0, 0.5, 1.0)
+    n4_system = SpinSystem(4, has_central=True)
+    lo, hi, gap = spectral._refine_crossing(n4_system, 1.0, 0.5, 1.0)
     assert (lo, hi) == (0.5314207077026367, 0.5314216613769531)
     assert gap < 1e-5
+    assert (lo, hi, gap) == oracle.full_refine_crossing(n4_system, 1.0, 0.5, 1.0)
     # N=6: no bisection midpoint in [0.5, 1] has other ground blocks than the ends
-    assert spectral._refine_crossing(SpinSystem(6, has_central=True), 1.0, 0.5, 1.0) is None
+    n6_system = SpinSystem(6, has_central=True)
+    assert spectral._refine_crossing(n6_system, 1.0, 0.5, 1.0) is None
+    assert oracle.full_refine_crossing(n6_system, 1.0, 0.5, 1.0) is None
+
+
+def _tracks_agree(a, b):
+    return ((a.crossings, a.tracked_levels, a.flagged_intervals)
+            == (b.crossings, b.tracked_levels, b.flagged_intervals))
+
+
+@pytest.mark.parametrize("J", [1.0, 0.7, -1.0])
+@pytest.mark.parametrize("n_outer", range(2, 9))
+def test_pruned_bisection_and_matching_equal_their_references(monkeypatch, n_outer, J):
+    """On every interval where the ground label or the ground-block set changes,
+    ``_refine_crossing`` returns the full-evaluation tuple (or None), and the
+    tracker's output equals that of scoring every pair of level groups."""
+    s = SpinSystem(n_outer, has_central=True)
+    grid = np.linspace(0.0, 1.0, 401 if n_outer <= 7 else 41)
+    refine = spectral._refine_crossing
+    refined = []
+
+    def checked(system, J, c_lo, c_hi):
+        got = refine(system, J, c_lo, c_hi)
+        assert got == oracle.full_refine_crossing(system, J, c_lo, c_hi), (c_lo, c_hi)
+        refined.append(got)
+        return got
+
+    for n_levels in (2, 4, 6):
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_match_groups", oracle.all_pairs_match_groups)
+            all_pairs = spectral._track(s, J, grid, n_levels)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_refine_crossing", checked)
+            pruned = spectral._track(s, J, grid, n_levels)
+        assert _tracks_agree(pruned, all_pairs)
+    _, grounds = spectral._grid_ground_blocks(s, J, grid)
+    for lo, hi, a, b in zip(grid.tolist(), grid[1:].tolist(), grounds, grounds[1:]):
+        if a != b:
+            checked(s, J, lo, hi)
+    # the ground changes at every J > 0, and at J < 0 for odd N only
+    assert any(x is not None for x in refined) == (J > 0 or n_outer % 2 == 1)
+
+
+def test_pruned_bisection_on_the_n4_region_grid():
+    s = SpinSystem(4, has_central=True)
+    grid = np.linspace(0.0, 1.0, 201).tolist()
+    grounds = spectral._grid_ground_blocks(s, 1.0, grid)[1]
+    found = [(lo, hi) for lo, hi, a, b in zip(grid, grid[1:], grounds, grounds[1:]) if a != b]
+    assert len(found) == 2
+    refined = [spectral._refine_crossing(s, 1.0, lo, hi) for lo, hi in found]
+    assert refined == [oracle.full_refine_crossing(s, 1.0, lo, hi) for lo, hi in found]
+    assert n4._regions() == tuple(x[:2] for x in refined)
+    # a bracket already narrower than CROSSING_WIDTH: its one midpoint is not bisected
+    for lo, hi, _ in refined:
+        again = spectral._refine_crossing(s, 1.0, lo, hi)
+        assert again[:2] == (lo, hi) and np.isfinite(again[2])
+        assert again == oracle.full_refine_crossing(s, 1.0, lo, hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_outer=st.integers(2, 8), magnitude=st.floats(0.4, 2.3), sign=st.sampled_from([1, -1]),
+       width=st.floats(1e-3, 0.5), at=st.floats(0.0, 1.0))
+def test_pruned_bisection_equals_full_evaluation_on_any_bracket(n_outer, magnitude, sign,
+                                                                 width, at):
+    s = SpinSystem(n_outer, has_central=True)
+    c_lo = at * (1.0 - width)
+    J = sign * magnitude
+    assert (spectral._refine_crossing(s, J, c_lo, c_lo + width)
+            == oracle.full_refine_crossing(s, J, c_lo, c_lo + width))
+
+
+@pytest.mark.parametrize("n_outer, c_lo, c_hi", [(8, 0.25, 0.5), (10, 0.36, 0.3625)])
+def test_bisection_diagonalizes_few_blocks_per_midpoint(monkeypatch, n_outer, c_lo, c_hi):
+    s = SpinSystem(n_outer, has_central=True)
+    n_blocks = sum(ids.shape[0] for _, _, ids in spectral._momentum_blocks(s).stacks)
+    midpoints = int(np.ceil(np.log2((c_hi - c_lo) / spectral.CROSSING_WIDTH)))
+    eigvalsh, given_matrices = np.linalg.eigvalsh, []
+
+    def counted(a):
+        given_matrices.append(int(np.prod(a.shape[:-2])))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    refined = spectral._refine_crossing(s, 1.0, c_lo, c_hi)
+    monkeypatch.undo()
+    assert refined is not None
+    # every block at both ends, and a few per midpoint: not every block at every
+    # midpoint (840 matrices at N = 8, 868 at N = 10)
+    assert sum(given_matrices) <= 2 * n_blocks + 6 * midpoints
+    assert refined == oracle.full_refine_crossing(s, 1.0, c_lo, c_hi)
+
+
+def test_level_matching_takes_no_svd_across_blocks(monkeypatch):
+    svd, match = np.linalg.svd, spectral._match_groups
+    taken, shared, disjoint = [], [], []
+
+    def counted_match(prev_labeled, groups):
+        for _, _, blocks in groups:
+            for _, blocks_prev in prev_labeled.values():
+                (disjoint if blocks.isdisjoint(blocks_prev) else shared).append(1)
+        return match(prev_labeled, groups)
+
+    def counted_svd(*args, **kwargs):
+        taken.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_match_groups", counted_match)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    spectral._track(SpinSystem(5, has_central=True), 1.0, np.linspace(0.0, 1.0, 51), 4)
+    assert len(disjoint) > len(shared) > 0
+    assert len(taken) == len(shared)
+
+
+def test_solve_labels_each_level_by_its_block():
+    s = SpinSystem(5, has_central=True)
+    blocks = spectral._momentum_blocks(s)
+    matrices = [(ring[b], star[b], ids.shape[1])
+                for ring, star, ids in blocks.stacks for b in range(ids.shape[0])]
+    spec = solve(s, 0.7, 0.3)
+    v = spec.vectors()
+    for m, (ring, star, copies) in enumerate(matrices):
+        cols = np.flatnonzero(spec.blocks == m)
+        expected = np.repeat(np.linalg.eigvalsh(0.7 * (0.3 * star + 0.7 * ring)), copies)
+        np.testing.assert_allclose(spec.eigenvalues[cols], expected, rtol=0, atol=1e-12)
+        others = v[:, spec.blocks != m]
+        assert np.abs(v[:, cols].T @ others).max() <= 1e-12
+    np.testing.assert_array_equal(oracle.sz_block_solve(s, 0.7, 0.3).blocks, 0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -212,8 +344,8 @@ def test_every_crossing_changes_the_ground_blocks(n_outer, steps, n_levels):
     s = SpinSystem(n_outer, has_central=True)
     for x in spectral._track(s, 1.0, np.linspace(0.0, 1.0, steps + 1), n_levels).crossings:
         assert np.isfinite(x.min_gap)
-        assert (spectral._ground_blocks(s, 1.0, x.c_lo)[1]
-                != spectral._ground_blocks(s, 1.0, x.c_hi)[1])
+        assert (oracle.ground_blocks(s, 1.0, x.c_lo)[1]
+                != oracle.ground_blocks(s, 1.0, x.c_hi)[1])
 
 
 @pytest.mark.parametrize("n_outer", range(2, 8))
@@ -246,10 +378,12 @@ def test_sweep_then_tracking_builds_blocks_once():
     spectral._momentum_blocks.cache_clear()
     grid = np.linspace(0.0, 1.0, 5)
     run_sweep(SweepConfig(n_outer=4, c_grid=grid))
-    track_levels(SpinSystem(4, has_central=True), 1.0, grid)
+    track = track_levels(SpinSystem(4, has_central=True), 1.0, grid)
     info = spectral._momentum_blocks.cache_info()
     assert info.misses == 1
-    assert info.hits > 2 * grid.size  # grid points, references and bisection steps
+    # the sweep's grid pass, the tracker's, and one lookup per bisected crossing
+    assert len(track.crossings) == 2
+    assert info.hits == 2 + len(track.crossings)
 
 
 @pytest.mark.parametrize("n_outer, steps", [(n, 8) for n in range(2, 8)]
