@@ -21,12 +21,19 @@ import numpy as np
 from . import __version__, n4
 from .errors import DomainError, ResourceLimitError
 from .spectral import _check_grid, _track, ground_subspace, solve_grid
-from .sweep import (SweepConfig, _default_nnn_pair, _record, make_references,
+from .sweep import (SweepConfig, _default_nnn_pair, _recorded_points, make_references,
                     pair_concurrence)
 from .system import SpinSystem
 
 SWEEP_COLUMNS = ["c", "E0", "deg", "C_nn", "C_nnn", "XX_nn", "XX_nnn",
                  "ZZ_nn", "ZZ_nnn", "O_r", "O_s", "O_p"]
+
+#: Memory a ``sweep`` or ``spectrum`` keeps per grid point until it writes its
+#: output: the record or tracked levels and the output text, 1.3 KiB at the
+#: defaults and 3.5-4.6 KiB with 8 levels, measured with tracemalloc at N = 2.
+GRID_POINT_BYTES = 4 << 10
+#: The most memory the per-point results of one command may take.
+MAX_GRID_BYTES = 1 << 30
 
 
 def _manifest(command: str, config: dict) -> dict:
@@ -69,11 +76,17 @@ def _fmt(x) -> str:
 
 
 def _system_and_grid(args):
-    """System and checked c-grid of ``sweep``/``spectrum``; range checks precede linspace."""
+    """System and checked c-grid of ``sweep``/``spectrum``; range and size checks
+    precede linspace."""
     system = SpinSystem(args.n, has_central=True)  # owns the size limit
     if not (0 <= args.c_min <= 1 and 0 <= args.c_max <= 1):  # also rejects nan
         raise DomainError("--c-min and --c-max must lie in [0, 1], "
                           f"got {args.c_min} and {args.c_max}")
+    if args.c_steps + 1 > MAX_GRID_BYTES // GRID_POINT_BYTES:
+        raise ResourceLimitError(
+            f"--c-steps {args.c_steps} asks for {args.c_steps + 1} grid points; at about "
+            f"{GRID_POINT_BYTES} bytes each they would exceed {MAX_GRID_BYTES} bytes "
+            f"(at most {MAX_GRID_BYTES // GRID_POINT_BYTES - 1} steps)")
     return system, _check_grid(np.linspace(args.c_min, args.c_max, args.c_steps + 1))
 
 
@@ -163,18 +176,12 @@ def cmd_sweep(args) -> int:
         n_outer=args.n, J=args.j, c_grid=grid, nn_pair=nn, nnn_pair=nnn,
         references=references, ring_eps=ring_eps, n_levels=args.levels,
     )
-    refs = make_references(config)
     records = []
-    points = solve_grid(system, config.J, config.c_grid)
-
-    def spectrum_at(c):  # one solve_grid pass feeds each point's record and the tracker
-        spec = next(points)
-        records.append(_record(config, system, refs, c, spec))
-        return spec
-
+    # one solve_grid pass feeds the records, a chunk at a time, and the tracker
+    points = _recorded_points(config, system, make_references(config), records)
     crossings = [_crossing_row(x) for x in _track(
         system, config.J, config.c_grid, max(2, args.levels),
-        spectrum_at=spectrum_at).crossings]
+        spectrum_at=lambda c: next(points)).crossings]
 
     manifest = _manifest("sweep", {
         "n": args.n, "j": args.j, "c_min": args.c_min, "c_max": args.c_max,

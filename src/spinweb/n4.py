@@ -259,7 +259,8 @@ def detect_regions():
     intervals separating ring, intermediate and star regions.  The sets of
     ground (Sz, k) blocks are scanned on a 201-point grid, from block
     eigenvalues only, and each grid interval where the set changes is bisected
-    by ``_refine_crossing``; no eigenvector is formed.  The bounds hold for
+    by ``_refine_crossing``, which takes its ends' block eigenvalues from the
+    scan; no eigenvector is formed.  The bounds hold for
     every J > 0: the spectrum scales with J and the eigenvectors do not, so
     they are found once per process, at J = 1.
     """
@@ -269,9 +270,9 @@ def detect_regions():
 @lru_cache(maxsize=1)
 def _regions():
     grid = np.linspace(0.0, 1.0, 201).tolist()
-    grounds = _grid_ground_blocks(FULL, 1.0, grid)[1]
-    crossings = [_refine_crossing(FULL, 1.0, lo, hi)[:2]
-                 for lo, hi, a, b in zip(grid, grid[1:], grounds, grounds[1:]) if a != b]
+    extremes, grounds = _grid_ground_blocks(FULL, 1.0, grid)
+    crossings = [_refine_crossing(FULL, 1.0, grid[i], grid[i + 1], extremes[i:i + 2])[:2]
+                 for i, (a, b) in enumerate(zip(grounds, grounds[1:])) if a != b]
     if len(crossings) != 2:
         raise DomainError(
             f"expected 2 ground-level crossings for N=4, found {len(crossings)}"

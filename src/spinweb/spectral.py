@@ -31,12 +31,16 @@ class Spectrum:
     ``blocks[i]`` labels the invariant subspace that holds column i: columns with
     different labels are orthogonal, whatever c.  ``solve`` labels each level by
     its (Sz, k) block (a k, -k pair sharing one label); the dense and Sz-block
-    oracles label the whole space as one block.
+    oracles label the whole space as one block.  ``extremes[0, m]`` and
+    ``extremes[1, m]`` are the lowest and highest eigenvalue of label m, its first
+    and last occurrence in ``eigenvalues``; ``solve`` sets them, the oracles leave
+    them None.
     """
 
     eigenvalues: np.ndarray
     _columns: Callable[[int, int], np.ndarray] = field(repr=False, compare=False)
     blocks: np.ndarray = field(repr=False, compare=False)
+    extremes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def vectors(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         return self._columns(start, self.eigenvalues.size if stop is None else stop)
@@ -260,43 +264,58 @@ def _checked_cs(J: float, cs) -> np.ndarray:
 
 
 def _spectrum(blocks: _Blocks, ev: np.ndarray, vecs: list[np.ndarray],
-              order: np.ndarray) -> Spectrum:
+              order: np.ndarray, extremes: np.ndarray) -> Spectrum:
     return Spectrum(ev, lambda start, stop: _columns(blocks, vecs, order[start:stop]),
-                    blocks.matrix[order])
+                    blocks.matrix[order], extremes)
 
 
 def _solve_chunk(blocks: _Blocks, J: float, c: np.ndarray) -> list[Spectrum]:
     """Spectra at the c values of ``c`` (shape (points, 1, 1, 1)): one batched
     ``eigh`` per stack, each stack's matrices built just before it, and one
     stable argsort per point along axis 1."""
-    vals, vecs = [], []
+    vals, vecs, low, top = [], [], [], []
     for ring, star, _ in blocks.stacks:
         w, u = np.linalg.eigh(J * (c * star + (1.0 - c) * ring))
         vals.append(w.reshape(c.shape[0], -1))
         vecs.append(u)
+        low.append(w[..., 0])
+        top.append(w[..., -1])
+    extremes = np.stack((np.concatenate(low, axis=1), np.concatenate(top, axis=1)), axis=1)
     ev = np.concatenate(vals, axis=1)[:, blocks.gather]
     order = np.argsort(ev, axis=1, kind="stable")
     ev = np.take_along_axis(ev, order, axis=1)
-    return [_spectrum(blocks, ev[i], [u[i] for u in vecs], order[i])
+    return [_spectrum(blocks, ev[i], [u[i] for u in vecs], order[i], extremes[i])
             for i in range(c.shape[0])]
+
+
+def _chunk_points(blocks: _Blocks) -> int:
+    """Grid points per ``solve_grid`` chunk: as many as ``GRID_CHUNK_BYTES`` of
+    eigenvectors hold, at least one."""
+    return max(1, GRID_CHUNK_BYTES // sum(ring.nbytes for ring, _, _ in blocks.stacks))
+
+
+def grid_chunk_points(system: SpinSystem) -> int:
+    """The number of grid points that ``solve_grid`` solves together for ``system``."""
+    return _chunk_points(_momentum_blocks(system))
 
 
 def solve_grid(system: SpinSystem, J: float, cs):
     """Yield the ``Spectrum`` of J * [c * H_star + (1-c) * H_ring] for each c of
     ``cs``, in order, from the (Sz, k) blocks of ``_momentum_blocks``.
 
-    The c values are solved in chunks whose eigenvectors take at most
-    ``GRID_CHUNK_BYTES`` (at least one point per chunk): one batched ``eigh`` per
-    stack on all the chunk's matrices, and one stable argsort.  LAPACK factors
-    each matrix of a batch as it would factor it alone, so every spectrum is
-    bit for bit that of ``solve`` at its c.  Every c is checked, at the first
-    ``next``, before any is solved.  A chunk's arrays live until its last spectrum is handed out
-    and dropped; pull points with ``next()`` rather than keep the previous one
-    bound while the next is made, or two chunks are alive at once.
+    The c values are solved in chunks of ``grid_chunk_points(system)``, whose
+    eigenvectors take at most ``GRID_CHUNK_BYTES`` (at least one point per chunk):
+    one batched ``eigh`` per stack on all the chunk's matrices, and one stable
+    argsort.  LAPACK factors each matrix of a batch as it would factor it alone,
+    so every spectrum is bit for bit that of ``solve`` at its c.  Every c is
+    checked, at the first ``next``, before any is solved.  A chunk's arrays live
+    until its last spectrum is handed out and dropped; pull points with ``next()``
+    rather than keep the previous one bound while the next is made, or two chunks
+    are alive at once.
     """
     cs = _checked_cs(J, cs)
     blocks = _momentum_blocks(system)
-    step = max(1, GRID_CHUNK_BYTES // sum(ring.nbytes for ring, _, _ in blocks.stacks))
+    step = _chunk_points(blocks)
     for start in range(0, cs.size, step):
         spectra = _solve_chunk(blocks, J, cs[start:start + step, None, None, None])
         spectra.reverse()
@@ -441,20 +460,23 @@ def _ground_set(lowest: np.ndarray, bound: float) -> frozenset:
 
 
 def _grid_ground_blocks(system: SpinSystem, J: float, cs):
-    """For each c of ``cs``: the lowest eigenvalue of each (Sz, k) block, as one
-    row of an array, and the set of blocks whose lowest lies within
-    ``ground_subspace``'s degeneracy threshold of the minimum, the range being
-    that of the whole spectrum.  One batched ``eigvalsh`` per stack."""
+    """For each c of ``cs``: the lowest and highest eigenvalue of each stacked
+    matrix, as a (points, 2, matrices) array in the form of ``Spectrum.extremes``,
+    and the set of blocks whose lowest lies within ``ground_subspace``'s
+    degeneracy threshold of the minimum, the range being that of the whole
+    spectrum.  One batched ``eigvalsh`` per stack."""
     blocks = _momentum_blocks(system)
     low, top = _extremes(blocks.stacks, J, _checked_cs(J, cs)[:, None, None, None])
-    lowest = low[:, blocks.owner]
-    return lowest, [_ground_set(row, _ground_bound(row.min(), t))
-                    for row, t in zip(lowest, top.max(axis=1))]
+    return np.stack((low, top), axis=1), [
+        _ground_set(row[blocks.owner], _ground_bound(row.min(), t))
+        for row, t in zip(low, top.max(axis=1))]
 
 
 class _Bisection:
     """The (Sz, k) blocks of one bracket [c0, c1] of ``_refine_crossing``, with
-    every block's lowest and highest eigenvalue at both ends.
+    every block's lowest and highest eigenvalue at both ends: ``ends[0]`` and
+    ``ends[1]`` in the form of ``Spectrum.extremes``, or, when None, from one
+    ``eigvalsh`` of every block at c0 and c1.
 
     For the pencil J (c S + (1 - c) R) a block's lowest eigenvalue is a minimum
     of functions affine in c, so concave, and its highest is convex: inside
@@ -464,16 +486,18 @@ class _Bisection:
     bounds |H| over the bracket.
     """
 
-    def __init__(self, system: SpinSystem, J: float, c0: float, c1: float):
+    def __init__(self, system: SpinSystem, J: float, c0: float, c1: float, ends=None):
         blocks = _momentum_blocks(system)
         self.J, self.stacks, self.owner = J, blocks.stacks, blocks.owner
         self.first = np.cumsum([0] + [ids.shape[0] for _, _, ids in self.stacks])
-        (self.low0, self.low1), (self.top0, self.top1) = ends = _extremes(
-            self.stacks, J, _checked_cs(J, [c0, c1])[:, None, None, None])
+        if ends is None:
+            c = _checked_cs(J, [c0, c1])[:, None, None, None]
+            ends = np.stack(_extremes(self.stacks, J, c), axis=1)
+        (self.low0, self.top0), (self.low1, self.top1) = ends
         self.c0, self.width = c0, c1 - c0
         self.margin = CHORD_MARGIN * max(1.0, float(np.abs(ends).max()))
         self.ends = [_ground_set(low[self.owner], _ground_bound(low.min(), top.max()))
-                     for low, top in zip(*ends)]
+                     for low, top in ends]
 
     def evaluate(self, c: float, picks: np.ndarray, low: np.ndarray, top: np.ndarray):
         """Write the lowest and highest eigenvalue at c of the matrices ``picks``
@@ -519,10 +543,14 @@ class _Bisection:
         return seed
 
 
-def _refine_crossing(system, J, c_lo, c_hi):
+def _refine_crossing(system, J, c_lo, c_hi, ends=None):
     """Bisect [c_lo, c_hi] on the set of ground (Sz, k) blocks until its change
     lies within CROSSING_WIDTH.  Returns ``(c_lo, c_hi, min_gap)``, or None when
-    no change of that set is found.
+    no change of that set is found.  ``ends`` holds ``Spectrum.extremes`` at c_lo
+    and at c_hi, as a grid pass has them; when None, every block is diagonalized
+    at both ends.  A grid pass's extremes come from ``eigh`` and may differ from
+    ``eigvalsh``'s in the last bits, which changes an end's ground set only if a
+    block's lowest eigenvalue lies within round-off of the degeneracy bound.
 
     Levels in different blocks cross without repelling, so a ground change is a
     change of the set of ground blocks, and each step reads only block
@@ -535,16 +563,16 @@ def _refine_crossing(system, J, c_lo, c_hi):
     that leaves the ground set (else the first at c_lo) and b the first that
     enters it (else the first of the other set).
 
-    Every block is diagonalized at the two ends only.  A midpoint diagonalizes
-    the blocks of both ends' ground sets, the block with the highest top chord,
-    and then only the blocks that the chord bounds of ``_Bisection`` cannot rule
-    out of the minimum, the top or the ground set; blocks a and b are added at
-    the midpoints that skipped them.  LAPACK factors each matrix of a batch as it
-    would factor it alone, so every eigenvalue read, and with it every set,
-    c_lo, c_hi and ``min_gap``, equals that of diagonalizing every block at
-    every midpoint.
+    Every block is diagonalized at the two ends only, and there only when
+    ``ends`` is None.  A midpoint diagonalizes the blocks of both ends' ground
+    sets, the block with the highest top chord, and then only the blocks that
+    the chord bounds of ``_Bisection`` cannot rule out of the minimum, the top
+    or the ground set; blocks a and b are added at the midpoints that skipped
+    them.  LAPACK factors each matrix of a batch as it would factor it alone, so
+    every eigenvalue read, and with it every set, c_lo, c_hi and ``min_gap``,
+    equals that of diagonalizing every block at every midpoint.
     """
-    bisect = _Bisection(system, J, c_lo, c_hi)
+    bisect = _Bisection(system, J, c_lo, c_hi, ends)
     ground_lo, ground_hi = bisect.ends
     seed = bisect.mask(ground_lo | ground_hi)
     visited = []  # (midpoint, lowest eigenvalue of each matrix, inf if not evaluated)
@@ -607,7 +635,9 @@ def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
            spectrum_at=None) -> LevelTrack:
     """The loop of ``track_levels``.  ``spectrum_at(c)``, called once per grid
     point in grid order, defaults to the next spectrum of one ``solve_grid`` pass
-    over ``c_grid``; the tracker makes no other solve."""
+    over ``c_grid``; the tracker makes no other solve.  A bisection takes its two
+    ends' block eigenvalues from the ``extremes`` of those spectra, when both
+    have them."""
     if spectrum_at is None:
         points = solve_grid(system, J, c_grid)
         spectrum_at = lambda c: next(points)
@@ -617,9 +647,11 @@ def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
 
     prev_labeled: dict[int, tuple] = {}
     prev_ground = None
-    prev_c = None
+    prev_c = prev_extremes = None
     for c in c_grid.tolist():
-        groups = _low_groups(spectrum_at(c), n_levels)
+        spec = spectrum_at(c)
+        groups, extremes = _low_groups(spec, n_levels), spec.extremes
+        del spec  # a spectrum pins its whole solve chunk
         labels = _match_groups(prev_labeled, groups)
         for lab, (energy, _, _) in zip(labels, groups):
             tracked.setdefault(lab, []).append((c, energy))
@@ -628,12 +660,14 @@ def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
             # the new ground matched nothing from the previous point
             flagged.append((prev_c, c))
         if prev_ground is not None and ground != prev_ground:
-            refined = _refine_crossing(system, J, prev_c, c)
+            ends = None if prev_extremes is None or extremes is None else \
+                np.stack((prev_extremes, extremes))
+            refined = _refine_crossing(system, J, prev_c, c, ends)
             if refined is not None:
                 lo, hi, gap = refined
                 crossings.append(Crossing(lo, hi, (prev_ground, ground), gap))
         prev_labeled = {lab: (v, blocks) for lab, (_, v, blocks) in zip(labels, groups)}
         prev_ground = ground
-        prev_c = c
+        prev_c, prev_extremes = c, extremes
 
     return LevelTrack(c_grid, tracked, crossings, flagged)

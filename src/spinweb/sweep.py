@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -9,10 +10,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .entanglement import concurrence_symmetric, concurrence_wootters, correlation
+from .entanglement import concurrence_symmetric, concurrence_wootters
 from .errors import DomainError
-from .spectral import Spectrum, _check_grid, ground_subspace, solve_grid
-from .states import QuantumState, TwoQubitRDM, fidelity, partial_trace
+from .spectral import (DEGENERACY_TOL, _check_grid, grid_chunk_points,
+                       ground_subspace, solve_grid)
+from .states import SZ_BLOCK_TOL, QuantumState, TwoQubitRDM, fidelity, partial_trace
 from .system import SpinSystem
 
 
@@ -305,35 +307,139 @@ def pair_concurrence(density: QuantumState, system: SpinSystem,
     return concurrence_wootters(rdm).value
 
 
-def _record(config: SweepConfig, system: SpinSystem, refs: ReferenceSet,
-            c: float, spec: Spectrum) -> SweepRecord:
-    """The SweepRecord of the grid point c, built from its spectrum ``spec``."""
+def _pair_rows(system: SpinSystem, pair: tuple[int, int]) -> np.ndarray:
+    """Basis indices by the bits (a, b) of the sites ``pair``: row 2a + b holds the
+    states with those bits, in one order of the other sites' bits shared by all
+    four rows."""
+    a, b = (system.site_mask(site) for site in pair)
+    rest = np.arange(system.dimension)
+    rest = rest[(rest & (a | b)) == 0]
+    return np.stack((rest, rest | b, rest | a, rest | a | b))
+
+
+def _pair_rdms(system: SpinSystem, factors: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """The 4 x 4 reduced densities over ``pair`` (site order as in ``partial_trace``)
+    of the states F F-dagger, F each (dim x rank) matrix of ``factors``: one
+    batched product of the rows of ``_pair_rows``, the other sites and the rank
+    taken together as the traced index."""
+    f = factors[:, _pair_rows(system, pair)].reshape(factors.shape[0], 4, -1)
+    return f @ f.conj().swapaxes(1, 2)
+
+
+_OFF_BLOCK = ([0, 0, 0, 1, 2, 1, 2, 3, 3, 3], [1, 2, 3, 3, 3, 0, 0, 0, 1, 2])
+
+
+def _rdm_observables(rdms: np.ndarray):
+    """Concurrence, <sigma_x sigma_x> = 2 Re(rho_03 + rho_12) and <sigma_z sigma_z>
+    = rho_00 + rho_33 - rho_11 - rho_22 of each 4 x 4 RDM of ``rdms``, as three
+    arrays.  The concurrence is ``concurrence_symmetric``'s formula for an RDM in
+    Sz-block form (every off-block entry below ``SZ_BLOCK_TOL``) and
+    ``concurrence_wootters`` for any other."""
+    v, w, x, y = (rdms[:, k, k].real for k in range(4))
+    xx = 2.0 * (rdms[:, 0, 3] + rdms[:, 1, 2]).real
+    zz = v + y - w - x
+    conc = np.minimum(2.0 * np.maximum(
+        np.abs(rdms[:, 1, 2]) - np.sqrt(np.maximum(v, 0.0) * np.maximum(y, 0.0)), 0.0), 1.0)
+    blocked = (np.abs(rdms[:, _OFF_BLOCK[0], _OFF_BLOCK[1]]) < SZ_BLOCK_TOL).all(axis=1)
+    for i in np.flatnonzero(~blocked).tolist():
+        conc[i] = concurrence_wootters(TwoQubitRDM(rdms[i])).value
+    return conc, xx, zz
+
+
+def _overlaps(refs: ReferenceSet, factors: np.ndarray, deg: np.ndarray):
+    """O_r, O_s and O_p (each an array, or None without its reference) of the
+    ground states F F-dagger, F each matrix of ``factors``, zero-padded, of
+    degeneracies ``deg``.
+
+    One batched product of F-dagger with the reference factors and the
+    covering-span basis, and one batched SVD of every overlap matrix, padded with
+    zeros to one shape: zero rows and columns add only zero singular values.  O_r
+    and O_s are ``fidelity``'s (sum sigma)^2; O_p is ``ansatz_overlap``'s
+    scale * sigma_max^2.  For even N the central spin is traced out: its two
+    states each meet the outer-spin span, and the rows of both halves form the
+    overlap with the traced factor."""
+    parts = [ref.factor for ref in (refs.ring, refs.star) if ref is not None]
+    n = refs.ansatz_n_outer
+    if n is not None:
+        span = _span_basis(n, n % 2 == 1)
+        parts.append(span if n % 2 else np.kron(np.eye(2), span))
+    if not parts:
+        return None, None, None
+    points, rank = factors.shape[0], factors.shape[2]
+    x = factors.conj().swapaxes(1, 2) @ np.concatenate(parts, axis=1)
+    cuts = np.cumsum([0] + [part.shape[1] for part in parts])
+    pieces = [x[..., lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    if n is not None and n % 2 == 0:
+        k = pieces[-1].shape[2] // 2
+        pieces[-1] = pieces[-1].reshape(points, rank, 2, k).swapaxes(1, 2).reshape(
+            points, 2 * rank, k)
+    padded = np.zeros((points, len(pieces), max(p.shape[1] for p in pieces),
+                       max(p.shape[2] for p in pieces)), dtype=x.dtype)
+    for i, piece in enumerate(pieces):
+        padded[:, i, :piece.shape[1], :piece.shape[2]] = piece
+    sv = np.linalg.svd(padded, compute_uv=False)
+    fids = iter(np.minimum(sv.sum(axis=2) ** 2, 1.0).T)
+    o_r, o_s = (None if ref is None else next(fids) for ref in (refs.ring, refs.star))
+    o_p = None
+    if n is not None:
+        o_p = np.minimum((deg if n % 2 else 1) * sv[:, -1, 0] ** 2, 1.0)
+    return o_r, o_s, o_p
+
+
+def _chunk_records(config: SweepConfig, system: SpinSystem, refs: ReferenceSet,
+                   cs: list, spectra: list) -> list[SweepRecord]:
+    """The SweepRecords of the grid points ``cs`` from their spectra ``spectra``,
+    all at once: ``ground_subspace``'s degeneracy from the eigenvalue rows, one
+    zero-padded (points x dim x max-degeneracy) array of the ground factors
+    B / sqrt(deg), one batched RDM product per pair and ``_overlaps``."""
+    ev = np.stack([spec.eigenvalues for spec in spectra])
+    thr = DEGENERACY_TOL * np.maximum(1.0, ev[:, -1] - ev[:, 0])
+    deg = np.count_nonzero(ev <= ev[:, :1] + thr[:, None], axis=1)
+    bases = [spec.vectors(0, d) for spec, d in zip(spectra, deg.tolist())]
+    factors = np.zeros((len(spectra), system.dimension, deg.max()),
+                       dtype=np.result_type(*bases))
+    for f, basis in zip(factors, bases):
+        f[:, :basis.shape[1]] = basis / np.sqrt(basis.shape[1])
     try:
-        gs = ground_subspace(spec)
-        rho = gs.density
-        nn, nnn = config.nn_pair, config.resolved_nnn_pair
-        o_r, o_s, o_p = reference_overlaps(rho, refs, system)
-        return SweepRecord(
-            c=c,
-            ground_energy=gs.energy,
-            ground_degeneracy=gs.degeneracy,
-            low_energies=tuple(float(e) for e in spec.eigenvalues[:config.n_levels]),
-            C_nn=pair_concurrence(rho, system, nn),
-            C_nnn=pair_concurrence(rho, system, nnn),
-            XX_nn=correlation(rho, system, "x", *nn),
-            XX_nnn=correlation(rho, system, "x", *nnn),
-            ZZ_nn=correlation(rho, system, "z", *nn),
-            ZZ_nnn=correlation(rho, system, "z", *nnn),
-            O_r=o_r, O_s=o_s, O_p=o_p,
-        )
+        nn, nnn = (_rdm_observables(_pair_rdms(system, factors, pair))
+                   for pair in (config.nn_pair, config.resolved_nnn_pair))
     except DomainError as exc:
-        raise DomainError(f"sweep failed at c={c}: {exc}") from exc
+        raise DomainError(f"sweep failed for c in [{cs[0]}, {cs[-1]}]: {exc}") from exc
+    none = [None] * len(cs)
+    o_r, o_s, o_p = (none if o is None else o.tolist() for o in _overlaps(refs, factors, deg))
+    c_nn, xx_nn, zz_nn = (a.tolist() for a in nn)
+    c_nnn, xx_nnn, zz_nnn = (a.tolist() for a in nnn)
+    low = ev[:, :config.n_levels].tolist()
+    return [SweepRecord(c=c, ground_energy=e[0], ground_degeneracy=d, low_energies=tuple(e),
+                        C_nn=c_nn[i], C_nnn=c_nnn[i], XX_nn=xx_nn[i], XX_nnn=xx_nnn[i],
+                        ZZ_nn=zz_nn[i], ZZ_nnn=zz_nnn[i], O_r=o_r[i], O_s=o_s[i], O_p=o_p[i])
+            for i, (c, e, d) in enumerate(zip(cs, low, deg.tolist()))]
+
+
+def _recorded_points(config: SweepConfig, system: SpinSystem, refs: ReferenceSet,
+                     records: list):
+    """Yield the spectrum of each grid point of ``config``, in order, from one
+    ``solve_grid`` pass.  The records of each solve chunk are built together by
+    ``_chunk_records`` and appended to ``records`` before the chunk's first
+    spectrum is yielded; the chunk's spectra are handed out and none is kept, so
+    a chunk and its ground factors are dropped before the next one is solved."""
+    points = solve_grid(system, config.J, config.c_grid)
+    cs = config.c_grid.tolist()
+    step = grid_chunk_points(system)
+    for start in range(0, len(cs), step):
+        part = cs[start:start + step]
+        chunk = [next(points) for _ in part]
+        records += _chunk_records(config, system, refs, part, chunk)
+        chunk.reverse()
+        while chunk:
+            yield chunk.pop()
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Compute one SweepRecord per grid point, in grid order, from one
-    ``solve_grid`` pass."""
+    ``solve_grid`` pass, a solve chunk at a time."""
     system = SpinSystem(config.n_outer, has_central=True)
-    refs = make_references(config)
-    points = solve_grid(system, config.J, config.c_grid)
-    return [_record(config, system, refs, c, next(points)) for c in config.c_grid.tolist()]
+    records: list[SweepRecord] = []
+    # consumed without binding a spectrum, which would pin its chunk while the next is solved
+    deque(_recorded_points(config, system, make_references(config), records), maxlen=0)
+    return records

@@ -6,7 +6,8 @@ built from bit flips and diagonalized whole, and the eigenvectors are written
 into one dense dim x dim matrix; the result equals
 ``eigendecompose(build_combined(...))`` bit for bit.  ``full_refine_crossing``
 and ``all_pairs_match_groups`` are the crossing bisection and the level
-matching with nothing pruned.
+matching with nothing pruned.  ``record`` builds one sweep record from the
+public per-state functions, the reference of the batched record builder.
 """
 
 from functools import lru_cache
@@ -14,7 +15,7 @@ from itertools import count
 
 import numpy as np
 
-from spinweb import CouplingConfig, SpinSystem, spectral
+from spinweb import CouplingConfig, DomainError, SpinSystem, correlation, spectral, sweep
 from spinweb.operators import popcount_sectors
 
 
@@ -113,3 +114,29 @@ def all_pairs_match_groups(prev_labeled, groups):
             assigned[gi] = label
     fresh = count(max(prev_labeled, default=-1) + 1)
     return [assigned[gi] if gi in assigned else next(fresh) for gi in range(len(groups))]
+
+
+def record(config, system, refs, c, spec):
+    """Reference for ``sweep._chunk_records``: the SweepRecord of the grid point c
+    from its spectrum, one point at a time, through ``ground_subspace``,
+    ``pair_concurrence``, ``correlation`` and ``reference_overlaps``."""
+    try:
+        gs = spectral.ground_subspace(spec)
+        rho = gs.density
+        nn, nnn = config.nn_pair, config.resolved_nnn_pair
+        o_r, o_s, o_p = sweep.reference_overlaps(rho, refs, system)
+        return sweep.SweepRecord(
+            c=c,
+            ground_energy=gs.energy,
+            ground_degeneracy=gs.degeneracy,
+            low_energies=tuple(float(e) for e in spec.eigenvalues[:config.n_levels]),
+            C_nn=sweep.pair_concurrence(rho, system, nn),
+            C_nnn=sweep.pair_concurrence(rho, system, nnn),
+            XX_nn=correlation(rho, system, "x", *nn),
+            XX_nnn=correlation(rho, system, "x", *nnn),
+            ZZ_nn=correlation(rho, system, "z", *nn),
+            ZZ_nnn=correlation(rho, system, "z", *nnn),
+            O_r=o_r, O_s=o_s, O_p=o_p,
+        )
+    except DomainError as exc:
+        raise DomainError(f"sweep failed at c={c}: {exc}") from exc

@@ -175,6 +175,17 @@ def test_resource_guard_exits_4(capsys):
 
 
 @pytest.mark.parametrize("command", ["sweep", "spectrum"])
+def test_huge_grid_exits_4_before_allocating(monkeypatch, capsys, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    assert run_cli(command, "--n", "4", "--c-steps", str(10 ** 12)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource guard: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["sweep", "spectrum"])
 @pytest.mark.parametrize("n", ["1", "0", "-3"])
 def test_too_few_spins_exit_3(command, n, capsys):
     assert run_cli(command, "--n", n, "--c-steps", "2") == 3
@@ -240,21 +251,25 @@ def sweep_csv(tmp_path_factory):
     return out
 
 
-def test_sweep_csv_columns_and_values(sweep_csv):
-    with open(sweep_csv, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 11
-    assert "O_p" not in rows[0]  # no ansatz reference requested
-    # values survive the text round trip exactly
-    from spinweb import SweepConfig, run_sweep
-    records = run_sweep(SweepConfig(n_outer=4, c_grid=np.linspace(0, 1, 11)))
-    for row, rec in zip(rows, records):
-        assert float(row["c"]) == rec.c
-        assert float(row["E0"]) == rec.ground_energy
-        assert int(row["deg"]) == rec.ground_degeneracy
-        assert float(row["C_nn"]) == rec.C_nn
-        assert float(row["ZZ_nnn"]) == rec.ZZ_nnn
-        assert float(row["O_r"]) == rec.O_r
+def test_sweep_csv_columns_and_values(sweep_csv, tmp_path):
+    from spinweb import SpinSystem, SweepConfig, run_sweep, spectral
+    # N = 8 on 41 points: the records of two solve chunks
+    assert spectral.grid_chunk_points(SpinSystem(8, has_central=True)) < 41
+    multi_chunk = tmp_path / "n8.csv"
+    assert main(["sweep", "--n", "8", "--c-steps", "40", "--out", str(multi_chunk)]) == 0
+    for out, n_outer, points in ((sweep_csv, 4, 11), (multi_chunk, 8, 41)):
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == points
+        assert "O_p" not in rows[0]  # no ansatz reference requested
+        # values survive the text round trip exactly
+        records = run_sweep(SweepConfig(n_outer=n_outer, c_grid=np.linspace(0, 1, points)))
+        for row, rec in zip(rows, records):
+            assert float(row["c"]) == rec.c
+            assert float(row["E0"]) == rec.ground_energy
+            assert int(row["deg"]) == rec.ground_degeneracy
+            for name in ("C_nn", "C_nnn", "XX_nn", "XX_nnn", "ZZ_nn", "ZZ_nnn", "O_r", "O_s"):
+                assert float(row[name]) == getattr(rec, name), (rec.c, name)
 
 
 def test_sweep_sidecar_files(sweep_csv):

@@ -186,7 +186,7 @@ def test_block_bisection_matches_overlap_bisection(monkeypatch, n_outer, steps, 
     grid = np.linspace(0.0, 1.0, steps)
     by_blocks = spectral._track(s, 1.0, grid, n_levels)
 
-    def by_overlap(system, J, c_lo, c_hi):
+    def by_overlap(system, J, c_lo, c_hi, ends=None):
         return _refine_by_overlap(system, J, c_lo, c_hi, n_levels)
 
     monkeypatch.setattr(spectral, "_refine_crossing", by_overlap)
@@ -230,8 +230,8 @@ def test_pruned_bisection_and_matching_equal_their_references(monkeypatch, n_out
     refine = spectral._refine_crossing
     refined = []
 
-    def checked(system, J, c_lo, c_hi):
-        got = refine(system, J, c_lo, c_hi)
+    def checked(system, J, c_lo, c_hi, ends=None):
+        got = refine(system, J, c_lo, c_hi, ends)
         assert got == oracle.full_refine_crossing(system, J, c_lo, c_hi), (c_lo, c_hi)
         refined.append(got)
         return got
@@ -291,14 +291,36 @@ def test_bisection_diagonalizes_few_blocks_per_midpoint(monkeypatch, n_outer, c_
         given_matrices.append(int(np.prod(a.shape[:-2])))
         return eigvalsh(a)
 
+    ends = np.stack([solve(s, 1.0, c).extremes for c in (c_lo, c_hi)])
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     refined = spectral._refine_crossing(s, 1.0, c_lo, c_hi)
+    full_ends = sum(given_matrices)
+    given_matrices.clear()
+    from_grid = spectral._refine_crossing(s, 1.0, c_lo, c_hi, ends)
     monkeypatch.undo()
-    assert refined is not None
+    assert refined is not None and from_grid == refined
     # every block at both ends, and a few per midpoint: not every block at every
     # midpoint (840 matrices at N = 8, 868 at N = 10)
-    assert sum(given_matrices) <= 2 * n_blocks + 6 * midpoints
+    assert full_ends <= 2 * n_blocks + 6 * midpoints
+    # the ends' eigenvalues from the grid pass save both full end evaluations
+    assert full_ends - sum(given_matrices) == 2 * n_blocks
     assert refined == oracle.full_refine_crossing(s, 1.0, c_lo, c_hi)
+
+
+def test_bisection_ends_come_from_the_grid_pass(monkeypatch):
+    extremes, given_points = spectral._extremes, []
+
+    def counted(stacks, J, c):
+        given_points.append(c.shape[0])
+        return extremes(stacks, J, c)
+
+    monkeypatch.setattr(spectral, "_extremes", counted)
+    track = spectral._track(SpinSystem(8, has_central=True), 1.0, np.linspace(0.0, 0.5, 3), 4)
+    assert len(track.crossings) == 1
+    assert given_points == []  # the tracker's bisection diagonalized no end
+    n4._regions.cache_clear()
+    assert len(n4.detect_regions()) == 2
+    assert given_points == [201]  # the region scan, whose rows both bisections read
 
 
 def test_level_matching_takes_no_svd_across_blocks(monkeypatch):
@@ -335,6 +357,9 @@ def test_solve_labels_each_level_by_its_block():
         np.testing.assert_allclose(spec.eigenvalues[cols], expected, rtol=0, atol=1e-12)
         others = v[:, spec.blocks != m]
         assert np.abs(v[:, cols].T @ others).max() <= 1e-12
+        # the extremes are the label's first and last eigenvalue, bit for bit
+        assert spec.extremes[:, m].tolist() == spec.eigenvalues[cols[[0, -1]]].tolist()
+    assert spec.extremes.shape == (2, len(matrices))
     np.testing.assert_array_equal(oracle.sz_block_solve(s, 0.7, 0.3).blocks, 0)
 
 
@@ -381,9 +406,10 @@ def test_sweep_then_tracking_builds_blocks_once():
     track = track_levels(SpinSystem(4, has_central=True), 1.0, grid)
     info = spectral._momentum_blocks.cache_info()
     assert info.misses == 1
-    # the sweep's grid pass, the tracker's, and one lookup per bisected crossing
+    # the sweep's chunk size and grid pass, the tracker's grid pass, and one
+    # lookup per bisected crossing
     assert len(track.crossings) == 2
-    assert info.hits == 2 + len(track.crossings)
+    assert info.hits == 3 + len(track.crossings)
 
 
 @pytest.mark.parametrize("n_outer, steps", [(n, 8) for n in range(2, 8)]
@@ -422,17 +448,10 @@ def _grid_run(n_outer):
     """Records and crossings of a 401-point sweep, built as ``cmd_sweep`` builds them."""
     config = SweepConfig(n_outer=n_outer, references=("ring", "star", "singlet_ansatz"))
     system = SpinSystem(n_outer, has_central=True)
-    refs = sweep.make_references(config)
     records = []
-    points = sweep.solve_grid(system, config.J, config.c_grid)
-
-    def spectrum_at(c):
-        spec = next(points)
-        records.append(sweep._record(config, system, refs, c, spec))
-        return spec
-
+    points = sweep._recorded_points(config, system, sweep.make_references(config), records)
     track = spectral._track(system, config.J, config.c_grid, config.n_levels,
-                            spectrum_at=spectrum_at)
+                            spectrum_at=lambda c: next(points))
     return records, track.crossings
 
 

@@ -13,17 +13,25 @@ from spinweb import (
     QuantumState,
     SpinSystem,
     SweepConfig,
+    TwoQubitRDM,
     build_singlet_ansatz,
+    concurrence_symmetric,
+    concurrence_wootters,
+    correlation,
     ground_subspace,
+    make_references,
     optimize_ansatz_phases,
     partial_trace,
     run_sweep,
     singlet_coverings,
+    spectral,
+    sweep,
 )
 from spinweb.spectral import solve
 from spinweb.sweep import ansatz_overlap, ansatz_terms, default_c_grid
 
-from conftest import child_env
+import oracle
+from conftest import child_env, random_sz_block_rdm
 
 
 def test_default_grid():
@@ -106,6 +114,69 @@ def test_run_sweep_records_and_overlaps():
         assert 0.0 <= r.C_nn <= 1.0 and 0.0 <= r.C_nnn <= 1.0
         assert len(r.low_energies) == cfg.n_levels
         assert r.low_energies[0] == pytest.approx(r.ground_energy)
+
+
+_RECORD_FIELDS = ("C_nn", "C_nnn", "XX_nn", "XX_nnn", "ZZ_nn", "ZZ_nnn", "O_r", "O_s", "O_p")
+
+
+@pytest.mark.parametrize("n_outer", range(2, 9))
+def test_chunk_records_equal_the_per_point_reference(n_outer):
+    system = SpinSystem(n_outer, has_central=True)
+    grid = np.linspace(0.0, 1.0, 401 if n_outer <= 7 else 41)
+    if n_outer == 8:  # the grid spans two solve chunks
+        assert spectral.grid_chunk_points(system) * 2 >= grid.size > \
+            spectral.grid_chunk_points(system)
+    for J in (1.0, 0.7):
+        for references in (("ring", "star"), ("ring_eps",), ("singlet_ansatz",)):
+            config = SweepConfig(n_outer=n_outer, J=J, c_grid=grid, references=references)
+            refs = make_references(config)
+            points = spectral.solve_grid(system, J, grid)
+            for got, c in zip(run_sweep(config), grid.tolist()):
+                want = oracle.record(config, system, refs, c, next(points))
+                assert got.c == want.c
+                assert got.ground_degeneracy == want.ground_degeneracy, c
+                np.testing.assert_allclose([got.ground_energy, *got.low_energies],
+                                           [want.ground_energy, *want.low_energies],
+                                           rtol=0, atol=1e-12)
+                for name in _RECORD_FIELDS:
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert (a is None) == (b is None), (c, name)
+                    assert a is None or abs(a - b) <= 1e-12, (c, name, a, b)
+
+
+@pytest.mark.parametrize("n_outer, has_central, rank", [(2, True, 1), (3, True, 2),
+                                                        (5, True, 3), (4, False, 2)])
+def test_rdm_kernels_equal_the_public_functions(rng, n_outer, has_central, rank):
+    system = SpinSystem(n_outer, has_central=has_central)
+    factors = rng.normal(size=(6, system.dimension, rank)) \
+        + 1j * rng.normal(size=(6, system.dimension, rank))
+    factors /= np.linalg.norm(factors, axis=(1, 2), keepdims=True)
+    sites = system.sites
+    pairs = [(a, b) for a in sites for b in sites if a != b]  # central, adjacent, not
+    for pair in pairs:
+        rdms = sweep._pair_rdms(system, factors, pair)
+        _, xx, zz = sweep._rdm_observables(rdms)
+        for f, rho, x, z in zip(factors, rdms, xx, zz):
+            state = QuantumState("mixed", f)
+            np.testing.assert_allclose(rho, partial_trace(state, system, pair).density(),
+                                       rtol=0, atol=1e-14)
+            assert abs(x - correlation(state, system, "x", *pair)) <= 1e-14
+            assert abs(z - correlation(state, system, "z", *pair)) <= 1e-14
+
+
+def test_batched_concurrence_equals_both_public_forms(rng):
+    blocks = np.array([random_sz_block_rdm(rng) for _ in range(20)])
+    f = rng.normal(size=(20, 4, 3)) + 1j * rng.normal(size=(20, 4, 3))
+    generic = f @ f.conj().swapaxes(1, 2)
+    generic /= np.trace(generic, axis1=1, axis2=2).real[:, None, None]
+    conc = sweep._rdm_observables(np.concatenate([blocks, generic]))[0]
+    for rho, got in zip(blocks, conc[:20]):
+        # numpy's complex abs may differ from Python's in the last bit
+        assert abs(got - concurrence_symmetric(TwoQubitRDM(rho)).value) <= 1e-15
+        assert abs(got - concurrence_wootters(TwoQubitRDM(rho)).value) <= 1e-10
+    for rho, got in zip(generic, conc[20:]):
+        assert TwoQubitRDM(rho).sz_blocks is None
+        assert got == concurrence_wootters(TwoQubitRDM(rho)).value
 
 
 def test_ring_eps_reference_replaces_plain_ring():
