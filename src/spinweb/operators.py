@@ -95,7 +95,7 @@ def xx_coupling(system: SpinSystem, site_a: int, site_b: int) -> HermitianOperat
 
 def total_sz(system: SpinSystem) -> HermitianOperator:
     """Sum of sigma_z over all sites (diagonal)."""
-    diag = np.array([system.magnetization(b) for b in range(system.dimension)], dtype=float)
+    diag = system.n_qubits - 2.0 * popcounts(system.dimension)
     return HermitianOperator(np.diag(diag))
 
 
@@ -112,11 +112,16 @@ class SzSectorDecomposition:
         raise DomainError(f"no sector with magnetization {magnetization}")
 
 
+def popcounts(dim: int) -> np.ndarray:
+    """The popcount of each basis index 0..dim-1, summed bit by bit."""
+    index = np.arange(dim)
+    return sum(((index >> b) & 1 for b in range((dim - 1).bit_length())), np.zeros(dim, int))
+
+
 def popcount_sectors(dim: int) -> list[np.ndarray]:
     """Basis indices grouped by popcount (ascending), for dim a power of two."""
-    q = dim.bit_length() - 1
-    pop = np.array([int(b).bit_count() for b in range(dim)])
-    return [np.flatnonzero(pop == k) for k in range(q + 1)]
+    pop = popcounts(dim)
+    return [np.flatnonzero(pop == k) for k in range(dim.bit_length())]
 
 
 def total_sz_sectors(system: SpinSystem) -> SzSectorDecomposition:

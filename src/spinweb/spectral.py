@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DomainError
 from .hamiltonian import CouplingConfig, ring_bonds, star_bonds
-from .operators import HermitianOperator, popcount_sectors
+from .operators import HermitianOperator, popcount_sectors, popcounts
 from .states import QuantumState
 from .system import SpinSystem
 
@@ -98,41 +98,6 @@ def _bond_masks(system: SpinSystem) -> tuple[list[int], list[int]]:
     return masks(ring_bonds(system)), masks(star_bonds(system))
 
 
-def _bloch(m: int, l: np.ndarray, n_outer: int) -> np.ndarray:
-    """e^{-ikl} at k = 2 pi m / N; real (1 or (-1)^l) at k = 0 and pi."""
-    if (2 * m) % n_outer:
-        return np.exp(-2j * np.pi * m * l / n_outer)
-    return 1.0 - 2.0 * (l % 2) if m else np.ones(l.size)
-
-
-def _momentum_hops(reps, period, rep_at, shift_at, idx, masks):
-    """Hop table of the XX bonds with site-bit ``masks`` between cycle
-    representatives: (from a, to b, shift l, amplitude 2 sqrt(R_a / R_b)), where the
-    bond takes ``reps[a]`` to the state T^-l ``reps[b]``."""
-    frm, to, shift = [], [], []
-    for m in masks:
-        t = reps & m
-        hop = np.flatnonzero((t != 0) & (t != m))
-        pos = np.searchsorted(idx, reps[hop] ^ m)
-        frm.append(hop)
-        to.append(rep_at[pos])
-        shift.append(shift_at[pos])
-    frm, to, shift = (np.concatenate(x) for x in (frm, to, shift))
-    return frm, to, shift, 2.0 * np.sqrt(period[frm] / period[to])
-
-
-def _momentum_block(hops, keep, n_outer, m):
-    """Block of one hop table on the representatives ``keep`` at k = 2 pi m / N:
-    the hop a -> b adds amplitude * e^{-ikl} to entry (b, a).  Real at k = 0, pi."""
-    frm, to, shift, amp = hops
-    pos = np.cumsum(keep) - 1
-    inside = keep[frm] & keep[to]
-    phase = _bloch(m, shift[inside], n_outer)
-    block = np.zeros((int(keep.sum()),) * 2, dtype=phase.dtype)
-    np.add.at(block, (pos[to[inside]], pos[frm[inside]]), amp[inside] * phase)
-    return 0.5 * (block + block.conj().T)  # exactly Hermitian despite sqrt round-off
-
-
 @dataclass(frozen=True)
 class _Blocks:
     """The (Sz, k) blocks of one system (J=1), as ``_momentum_blocks`` builds them.
@@ -181,66 +146,94 @@ def _momentum_blocks(system: SpinSystem) -> _Blocks:
     complex block that amplitude carries a factor sqrt 2, so that the real and
     imaginary parts of an expanded eigenvector v are orthonormal (v is orthogonal
     to its conjugate, the -k eigenvector): two real columns for the k, -k pair.
+
+    Built in one pass over all basis states: the blocks, numbered sector by
+    sector with m ascending, are stacked by (size, kind) in order of first
+    appearance, and ``np.bincount`` sums each entry from 0.0, in hop-table order
+    (bond by bond, representatives ascending), straight into the stacks' storage.
     """
-    n = system.n_outer
-    outer = (1 << n) - 1
+    n, dim = system.n_outer, system.dimension
     ring, star = _bond_masks(system)
-    grouped: dict[tuple, list] = {}
-    layout = []  # (stack key, position in the stack, part), one per block id
-    for idx in popcount_sectors(system.dimension):
-        o, rots = idx & outer, [idx]  # rots[r] = T^r applied to each state
-        for _ in range(n - 1):
-            o = ((o << 1) | (o >> (n - 1))) & outer
-            rots.append((idx & ~outer) | o)
-        rots = np.stack(rots)
-        rep_state, shift_at = rots.min(axis=0), rots.argmin(axis=0)
-        is_rep = rep_state == idx
-        reps = idx[is_rep]
-        period = n // np.count_nonzero(rots == idx, axis=0)[is_rep]
-        rep_at = np.searchsorted(reps, rep_state)
-        tables = [_momentum_hops(reps, period, rep_at, shift_at, idx, masks)
-                  for masks in (ring, star)]
-        for m in range(n // 2 + 1):
-            keep = (m * period) % n == 0
-            if not keep.any():
-                continue
-            r, s = (_momentum_block(t, keep, n, m) for t in tables)
-            parts = (1, 2) if np.iscomplexobj(r) else (0,)
-            inside = keep[rep_at]
-            rep = rep_at[inside]
-            amps = _bloch(m, shift_at[inside], n).conj() * np.sqrt(len(parts) / period[rep])
-            expand = (idx[inside], (np.cumsum(keep) - 1)[rep], amps)
-            for a in expand:
-                a.setflags(write=False)
-            key = (r.shape[0], r.dtype.kind)
-            group = grouped.setdefault(key, [])
-            ids = list(range(len(layout), len(layout) + len(parts)))
-            layout += [(key, len(group), part) for part in parts]
-            group.append(((r, s, ids), expand))
+    outer = (1 << n) - 1
+    state, shifts = np.arange(dim), np.arange(n)[:, None]
+    o = state & outer  # rots[r] = T^r applied to each state
+    rots = (state & ~outer) | (((o << shifts) | (o >> (n - shifts))) & outer)
+    rep_state, shift_at = rots.min(axis=0), rots.argmin(axis=0)
+    pop = popcounts(dim)
+    order = np.concatenate(popcount_sectors(dim))  # the states by (sector, state)
+    reps = order[rep_state[order] == order]
+    sector, period = pop[reps], n // np.count_nonzero(rots[:, reps] == reps, axis=0)
+    rep_of = np.searchsorted(sector * dim + reps, pop * dim + rep_state)  # position in reps
+    keep = np.arange(n // 2 + 1)[:, None] * period % n == 0  # [m, a]: |a(k)> exists
+    before = np.cumsum(keep, axis=1) - keep
+    local = before - before[:, np.searchsorted(sector, sector)]  # [m, a]: a's block row
+    size = np.stack([np.bincount(sector[k], minlength=pop[-1] + 1) for k in keep], axis=1)
+    where, m_of = np.nonzero(size)  # [sector, m] of each block
+    block_at = np.cumsum(size > 0).reshape(size.shape) - 1
+    k_size, cplx = size[where, m_of], (2 * m_of) % n != 0
+    stack_of: dict[tuple, int] = {}  # (size, kind) -> stack, in order of first appearance
+    stack = np.array([stack_of.setdefault(key, len(stack_of))
+                      for key in zip(k_size.tolist(), cplx.tolist())])
+    by_stack = np.concatenate([np.flatnonzero(stack == s) for s in range(len(stack_of))])
+    matrix_of = np.empty_like(by_stack)  # the blocks numbered stack by stack
+    matrix_of[by_stack] = np.arange(by_stack.size)
+    start = np.searchsorted(stack[by_stack], np.arange(len(stack_of)))  # first matrices
+    sq = np.where(cplx == [[False], [True]], k_size ** 2, 0)[:, by_stack]  # [kind, matrix]
+    base = (np.cumsum(sq, axis=1) - sq)[cplx.astype(np.intp), matrix_of]  # storage offset
+    length = sq.sum(axis=1)  # a kind's storage: its ring blocks, then its star blocks
+    target = reps ^ np.array(ring + star)[:, None]  # a bond hops when it keeps the sector
+    bond, frm = np.nonzero(pop[target] == sector)  # hop a -> T^-l b, a = reps[frm]
+    target = target[bond, frm]
+    to, shift, table = rep_of[target], shift_at[target], bond >= len(ring)
+    amp = 2.0 * np.sqrt(period[frm] / period[to])
+    flat, weight = ([], [np.empty(0, np.intp)]), ([], [np.empty(0)])  # hops, per kind
+    expand, shifts = [None] * stack.size, shifts.ravel()
+    for m in range(keep.shape[0]):
+        kind = int((2 * m) % n != 0)
+        bloch = (np.exp(-2j * np.pi * m * shifts / n) if kind  # e^{-ikl}
+                 else 1.0 - 2.0 * (shifts % 2) if m else np.ones(n))
+        inside = keep[m, frm] & keep[m, to]
+        a, b = frm[inside], to[inside]
+        block = block_at[sector[a], m]
+        flat[kind].append(table[inside] * length[kind] + base[block]
+                          + local[m, b] * k_size[block] + local[m, a])
+        weight[kind].append(amp[inside] * bloch[shift[inside]])
+        states = order[keep[m, rep_of[order]]]
+        rep = rep_of[states]
+        expansion = (states, local[m, rep],
+                     bloch[shift_at[states]].conj() * np.sqrt((1 + kind) / period[rep]))
+        for x in expansion:
+            x.setflags(write=False)
+        cut = np.searchsorted(pop[states], np.arange(pop[-1] + 2))
+        for block in np.flatnonzero(m_of == m).tolist():
+            expand[block] = tuple(x[cut[where[block]]:cut[where[block] + 1]] for x in expansion)
+    (f, w), (fc, wc) = ((np.concatenate(x), np.concatenate(y)) for x, y in zip(flat, weight))
+    storage = np.bincount(f, w, 2 * length[0]), np.empty(2 * length[1], dtype=complex)
+    storage[1].real = np.bincount(fc, wc.real, 2 * length[1])
+    storage[1].imag = np.bincount(fc, wc.imag, 2 * length[1])
+    id_block = np.repeat(np.arange(stack.size), 1 + cplx)  # ids: k = 0 or pi, else k, -k
+    first_id = np.searchsorted(id_block, np.arange(stack.size))
     stacks, maps = [], []
-    for group in grouped.values():
-        blocks, expands = zip(*group)
-        r, s, ids = (np.stack(x) for x in zip(*blocks))
-        for a in (r, s, ids):
-            a.setflags(write=False)
-        stacks.append((r, s, ids))
-        maps.append(expands)
-    stack_of = {key: i for i, key in enumerate(grouped)}
-    entries = np.array([(stack_of[key], b, level, part)
-                        for key, b, part in layout for level in range(key[0])])
-    sizes = np.array([ring.shape[1] for ring, _, _ in stacks])
-    offsets = np.concatenate(([0], np.cumsum([ring.shape[0] * ring.shape[1]
-                                              for ring, _, _ in stacks])))
-    stack, b, level = entries[:, 0], entries[:, 1], entries[:, 2]
-    gather = offsets[stack] + b * sizes[stack] + level
-    first = np.cumsum([0] + [ids.shape[0] for _, _, ids in stacks])
-    matrix = first[stack] + b
-    owner = np.empty(len(layout), dtype=np.intp)
-    for (_, _, ids), start in zip(stacks, first):
-        owner[ids] = start + np.arange(ids.shape[0])[:, None]
-    for a in (gather, entries, matrix, owner):
-        a.setflags(write=False)
-    return _Blocks(system.dimension, stacks, maps, gather, entries, matrix, owner)
+    for blocks in np.split(by_stack, start[1:]):
+        k, kind, at = int(k_size[blocks[0]]), int(cplx[blocks[0]]), base[blocks[0]]
+        pair = storage[kind].reshape(2, -1)[:, at:at + blocks.size * k * k].reshape(2, -1, k, k)
+        np.add(pair, pair.conj().transpose(0, 1, 3, 2), out=pair)  # (ring, star) stacks
+        pair *= 0.5  # exactly Hermitian despite sqrt round-off
+        pair.setflags(write=False)
+        ids = first_id[blocks][:, None] + np.arange(1 + kind)
+        ids.setflags(write=False)
+        stacks.append((*pair, ids))
+        maps.append(tuple(expand[b] for b in blocks.tolist()))
+    k_id, owner = k_size[id_block], matrix_of[id_block]
+    part = cplx[id_block] * (np.arange(id_block.size) - first_id[id_block] + 1)
+    entries = np.repeat(np.column_stack((stack[id_block], owner - start[stack[id_block]],
+                                         np.cumsum(k_id) - k_id, part)), k_id, axis=0)
+    entries[:, 2] = np.arange(dim) - entries[:, 2]  # the level
+    e_base = (np.cumsum(k_size[by_stack]) - k_size[by_stack])[matrix_of]  # first eigenvalue
+    gather, matrix = np.repeat(e_base[id_block], k_id) + entries[:, 2], np.repeat(owner, k_id)
+    for x in (gather, entries, matrix, owner):
+        x.setflags(write=False)
+    return _Blocks(dim, stacks, maps, gather, entries, matrix, owner)
 
 
 def _columns(blocks: _Blocks, vecs: list[np.ndarray], picks: np.ndarray) -> np.ndarray:

@@ -50,6 +50,8 @@ class SweepConfig:
                               "O_r column; choose one")
         if self.n_levels < 1:
             raise DomainError(f"n_levels must be >= 1, got {self.n_levels}")
+        if self.n_outer < 2:  # the ring builder's check, ahead of the site pairs'
+            raise DomainError(f"a ring needs n_outer >= 2, got {self.n_outer}")
         for name, (a, b) in (("nn", self.nn_pair), ("nnn", self.resolved_nnn_pair)):
             if a == b or not {a, b} <= set(range(self.n_outer + 1)):
                 raise DomainError(f"{name} pair {a}:{b} must be two different sites "

@@ -4,9 +4,11 @@ The total-Sz block solver is the oracle of the (Sz, k) solvers ``spectral.solve`
 and ``spectral.solve_grid``.  Each popcount sector's ring and star blocks are
 built from bit flips and diagonalized whole, and the eigenvectors are written
 into one dense dim x dim matrix; the result equals
-``eigendecompose(build_combined(...))`` bit for bit.  ``full_refine_crossing``
-and ``all_pairs_match_groups`` are the crossing bisection and the level
-matching with nothing pruned.  ``record`` builds one sweep record from the
+``eigendecompose(build_combined(...))`` bit for bit.  ``momentum_blocks``
+builds the (Sz, k) blocks sector by sector and momentum by momentum, the
+reference of the one-pass ``spectral._momentum_blocks``.
+``full_refine_crossing`` and ``all_pairs_match_groups`` are the crossing
+bisection and the level matching with nothing pruned.  ``record`` builds one sweep record from the
 public per-state functions, the reference of the batched record builder.
 """
 
@@ -39,6 +41,106 @@ def sector_blocks(system: SpinSystem):
     ring, star = spectral._bond_masks(system)
     sectors = popcount_sectors(system.dimension)
     return sectors, [(bond_block(idx, ring), bond_block(idx, star)) for idx in sectors]
+
+
+def _bloch(m: int, l: np.ndarray, n_outer: int) -> np.ndarray:
+    """e^{-ikl} at k = 2 pi m / N; real (1 or (-1)^l) at k = 0 and pi."""
+    if (2 * m) % n_outer:
+        return np.exp(-2j * np.pi * m * l / n_outer)
+    return 1.0 - 2.0 * (l % 2) if m else np.ones(l.size)
+
+
+def _momentum_hops(reps, period, rep_at, shift_at, idx, masks):
+    """Hop table of the XX bonds with site-bit ``masks`` between cycle
+    representatives: (from a, to b, shift l, amplitude 2 sqrt(R_a / R_b)), where the
+    bond takes ``reps[a]`` to the state T^-l ``reps[b]``."""
+    frm, to, shift = [], [], []
+    for m in masks:
+        t = reps & m
+        hop = np.flatnonzero((t != 0) & (t != m))
+        pos = np.searchsorted(idx, reps[hop] ^ m)
+        frm.append(hop)
+        to.append(rep_at[pos])
+        shift.append(shift_at[pos])
+    frm, to, shift = (np.concatenate(x) for x in (frm, to, shift))
+    return frm, to, shift, 2.0 * np.sqrt(period[frm] / period[to])
+
+
+def _momentum_block(hops, keep, n_outer, m):
+    """Block of one hop table on the representatives ``keep`` at k = 2 pi m / N:
+    the hop a -> b adds amplitude * e^{-ikl} to entry (b, a).  Real at k = 0, pi."""
+    frm, to, shift, amp = hops
+    pos = np.cumsum(keep) - 1
+    inside = keep[frm] & keep[to]
+    phase = _bloch(m, shift[inside], n_outer)
+    block = np.zeros((int(keep.sum()),) * 2, dtype=phase.dtype)
+    np.add.at(block, (pos[to[inside]], pos[frm[inside]]), amp[inside] * phase)
+    return 0.5 * (block + block.conj().T)  # exactly Hermitian despite sqrt round-off
+
+
+def momentum_blocks(system: SpinSystem) -> spectral._Blocks:
+    """Reference for ``spectral._momentum_blocks``: the same ``_Blocks``, built one
+    popcount sector at a time, one block per (sector, momentum) with ``np.add.at``,
+    and the stacks gathered with ``np.stack``."""
+    n = system.n_outer
+    outer = (1 << n) - 1
+    ring, star = spectral._bond_masks(system)
+    grouped: dict[tuple, list] = {}
+    layout = []  # (stack key, position in the stack, part), one per block id
+    for idx in popcount_sectors(system.dimension):
+        o, rots = idx & outer, [idx]  # rots[r] = T^r applied to each state
+        for _ in range(n - 1):
+            o = ((o << 1) | (o >> (n - 1))) & outer
+            rots.append((idx & ~outer) | o)
+        rots = np.stack(rots)
+        rep_state, shift_at = rots.min(axis=0), rots.argmin(axis=0)
+        is_rep = rep_state == idx
+        reps = idx[is_rep]
+        period = n // np.count_nonzero(rots == idx, axis=0)[is_rep]
+        rep_at = np.searchsorted(reps, rep_state)
+        tables = [_momentum_hops(reps, period, rep_at, shift_at, idx, masks)
+                  for masks in (ring, star)]
+        for m in range(n // 2 + 1):
+            keep = (m * period) % n == 0
+            if not keep.any():
+                continue
+            r, s = (_momentum_block(t, keep, n, m) for t in tables)
+            parts = (1, 2) if np.iscomplexobj(r) else (0,)
+            inside = keep[rep_at]
+            rep = rep_at[inside]
+            amps = _bloch(m, shift_at[inside], n).conj() * np.sqrt(len(parts) / period[rep])
+            expand = (idx[inside], (np.cumsum(keep) - 1)[rep], amps)
+            for a in expand:
+                a.setflags(write=False)
+            key = (r.shape[0], r.dtype.kind)
+            group = grouped.setdefault(key, [])
+            ids = list(range(len(layout), len(layout) + len(parts)))
+            layout += [(key, len(group), part) for part in parts]
+            group.append(((r, s, ids), expand))
+    stacks, maps = [], []
+    for group in grouped.values():
+        blocks, expands = zip(*group)
+        r, s, ids = (np.stack(x) for x in zip(*blocks))
+        for a in (r, s, ids):
+            a.setflags(write=False)
+        stacks.append((r, s, ids))
+        maps.append(expands)
+    stack_of = {key: i for i, key in enumerate(grouped)}
+    entries = np.array([(stack_of[key], b, level, part)
+                        for key, b, part in layout for level in range(key[0])])
+    sizes = np.array([ring.shape[1] for ring, _, _ in stacks])
+    offsets = np.concatenate(([0], np.cumsum([ring.shape[0] * ring.shape[1]
+                                              for ring, _, _ in stacks])))
+    stack, b, level = entries[:, 0], entries[:, 1], entries[:, 2]
+    gather = offsets[stack] + b * sizes[stack] + level
+    first = np.cumsum([0] + [ids.shape[0] for _, _, ids in stacks])
+    matrix = first[stack] + b
+    owner = np.empty(len(layout), dtype=np.intp)
+    for (_, _, ids), start in zip(stacks, first):
+        owner[ids] = start + np.arange(ids.shape[0])[:, None]
+    for a in (gather, entries, matrix, owner):
+        a.setflags(write=False)
+    return spectral._Blocks(system.dimension, stacks, maps, gather, entries, matrix, owner)
 
 
 def sz_block_solve(system: SpinSystem, J: float, c: float) -> spectral.Spectrum:

@@ -194,6 +194,12 @@ def test_too_few_spins_exit_3(command, n, capsys):
     assert out.err.startswith("error: ") and out.err.count("\n") == 1, out.err
 
 
+@pytest.mark.parametrize("command", ["sweep", "spectrum"])
+def test_one_outer_spin_names_the_ring(command, capsys):
+    assert run_cli(command, "--n", "1") == 3
+    assert capsys.readouterr().err == "error: a ring needs n_outer >= 2, got 1\n"
+
+
 def test_domain_error_exits_3(capsys):
     # a descending grid is a domain error, not a usage error
     code = run_cli("sweep", "--n", "4", "--c-min", "0.8", "--c-max", "0.2",
@@ -516,7 +522,8 @@ def test_verify_n4_solves_each_hamiltonian_once(monkeypatch):
 
 def test_cli_import_loads_no_scipy():
     # scipy costs most of the CLI's start-up time and the sweep path needs none
-    env = {"PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONPATH": SRC_ROOT}
+    env = {"PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONPATH": SRC_ROOT,
+           "PYTHONDONTWRITEBYTECODE": "1"}
     code = "import sys, spinweb.cli\nprint('scipy' in sys.modules)\n"
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env)
@@ -527,11 +534,13 @@ def test_cli_import_loads_no_scipy():
 def test_thread_knob_sets_blas_env():
     # The child gets a bare environment (no BLAS variables, so the knob is
     # what sets them) plus the source root of the spinweb under test, so it
-    # imports spinweb whether or not the package is installed.  A meta-path
-    # hook records the variables at the moment numpy is first imported: the
-    # knob has to be in place before numpy loads its BLAS, for plain
-    # ``import spinweb`` as well as ``import spinweb.cli``.
-    env = {"PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONPATH": SRC_ROOT}
+    # imports spinweb whether or not the package is installed, and writes no
+    # bytecode into that source tree.  A meta-path hook records the variables
+    # at the moment numpy is first imported: the knob has to be in place
+    # before numpy loads its BLAS, for plain ``import spinweb`` as well as
+    # ``import spinweb.cli``.
+    env = {"PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONPATH": SRC_ROOT,
+           "PYTHONDONTWRITEBYTECODE": "1"}
     for module in ("spinweb.cli", "spinweb"):
         code = (
             "import os, sys\n"

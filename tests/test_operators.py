@@ -13,6 +13,7 @@ from spinweb import (
     total_sz_sectors,
     xx_coupling,
 )
+from spinweb import operators
 from spinweb.operators import PAULI
 
 I2 = np.eye(2)
@@ -60,6 +61,16 @@ def test_total_sz_diagonal():
     diag = np.diag(total_sz(s).matrix)
     expected = [s.n_qubits - 2 * int(b).bit_count() for b in range(8)]
     np.testing.assert_allclose(diag, expected)
+
+
+def test_popcount_sectors_match_bit_count():
+    for q in range(1, 14):
+        pop = np.array([int(b).bit_count() for b in range(2 ** q)])
+        got = operators.popcount_sectors(2 ** q)
+        assert len(got) == q + 1
+        for k, idx in enumerate(got):
+            expected = np.flatnonzero(pop == k)
+            assert (idx.dtype, idx.tobytes()) == (expected.dtype, expected.tobytes()), (q, k)
 
 
 def test_sz_sectors_partition_the_basis():
