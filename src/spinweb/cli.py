@@ -177,11 +177,10 @@ def cmd_sweep(args) -> int:
         references=references, ring_eps=ring_eps, n_levels=args.levels,
     )
     records = []
-    # one solve_grid pass feeds the records, a chunk at a time, and the tracker
+    # one grid pass feeds the records, a chunk at a time, and the tracker
     points = _recorded_points(config, system, make_references(config), records)
     crossings = [_crossing_row(x) for x in _track(
-        system, config.J, config.c_grid, max(2, args.levels),
-        spectrum_at=lambda c: next(points)).crossings]
+        system, config.J, config.c_grid, max(2, args.levels), points).crossings]
 
     manifest = _manifest("sweep", {
         "n": args.n, "j": args.j, "c_min": args.c_min, "c_max": args.c_max,
@@ -228,7 +227,8 @@ def cmd_spectrum(args) -> int:
         payload = {"manifest": manifest, "records": records, "crossings": [],
                    "reports": {"note": "levels < 2: no crossing analysis"}}
     else:
-        track = _track(system, args.j, grid, args.levels)  # unlike track_levels, takes one point
+        # unlike track_levels, takes a one-point grid
+        track = _track(system, args.j, grid, args.levels, solve_grid(system, args.j, grid))
         levels = {
             str(label): [{"c": c, "energy": e} for c, e in points]
             for label, points in track.tracked_levels.items()

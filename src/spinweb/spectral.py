@@ -281,39 +281,39 @@ def _solve_chunk(blocks: _Blocks, J: float, c: np.ndarray) -> list[Spectrum]:
             for i in range(c.shape[0])]
 
 
-def _chunk_points(blocks: _Blocks) -> int:
-    """Grid points per ``solve_grid`` chunk: as many as ``GRID_CHUNK_BYTES`` of
-    eigenvectors hold, at least one."""
-    return max(1, GRID_CHUNK_BYTES // sum(ring.nbytes for ring, _, _ in blocks.stacks))
+def _grid_chunks(system: SpinSystem, J: float, cs):
+    """Yield the spectra of the c values of ``cs``, in order, as one list per
+    solve chunk: as many points as ``GRID_CHUNK_BYTES`` of eigenvectors hold, at
+    least one.  Every c is checked, at the first ``next``, before any is solved."""
+    cs = _checked_cs(J, cs)
+    blocks = _momentum_blocks(system)
+    step = max(1, GRID_CHUNK_BYTES // sum(ring.nbytes for ring, _, _ in blocks.stacks))
+    for start in range(0, cs.size, step):
+        yield _solve_chunk(blocks, J, cs[start:start + step, None, None, None])
 
 
-def grid_chunk_points(system: SpinSystem) -> int:
-    """The number of grid points that ``solve_grid`` solves together for ``system``."""
-    return _chunk_points(_momentum_blocks(system))
+def _hand_out(spectra: list):
+    """Yield the spectra of a chunk in order, each removed from the list as it goes,
+    so the chunk's arrays are dropped with the last spectrum its caller drops."""
+    spectra.reverse()
+    while spectra:
+        yield spectra.pop()
 
 
 def solve_grid(system: SpinSystem, J: float, cs):
     """Yield the ``Spectrum`` of J * [c * H_star + (1-c) * H_ring] for each c of
     ``cs``, in order, from the (Sz, k) blocks of ``_momentum_blocks``.
 
-    The c values are solved in chunks of ``grid_chunk_points(system)``, whose
-    eigenvectors take at most ``GRID_CHUNK_BYTES`` (at least one point per chunk):
-    one batched ``eigh`` per stack on all the chunk's matrices, and one stable
-    argsort.  LAPACK factors each matrix of a batch as it would factor it alone,
-    so every spectrum is bit for bit that of ``solve`` at its c.  Every c is
-    checked, at the first ``next``, before any is solved.  A chunk's arrays live
+    The c values are solved in the chunks of ``_grid_chunks``: one batched
+    ``eigh`` per stack on all the chunk's matrices, and one stable argsort.
+    LAPACK factors each matrix of a batch as it would factor it alone, so every
+    spectrum is bit for bit that of ``solve`` at its c.  A chunk's arrays live
     until its last spectrum is handed out and dropped; pull points with ``next()``
     rather than keep the previous one bound while the next is made, or two chunks
     are alive at once.
     """
-    cs = _checked_cs(J, cs)
-    blocks = _momentum_blocks(system)
-    step = _chunk_points(blocks)
-    for start in range(0, cs.size, step):
-        spectra = _solve_chunk(blocks, J, cs[start:start + step, None, None, None])
-        spectra.reverse()
-        while spectra:  # the generator keeps only the spectra not yet handed out
-            yield spectra.pop()
+    for spectra in _grid_chunks(system, J, cs):
+        yield from _hand_out(spectra)
 
 
 def solve(system: SpinSystem, J: float, c: float) -> Spectrum:
@@ -339,17 +339,24 @@ class GroundSubspace:
     density: QuantumState
 
 
+def _degeneracy_tol(span):
+    """How far apart two levels may lie and still count as degenerate, for a
+    spectrum (or an array of spectra) whose eigenvalues span ``span``: relative
+    to the span alone, so the groups do not change when J scales the spectrum."""
+    return DEGENERACY_TOL * span
+
+
 def ground_subspace(spec: Spectrum) -> GroundSubspace:
     """Extract the (possibly degenerate) ground subspace of a spectrum.
 
-    Degeneracy counts eigenvalues within ``DEGENERACY_TOL * max(1, spectral_range)``
-    of the minimum; the density is the normalized projector onto their span,
+    Degeneracy counts eigenvalues within ``_degeneracy_tol(spectral_range)`` of
+    the minimum; the density is the normalized projector onto their span,
     which is independent of the basis choice, stored as the factor B/sqrt(deg).
     """
     ev = spec.eigenvalues
     if ev.size == 0:
         raise DomainError("empty spectrum")
-    thr = DEGENERACY_TOL * max(1.0, float(ev[-1] - ev[0]))
+    thr = _degeneracy_tol(float(ev[-1] - ev[0]))
     deg = int(np.count_nonzero(ev <= ev[0] + thr))
     basis = spec.vectors(0, deg)
     return GroundSubspace(float(ev[0]), deg, basis,
@@ -386,7 +393,7 @@ def _low_groups(spec: Spectrum, n_levels: int):
     the bases are copies, so they do not pin the spectrum.
     """
     ev = spec.eigenvalues
-    thr = DEGENERACY_TOL * max(1.0, float(ev[-1] - ev[0]))
+    thr = _degeneracy_tol(float(ev[-1] - ev[0]))
     bounds = [0]
     while bounds[-1] < min(n_levels, ev.size):
         stop = bounds[-1] + 1
@@ -444,7 +451,7 @@ def _extremes(stacks, J: float, c: np.ndarray):
 def _ground_bound(e0: float, top: float) -> float:
     """The highest energy in the ground level when the spectrum spans [e0, top]:
     ``ground_subspace``'s degeneracy threshold above e0."""
-    return e0 + DEGENERACY_TOL * max(1.0, top - e0)
+    return e0 + _degeneracy_tol(top - e0)
 
 
 def _ground_set(lowest: np.ndarray, bound: float) -> frozenset:
@@ -468,8 +475,7 @@ def _grid_ground_blocks(system: SpinSystem, J: float, cs):
 class _Bisection:
     """The (Sz, k) blocks of one bracket [c0, c1] of ``_refine_crossing``, with
     every block's lowest and highest eigenvalue at both ends: ``ends[0]`` and
-    ``ends[1]`` in the form of ``Spectrum.extremes``, or, when None, from one
-    ``eigvalsh`` of every block at c0 and c1.
+    ``ends[1]`` in the form of ``Spectrum.extremes``.
 
     For the pencil J (c S + (1 - c) R) a block's lowest eigenvalue is a minimum
     of functions affine in c, so concave, and its highest is convex: inside
@@ -479,13 +485,10 @@ class _Bisection:
     bounds |H| over the bracket.
     """
 
-    def __init__(self, system: SpinSystem, J: float, c0: float, c1: float, ends=None):
+    def __init__(self, system: SpinSystem, J: float, c0: float, c1: float, ends):
         blocks = _momentum_blocks(system)
         self.J, self.stacks, self.owner = J, blocks.stacks, blocks.owner
         self.first = np.cumsum([0] + [ids.shape[0] for _, _, ids in self.stacks])
-        if ends is None:
-            c = _checked_cs(J, [c0, c1])[:, None, None, None]
-            ends = np.stack(_extremes(self.stacks, J, c), axis=1)
         (self.low0, self.top0), (self.low1, self.top1) = ends
         self.c0, self.width = c0, c1 - c0
         self.margin = CHORD_MARGIN * max(1.0, float(np.abs(ends).max()))
@@ -536,14 +539,14 @@ class _Bisection:
         return seed
 
 
-def _refine_crossing(system, J, c_lo, c_hi, ends=None):
+def _refine_crossing(system, J, c_lo, c_hi, ends):
     """Bisect [c_lo, c_hi] on the set of ground (Sz, k) blocks until its change
     lies within CROSSING_WIDTH.  Returns ``(c_lo, c_hi, min_gap)``, or None when
     no change of that set is found.  ``ends`` holds ``Spectrum.extremes`` at c_lo
-    and at c_hi, as a grid pass has them; when None, every block is diagonalized
-    at both ends.  A grid pass's extremes come from ``eigh`` and may differ from
-    ``eigvalsh``'s in the last bits, which changes an end's ground set only if a
-    block's lowest eigenvalue lies within round-off of the degeneracy bound.
+    and at c_hi, as the tracker's grid pass or ``n4``'s region scan has them.  A
+    grid pass's extremes come from ``eigh`` and may differ from ``eigvalsh``'s in
+    the last bits, which changes an end's ground set only if a block's lowest
+    eigenvalue lies within round-off of the degeneracy bound.
 
     Levels in different blocks cross without repelling, so a ground change is a
     change of the set of ground blocks, and each step reads only block
@@ -556,9 +559,8 @@ def _refine_crossing(system, J, c_lo, c_hi, ends=None):
     that leaves the ground set (else the first at c_lo) and b the first that
     enters it (else the first of the other set).
 
-    Every block is diagonalized at the two ends only, and there only when
-    ``ends`` is None.  A midpoint diagonalizes the blocks of both ends' ground
-    sets, the block with the highest top chord, and then only the blocks that
+    No block is diagonalized at the two ends.  A midpoint diagonalizes the blocks
+    of both ends' ground sets, the block with the highest top chord, and then only the blocks that
     the chord bounds of ``_Bisection`` cannot rule out of the minimum, the top
     or the ground set; blocks a and b are added at the midpoints that skipped
     them.  LAPACK factors each matrix of a batch as it would factor it alone, so
@@ -621,19 +623,14 @@ def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4) -> Lev
         raise DomainError("c_grid must have >= 2 points")
     if n_levels < 2:
         raise DomainError("n_levels must be >= 2")
-    return _track(system, J, c_grid, n_levels)
+    return _track(system, J, c_grid, n_levels, solve_grid(system, J, c_grid))
 
 
 def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
-           spectrum_at=None) -> LevelTrack:
-    """The loop of ``track_levels``.  ``spectrum_at(c)``, called once per grid
-    point in grid order, defaults to the next spectrum of one ``solve_grid`` pass
-    over ``c_grid``; the tracker makes no other solve.  A bisection takes its two
-    ends' block eigenvalues from the ``extremes`` of those spectra, when both
-    have them."""
-    if spectrum_at is None:
-        points = solve_grid(system, J, c_grid)
-        spectrum_at = lambda c: next(points)
+           spectra) -> LevelTrack:
+    """The loop of ``track_levels``.  ``spectra`` is an iterator with one spectrum
+    per grid point, in grid order; the tracker makes no other solve.  A bisection
+    takes its two ends' block eigenvalues from the ``extremes`` of those spectra."""
     tracked: dict[int, list] = {}
     crossings: list[Crossing] = []
     flagged: list[tuple[float, float]] = []
@@ -642,7 +639,7 @@ def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
     prev_ground = None
     prev_c = prev_extremes = None
     for c in c_grid.tolist():
-        spec = spectrum_at(c)
+        spec = next(spectra)  # not zip: its reused tuple would pin the previous chunk
         groups, extremes = _low_groups(spec, n_levels), spec.extremes
         del spec  # a spectrum pins its whole solve chunk
         labels = _match_groups(prev_labeled, groups)
@@ -653,9 +650,7 @@ def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
             # the new ground matched nothing from the previous point
             flagged.append((prev_c, c))
         if prev_ground is not None and ground != prev_ground:
-            ends = None if prev_extremes is None or extremes is None else \
-                np.stack((prev_extremes, extremes))
-            refined = _refine_crossing(system, J, prev_c, c, ends)
+            refined = _refine_crossing(system, J, prev_c, c, np.stack((prev_extremes, extremes)))
             if refined is not None:
                 lo, hi, gap = refined
                 crossings.append(Crossing(lo, hi, (prev_ground, ground), gap))

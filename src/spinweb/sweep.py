@@ -5,14 +5,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .entanglement import concurrence_symmetric, concurrence_wootters
 from .errors import DomainError
-from .spectral import (DEGENERACY_TOL, _check_grid, grid_chunk_points,
+from .spectral import (_check_grid, _degeneracy_tol, _grid_chunks, _hand_out,
                        ground_subspace, solve_grid)
 from .states import SZ_BLOCK_TOL, QuantumState, TwoQubitRDM, fidelity, partial_trace
 from .system import SpinSystem
@@ -395,7 +395,7 @@ def _chunk_records(config: SweepConfig, system: SpinSystem, refs: ReferenceSet,
     zero-padded (points x dim x max-degeneracy) array of the ground factors
     B / sqrt(deg), one batched RDM product per pair and ``_overlaps``."""
     ev = np.stack([spec.eigenvalues for spec in spectra])
-    thr = DEGENERACY_TOL * np.maximum(1.0, ev[:, -1] - ev[:, 0])
+    thr = _degeneracy_tol(ev[:, -1] - ev[:, 0])
     deg = np.count_nonzero(ev <= ev[:, :1] + thr[:, None], axis=1)
     bases = [spec.vectors(0, d) for spec, d in zip(spectra, deg.tolist())]
     factors = np.zeros((len(spectra), system.dimension, deg.max()),
@@ -421,25 +421,19 @@ def _chunk_records(config: SweepConfig, system: SpinSystem, refs: ReferenceSet,
 def _recorded_points(config: SweepConfig, system: SpinSystem, refs: ReferenceSet,
                      records: list):
     """Yield the spectrum of each grid point of ``config``, in order, from one
-    ``solve_grid`` pass.  The records of each solve chunk are built together by
+    ``_grid_chunks`` pass.  The records of each solve chunk are built together by
     ``_chunk_records`` and appended to ``records`` before the chunk's first
     spectrum is yielded; the chunk's spectra are handed out and none is kept, so
     a chunk and its ground factors are dropped before the next one is solved."""
-    points = solve_grid(system, config.J, config.c_grid)
-    cs = config.c_grid.tolist()
-    step = grid_chunk_points(system)
-    for start in range(0, len(cs), step):
-        part = cs[start:start + step]
-        chunk = [next(points) for _ in part]
-        records += _chunk_records(config, system, refs, part, chunk)
-        chunk.reverse()
-        while chunk:
-            yield chunk.pop()
+    cs = iter(config.c_grid.tolist())
+    for chunk in _grid_chunks(system, config.J, config.c_grid):
+        records += _chunk_records(config, system, refs, list(islice(cs, len(chunk))), chunk)
+        yield from _hand_out(chunk)
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Compute one SweepRecord per grid point, in grid order, from one
-    ``solve_grid`` pass, a solve chunk at a time."""
+    ``_grid_chunks`` pass, a solve chunk at a time."""
     system = SpinSystem(config.n_outer, has_central=True)
     records: list[SweepRecord] = []
     # consumed without binding a spectrum, which would pin its chunk while the next is solved

@@ -1,10 +1,13 @@
 """Shared fixtures: ground-state solves are cached across the suite."""
 
 import os
+import sys
 from functools import lru_cache
 
 import numpy as np
 import pytest
+
+sys.dont_write_bytecode = True  # before spinweb is imported: no .pyc lands in src/
 
 import spinweb
 from spinweb import (
@@ -16,13 +19,13 @@ from spinweb import (
 )
 
 # source root of the spinweb under test; children get it on PYTHONPATH so they
-# import it whether or not the package is installed
+# import it whether or not the package is installed, and write no bytecode into it
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(spinweb.__file__)))
 
 
 def child_env():
     path = os.environ.get("PYTHONPATH")
-    return {**os.environ,
+    return {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
             "PYTHONPATH": SRC_ROOT + (os.pathsep + path if path else "")}
 
 

@@ -8,10 +8,12 @@ into one dense dim x dim matrix; the result equals
 builds the (Sz, k) blocks sector by sector and momentum by momentum, the
 reference of the one-pass ``spectral._momentum_blocks``.
 ``full_refine_crossing`` and ``all_pairs_match_groups`` are the crossing
-bisection and the level matching with nothing pruned.  ``record`` builds one sweep record from the
+bisection and the level matching with nothing pruned; ``bracket_ends`` gives a
+bisection that has no grid pass its ends.  ``record`` builds one sweep record from the
 public per-state functions, the reference of the batched record builder.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 from itertools import count
 
@@ -152,10 +154,21 @@ def sz_block_solve(system: SpinSystem, J: float, c: float) -> spectral.Spectrum:
                                    for r, s in pairs), sectors, system.dimension)
 
 
-def sz_block_solve_grid(system: SpinSystem, J: float, cs):
-    """``sz_block_solve`` at each c of ``cs`` in turn, in the form of ``solve_grid``."""
+def bracket_ends(system: SpinSystem, J: float, c_lo: float, c_hi: float) -> np.ndarray:
+    """Every (Sz, k) block's lowest and highest eigenvalue at c_lo and at c_hi, the
+    ``ends`` of ``spectral._refine_crossing``: one ``eigvalsh`` of every block at
+    both ends."""
+    return spectral._grid_ground_blocks(system, J, [c_lo, c_hi])[0]
+
+
+def sz_block_grid_chunks(system: SpinSystem, J: float, cs):
+    """``sz_block_solve`` at each c of ``cs`` in turn, in the form of
+    ``spectral._grid_chunks`` with one point per chunk.  Each spectrum carries the
+    (Sz, k) blocks' extremes from ``eigvalsh``, which the tracker's bisection
+    reads and the Sz-block solve does not give."""
     for c in np.asarray(cs, dtype=float).ravel().tolist():
-        yield sz_block_solve(system, J, c)
+        extremes = spectral._grid_ground_blocks(system, J, [c])[0][0]
+        yield [replace(sz_block_solve(system, J, c), extremes=extremes)]
 
 
 def ground_blocks(system: SpinSystem, J: float, c: float):
@@ -171,7 +184,7 @@ def ground_blocks(system: SpinSystem, J: float, c: float):
         lowest[ids] = vals[:, :1]
         top = max(top, vals[:, -1].max())
     e0 = lowest.min()
-    thr = spectral.DEGENERACY_TOL * max(1.0, top - e0)
+    thr = spectral.DEGENERACY_TOL * (top - e0)
     return lowest, frozenset(np.flatnonzero(lowest <= e0 + thr).tolist())
 
 

@@ -24,19 +24,20 @@ def run_cli(*argv):
 
 
 def count_grid_solves(monkeypatch):
-    """The list of every c that reaches ``spectral.solve_grid`` (``solve`` is its
-    one-point case), patched in each module that binds it."""
-    from spinweb import cli, spectral, sweep
+    """The list of every c that reaches ``spectral._grid_chunks`` (``solve_grid``
+    and its one-point case ``solve`` solve through it), patched in each module that
+    binds it."""
+    from spinweb import spectral, sweep
     solved = []
-    original = spectral.solve_grid
+    original = spectral._grid_chunks
 
     def counted(system, J, cs):
         cs = np.asarray(cs, dtype=float).ravel()
         solved.extend(cs.tolist())
         return original(system, J, cs)
 
-    for module in (spectral, cli, sweep):
-        monkeypatch.setattr(module, "solve_grid", counted)
+    for module in (spectral, sweep):
+        monkeypatch.setattr(module, "_grid_chunks", counted)
     return solved
 
 
@@ -260,7 +261,8 @@ def sweep_csv(tmp_path_factory):
 def test_sweep_csv_columns_and_values(sweep_csv, tmp_path):
     from spinweb import SpinSystem, SweepConfig, run_sweep, spectral
     # N = 8 on 41 points: the records of two solve chunks
-    assert spectral.grid_chunk_points(SpinSystem(8, has_central=True)) < 41
+    assert len(next(spectral._grid_chunks(SpinSystem(8, has_central=True), 1.0,
+                                          np.linspace(0, 1, 41)))) < 41
     multi_chunk = tmp_path / "n8.csv"
     assert main(["sweep", "--n", "8", "--c-steps", "40", "--out", str(multi_chunk)]) == 0
     for out, n_outer, points in ((sweep_csv, 4, 11), (multi_chunk, 8, 41)):
@@ -412,6 +414,67 @@ def test_spectrum_csv(tmp_path):
                  "--out", str(out)]) == 0
     header = out.read_text().splitlines()[0]
     assert header == "label,c,energy"
+
+
+# ---------------------------------------------------------------------------
+# The scale of J: the energies scale with it, every other output stays
+# ---------------------------------------------------------------------------
+
+_SCALES = (1e-10, 1e-6, 1e6)
+
+
+def _json_run(tmp_path, *argv):
+    out = tmp_path / "run.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _crossings(payload):
+    """The crossings' labels and their (c_lo, c_hi) ends."""
+    xs = payload["crossings"]
+    return ([(x["label_from"], x["label_to"]) for x in xs],
+            np.array([(x["c_lo"], x["c_hi"]) for x in xs]).reshape(-1, 2))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_sweep_and_spectrum_do_not_depend_on_the_scale_of_j(tmp_path, n):
+    def run(command, j):
+        extra = ["--refs", "ring,star,ansatz"] if command == "sweep" else []
+        return _json_run(tmp_path, command, "--n", str(n), "--c-steps", "50", "--j", repr(j),
+                         "--format", "json", *extra)
+
+    sweep_at_1, spectrum_at_1 = run("sweep", 1.0), run("spectrum", 1.0)
+    for j in _SCALES:
+        sweep, spectrum = run("sweep", j), run("spectrum", j)
+        assert len(sweep["records"]) == len(sweep_at_1["records"]) == 51
+        for got, want in zip(sweep["records"], sweep_at_1["records"]):
+            assert (got["c"], got["deg"]) == (want["c"], want["deg"]), j
+            for name in ("C_nn", "C_nnn", "XX_nn", "XX_nnn", "ZZ_nn", "ZZ_nnn",
+                         "O_r", "O_s", "O_p"):
+                assert abs(got[name] - want[name]) <= 1e-8, (j, got["c"], name)
+        for payload, at_1 in ((sweep, sweep_at_1), (spectrum, spectrum_at_1)):
+            (labels, ends), (labels_at_1, ends_at_1) = _crossings(payload), _crossings(at_1)
+            assert labels == labels_at_1, j
+            np.testing.assert_allclose(ends, ends_at_1, rtol=0, atol=1e-6)
+        assert ({label: [p["c"] for p in points] for label, points in spectrum["records"].items()}
+                == {label: [p["c"] for p in points]
+                    for label, points in spectrum_at_1["records"].items()}), j
+
+
+@pytest.mark.parametrize("region", ["intermediate", "star"])
+def test_ghz_does_not_depend_on_the_scale_of_j(tmp_path, region):
+    def outcomes(j):  # the field scaled with J
+        payload = _json_run(tmp_path, "ghz", "--region", region, "--j", repr(j),
+                            "--field-h", repr(1e-3 * j))
+        return [(o["outcome"], o["central_result"], o["probability"])
+                for o in payload["reports"]["outcomes"]]
+
+    at_1 = outcomes(1.0)
+    for j in _SCALES:
+        got = outcomes(j)
+        assert [o[:2] for o in got] == [o[:2] for o in at_1], j
+        np.testing.assert_allclose([o[2] for o in got], [o[2] for o in at_1],
+                                   rtol=0, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,8 @@ def test_detect_regions_are_pinned_and_need_no_solve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("region detection solved")
 
-    for module, name in ((spectral, "solve"), (spectral, "solve_grid"), (n4, "solve")):
+    for module, name in ((spectral, "solve"), (spectral, "solve_grid"),
+                         (spectral, "_grid_chunks"), (n4, "solve")):
         monkeypatch.setattr(module, name, refuse)
     n4._regions.cache_clear()
     assert n4.detect_regions() == pinned

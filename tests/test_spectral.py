@@ -225,13 +225,13 @@ def _refine_by_overlap(system, J, c_lo, c_hi, n_levels):
 def test_block_bisection_matches_overlap_bisection(monkeypatch, n_outer, steps, n_levels):
     s = SpinSystem(n_outer, has_central=True)
     grid = np.linspace(0.0, 1.0, steps)
-    by_blocks = spectral._track(s, 1.0, grid, n_levels)
+    by_blocks = track_levels(s, 1.0, grid, n_levels)
 
-    def by_overlap(system, J, c_lo, c_hi, ends=None):
+    def by_overlap(system, J, c_lo, c_hi, ends):
         return _refine_by_overlap(system, J, c_lo, c_hi, n_levels)
 
     monkeypatch.setattr(spectral, "_refine_crossing", by_overlap)
-    oracle = spectral._track(s, 1.0, grid, n_levels)
+    oracle = track_levels(s, 1.0, grid, n_levels)
     assert len(by_blocks.crossings) == len(oracle.crossings) > 0
     for new, old in zip(by_blocks.crossings, oracle.crossings):
         assert (new.c_lo, new.c_hi, new.labels) == (old.c_lo, old.c_hi, old.labels)
@@ -245,13 +245,15 @@ def test_ends_with_the_same_ground_blocks_bisect_without_solving(monkeypatch):
     monkeypatch.setattr(spectral, "solve", refuse)
     # N=4: the ground blocks at 0.5 and 1 agree, but change at c ~ 0.531 and back
     n4_system = SpinSystem(4, has_central=True)
-    lo, hi, gap = spectral._refine_crossing(n4_system, 1.0, 0.5, 1.0)
+    ends = oracle.bracket_ends(n4_system, 1.0, 0.5, 1.0)
+    lo, hi, gap = spectral._refine_crossing(n4_system, 1.0, 0.5, 1.0, ends)
     assert (lo, hi) == (0.5314207077026367, 0.5314216613769531)
     assert gap < 1e-5
     assert (lo, hi, gap) == oracle.full_refine_crossing(n4_system, 1.0, 0.5, 1.0)
     # N=6: no bisection midpoint in [0.5, 1] has other ground blocks than the ends
     n6_system = SpinSystem(6, has_central=True)
-    assert spectral._refine_crossing(n6_system, 1.0, 0.5, 1.0) is None
+    ends = oracle.bracket_ends(n6_system, 1.0, 0.5, 1.0)
+    assert spectral._refine_crossing(n6_system, 1.0, 0.5, 1.0, ends) is None
     assert oracle.full_refine_crossing(n6_system, 1.0, 0.5, 1.0) is None
 
 
@@ -271,7 +273,7 @@ def test_pruned_bisection_and_matching_equal_their_references(monkeypatch, n_out
     refine = spectral._refine_crossing
     refined = []
 
-    def checked(system, J, c_lo, c_hi, ends=None):
+    def checked(system, J, c_lo, c_hi, ends):
         got = refine(system, J, c_lo, c_hi, ends)
         assert got == oracle.full_refine_crossing(system, J, c_lo, c_hi), (c_lo, c_hi)
         refined.append(got)
@@ -280,15 +282,15 @@ def test_pruned_bisection_and_matching_equal_their_references(monkeypatch, n_out
     for n_levels in (2, 4, 6):
         with monkeypatch.context() as patch:
             patch.setattr(spectral, "_match_groups", oracle.all_pairs_match_groups)
-            all_pairs = spectral._track(s, J, grid, n_levels)
+            all_pairs = track_levels(s, J, grid, n_levels)
         with monkeypatch.context() as patch:
             patch.setattr(spectral, "_refine_crossing", checked)
-            pruned = spectral._track(s, J, grid, n_levels)
+            pruned = track_levels(s, J, grid, n_levels)
         assert _tracks_agree(pruned, all_pairs)
-    _, grounds = spectral._grid_ground_blocks(s, J, grid)
-    for lo, hi, a, b in zip(grid.tolist(), grid[1:].tolist(), grounds, grounds[1:]):
+    extremes, grounds = spectral._grid_ground_blocks(s, J, grid)
+    for i, (a, b) in enumerate(zip(grounds, grounds[1:])):
         if a != b:
-            checked(s, J, lo, hi)
+            checked(s, J, grid[i], grid[i + 1], extremes[i:i + 2])
     # the ground changes at every J > 0, and at J < 0 for odd N only
     assert any(x is not None for x in refined) == (J > 0 or n_outer % 2 == 1)
 
@@ -296,15 +298,17 @@ def test_pruned_bisection_and_matching_equal_their_references(monkeypatch, n_out
 def test_pruned_bisection_on_the_n4_region_grid():
     s = SpinSystem(4, has_central=True)
     grid = np.linspace(0.0, 1.0, 201).tolist()
-    grounds = spectral._grid_ground_blocks(s, 1.0, grid)[1]
-    found = [(lo, hi) for lo, hi, a, b in zip(grid, grid[1:], grounds, grounds[1:]) if a != b]
+    extremes, grounds = spectral._grid_ground_blocks(s, 1.0, grid)
+    found = [i for i, (a, b) in enumerate(zip(grounds, grounds[1:])) if a != b]
     assert len(found) == 2
-    refined = [spectral._refine_crossing(s, 1.0, lo, hi) for lo, hi in found]
-    assert refined == [oracle.full_refine_crossing(s, 1.0, lo, hi) for lo, hi in found]
+    refined = [spectral._refine_crossing(s, 1.0, grid[i], grid[i + 1], extremes[i:i + 2])
+               for i in found]
+    assert refined == [oracle.full_refine_crossing(s, 1.0, grid[i], grid[i + 1])
+                       for i in found]
     assert n4._regions() == tuple(x[:2] for x in refined)
     # a bracket already narrower than CROSSING_WIDTH: its one midpoint is not bisected
     for lo, hi, _ in refined:
-        again = spectral._refine_crossing(s, 1.0, lo, hi)
+        again = spectral._refine_crossing(s, 1.0, lo, hi, oracle.bracket_ends(s, 1.0, lo, hi))
         assert again[:2] == (lo, hi) and np.isfinite(again[2])
         assert again == oracle.full_refine_crossing(s, 1.0, lo, hi)
 
@@ -317,7 +321,8 @@ def test_pruned_bisection_equals_full_evaluation_on_any_bracket(n_outer, magnitu
     s = SpinSystem(n_outer, has_central=True)
     c_lo = at * (1.0 - width)
     J = sign * magnitude
-    assert (spectral._refine_crossing(s, J, c_lo, c_lo + width)
+    ends = oracle.bracket_ends(s, J, c_lo, c_lo + width)
+    assert (spectral._refine_crossing(s, J, c_lo, c_lo + width, ends)
             == oracle.full_refine_crossing(s, J, c_lo, c_lo + width))
 
 
@@ -334,7 +339,9 @@ def test_bisection_diagonalizes_few_blocks_per_midpoint(monkeypatch, n_outer, c_
 
     ends = np.stack([solve(s, 1.0, c).extremes for c in (c_lo, c_hi)])
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    refined = spectral._refine_crossing(s, 1.0, c_lo, c_hi)
+    # every block at both ends, as a bisection without a grid pass takes them
+    full = oracle.bracket_ends(s, 1.0, c_lo, c_hi)
+    refined = spectral._refine_crossing(s, 1.0, c_lo, c_hi, full)
     full_ends = sum(given_matrices)
     given_matrices.clear()
     from_grid = spectral._refine_crossing(s, 1.0, c_lo, c_hi, ends)
@@ -356,7 +363,7 @@ def test_bisection_ends_come_from_the_grid_pass(monkeypatch):
         return extremes(stacks, J, c)
 
     monkeypatch.setattr(spectral, "_extremes", counted)
-    track = spectral._track(SpinSystem(8, has_central=True), 1.0, np.linspace(0.0, 0.5, 3), 4)
+    track = track_levels(SpinSystem(8, has_central=True), 1.0, np.linspace(0.0, 0.5, 3), 4)
     assert len(track.crossings) == 1
     assert given_points == []  # the tracker's bisection diagonalized no end
     n4._regions.cache_clear()
@@ -380,7 +387,7 @@ def test_level_matching_takes_no_svd_across_blocks(monkeypatch):
 
     monkeypatch.setattr(spectral, "_match_groups", counted_match)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    spectral._track(SpinSystem(5, has_central=True), 1.0, np.linspace(0.0, 1.0, 51), 4)
+    track_levels(SpinSystem(5, has_central=True), 1.0, np.linspace(0.0, 1.0, 51), 4)
     assert len(disjoint) > len(shared) > 0
     assert len(taken) == len(shared)
 
@@ -408,7 +415,7 @@ def test_solve_labels_each_level_by_its_block():
 @given(n_outer=st.integers(2, 7), steps=st.integers(1, 40), n_levels=st.sampled_from([4, 6]))
 def test_every_crossing_changes_the_ground_blocks(n_outer, steps, n_levels):
     s = SpinSystem(n_outer, has_central=True)
-    for x in spectral._track(s, 1.0, np.linspace(0.0, 1.0, steps + 1), n_levels).crossings:
+    for x in track_levels(s, 1.0, np.linspace(0.0, 1.0, steps + 1), n_levels).crossings:
         assert np.isfinite(x.min_gap)
         assert (oracle.ground_blocks(s, 1.0, x.c_lo)[1]
                 != oracle.ground_blocks(s, 1.0, x.c_hi)[1])
@@ -447,10 +454,10 @@ def test_sweep_then_tracking_builds_blocks_once():
     track = track_levels(SpinSystem(4, has_central=True), 1.0, grid)
     info = spectral._momentum_blocks.cache_info()
     assert info.misses == 1
-    # the sweep's chunk size and grid pass, the tracker's grid pass, and one
-    # lookup per bisected crossing
+    # the sweep's grid pass, the tracker's grid pass, and one lookup per bisected
+    # crossing
     assert len(track.crossings) == 2
-    assert info.hits == 3 + len(track.crossings)
+    assert info.hits == 2 + len(track.crossings)
 
 
 @pytest.mark.parametrize("n_outer, steps", [(n, 8) for n in range(2, 8)]
@@ -491,15 +498,14 @@ def _grid_run(n_outer):
     system = SpinSystem(n_outer, has_central=True)
     records = []
     points = sweep._recorded_points(config, system, sweep.make_references(config), records)
-    track = spectral._track(system, config.J, config.c_grid, config.n_levels,
-                            spectrum_at=lambda c: next(points))
+    track = spectral._track(system, config.J, config.c_grid, config.n_levels, points)
     return records, track.crossings
 
 
 @pytest.mark.parametrize("n_outer", range(2, 8))
 def test_solve_matches_sz_block_oracle_on_the_grid(monkeypatch, n_outer):
     new, new_crossings = _grid_run(n_outer)
-    monkeypatch.setattr(sweep, "solve_grid", oracle.sz_block_solve_grid)
+    monkeypatch.setattr(sweep, "_grid_chunks", oracle.sz_block_grid_chunks)
     old, old_crossings = _grid_run(n_outer)
     if n_outer != 3:
         # at N = 3 a 3-fold level holds both of the next ground groups, so the overlap
