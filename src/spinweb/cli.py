@@ -15,6 +15,7 @@ import sys
 import tempfile
 from datetime import datetime, timezone
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -72,7 +73,7 @@ def _atomic_write(path: str, text: str) -> None:
 def _fmt(x) -> str:
     if x is None:
         return ""
-    return repr(float(x))
+    return str(x) if isinstance(x, int) else repr(float(x))
 
 
 def _system_and_grid(args):
@@ -148,21 +149,31 @@ def _record_row(r) -> dict:
     }
 
 
-def _crossing_row(x) -> dict:
-    return {"c_lo": x.c_lo, "c_hi": x.c_hi,
-            "label_from": x.labels[0], "label_to": x.labels[1],
-            "min_gap": x.min_gap}
-
-
-def _write_csv_sidecars(out: str, crossings: list, manifest: dict) -> None:
-    """Crossings CSV and manifest JSON written beside a CSV output file."""
-    xl = ["c_lo,c_hi,label_from,label_to,min_gap"]
-    for x in crossings:
-        xl.append(",".join([_fmt(x["c_lo"]), _fmt(x["c_hi"]),
-                            str(x["label_from"]), str(x["label_to"]),
-                            _fmt(x["min_gap"])]))
-    _atomic_write(out + ".crossings.csv", "\n".join(xl) + "\n")
-    _atomic_write(out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+def _write_grid(args, command: str, keys: dict, records, crossings, reports: dict,
+                csv_lines) -> int:
+    """Write the output of ``sweep`` or ``spectrum``: the manifest, whose config
+    holds the grid flags, the command's ``keys``, ``--levels`` and ``--format``;
+    then either the JSON payload of the manifest, ``records``, the crossings and
+    ``reports``, or the CSV ``csv_lines`` (an iterable, header first, read only
+    for CSV) and, with ``--out``, the crossings CSV and manifest JSON beside it."""
+    manifest = _manifest(command, {
+        "n": args.n, "j": args.j, "c_min": args.c_min, "c_max": args.c_max,
+        "c_steps": args.c_steps, **keys, "levels": args.levels, "format": args.format,
+    })
+    crossings = [{"c_lo": x.c_lo, "c_hi": x.c_hi, "label_from": x.labels[0],
+                  "label_to": x.labels[1], "min_gap": x.min_gap} for x in crossings]
+    if args.format == "json":
+        _emit(args.out, json.dumps({"manifest": manifest, "records": records,
+                                    "crossings": crossings, "reports": reports},
+                                   indent=2) + "\n")
+        return 0
+    _emit(args.out, "\n".join(csv_lines) + "\n")
+    if args.out:
+        rows = [",".join(map(_fmt, x.values())) for x in crossings]
+        _atomic_write(args.out + ".crossings.csv",
+                      "\n".join(["c_lo,c_hi,label_from,label_to,min_gap", *rows]) + "\n")
+        _atomic_write(args.out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+    return 0
 
 
 def cmd_sweep(args) -> int:
@@ -179,81 +190,35 @@ def cmd_sweep(args) -> int:
     records = []
     # one grid pass feeds the records, a chunk at a time, and the tracker
     points = _recorded_points(config, system, make_references(config), records)
-    crossings = [_crossing_row(x) for x in _track(
-        system, config.J, config.c_grid, max(2, args.levels), points).crossings]
-
-    manifest = _manifest("sweep", {
-        "n": args.n, "j": args.j, "c_min": args.c_min, "c_max": args.c_max,
-        "c_steps": args.c_steps,
-        "pairs": ",".join(t if isinstance(t, str) else "%d:%d" % t for t in args.pairs),
-        "refs": args.refs, "levels": args.levels, "format": args.format,
-    })
-
-    if args.format == "json":
-        payload = {
-            "manifest": manifest,
-            "records": [_record_row(r) for r in records],
-            "crossings": crossings,
-            "reports": {},
-        }
-        _emit(args.out, json.dumps(payload, indent=2) + "\n")
-    else:
-        has_op = any(r.O_p is not None for r in records)
-        cols = [c for c in SWEEP_COLUMNS if has_op or c != "O_p"]
-        lines = [",".join(cols)]
-        for r in records:
-            row = _record_row(r)
-            lines.append(",".join(
-                _fmt(row[c]) if c not in ("deg",) else str(row[c]) for c in cols))
-        _emit(args.out, "\n".join(lines) + "\n")
-        if args.out:
-            _write_csv_sidecars(args.out, crossings, manifest)
-    return 0
+    crossings = _track(system, config.J, config.c_grid, max(2, args.levels), points).crossings
+    rows = [_record_row(r) for r in records]
+    cols = [c for c in SWEEP_COLUMNS if c != "O_p" or any(r.O_p is not None for r in records)]
+    lines = chain([",".join(cols)], (",".join(_fmt(row[c]) for c in cols) for row in rows))
+    keys = {"pairs": ",".join(t if isinstance(t, str) else "%d:%d" % t for t in args.pairs),
+            "refs": args.refs}
+    return _write_grid(args, "sweep", keys, rows, crossings, {}, lines)
 
 
 def cmd_spectrum(args) -> int:
     system, grid = _system_and_grid(args)
     if args.levels < 1:
         raise DomainError(f"--levels must be >= 1, got {args.levels}")
-    manifest = _manifest("spectrum", {
-        "n": args.n, "j": args.j, "c_min": args.c_min, "c_max": args.c_max,
-        "c_steps": args.c_steps, "levels": args.levels, "format": args.format,
-    })
     if args.levels < 2:
         # energies only; no continuation, hence no crossing analysis
         points = solve_grid(system, args.j, grid)
-        records = [{"c": c, "energies": [float(next(points).eigenvalues[0])]}
-                   for c in grid.tolist()]
-        payload = {"manifest": manifest, "records": records, "crossings": [],
-                   "reports": {"note": "levels < 2: no crossing analysis"}}
+        levels = {0: [(c, float(next(points).eigenvalues[0])) for c in grid.tolist()]}
+        records = [{"c": c, "energies": [e]} for c, e in levels[0]]
+        crossings, reports = [], {"note": "levels < 2: no crossing analysis"}
     else:
         # unlike track_levels, takes a one-point grid
         track = _track(system, args.j, grid, args.levels, solve_grid(system, args.j, grid))
-        levels = {
-            str(label): [{"c": c, "energy": e} for c, e in points]
-            for label, points in track.tracked_levels.items()
-        }
-        payload = {
-            "manifest": manifest,
-            "records": levels,
-            "crossings": [_crossing_row(x) for x in track.crossings],
-            "reports": {"flagged_intervals": track.flagged_intervals},
-        }
-    if args.format == "json":
-        _emit(args.out, json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = ["label,c,energy"]
-        if args.levels < 2:
-            for r in payload["records"]:
-                lines.append(",".join(["0", _fmt(r["c"]), _fmt(r["energies"][0])]))
-        else:
-            for label, pts in payload["records"].items():
-                for p in pts:
-                    lines.append(",".join([label, _fmt(p["c"]), _fmt(p["energy"])]))
-        _emit(args.out, "\n".join(lines) + "\n")
-        if args.out:
-            _write_csv_sidecars(args.out, payload["crossings"], manifest)
-    return 0
+        levels = track.tracked_levels
+        records = {str(label): [{"c": c, "energy": e} for c, e in points]
+                   for label, points in levels.items()}
+        crossings, reports = track.crossings, {"flagged_intervals": track.flagged_intervals}
+    lines = chain(["label,c,energy"], (",".join(map(_fmt, (label, c, e)))
+                                       for label, points in levels.items() for c, e in points))
+    return _write_grid(args, "spectrum", {}, records, crossings, reports, lines)
 
 
 def _outcome_report(o) -> dict:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -17,9 +18,10 @@ class CouplingConfig:
     c: float = 0.0
 
     def __post_init__(self):
-        # the spectrum scales with J; the cap keeps J * H clear of float overflow
-        if not abs(self.J) <= 1e100:
-            raise DomainError(f"J must be finite with |J| <= 1e100, got {self.J}")
+        # the spectrum scales with J; the cap keeps J * H clear of float overflow,
+        # and a subnormal J would keep only a few bits of it
+        if not (self.J == 0 or sys.float_info.min <= abs(self.J) <= 1e100):
+            raise DomainError(f"J must be 0 or a normal float with |J| <= 1e100, got {self.J}")
         if not 0.0 <= self.c <= 1.0:
             raise DomainError(f"c must lie in [0,1], got {self.c}")
 

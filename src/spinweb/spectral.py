@@ -349,15 +349,14 @@ def _degeneracy_tol(span):
 def ground_subspace(spec: Spectrum) -> GroundSubspace:
     """Extract the (possibly degenerate) ground subspace of a spectrum.
 
-    Degeneracy counts eigenvalues within ``_degeneracy_tol(spectral_range)`` of
-    the minimum; the density is the normalized projector onto their span,
-    which is independent of the basis choice, stored as the factor B/sqrt(deg).
+    Degeneracy counts eigenvalues up to ``_ground_bound``; the density is the
+    normalized projector onto their span, which is independent of the basis
+    choice, stored as the factor B/sqrt(deg).
     """
     ev = spec.eigenvalues
     if ev.size == 0:
         raise DomainError("empty spectrum")
-    thr = _degeneracy_tol(float(ev[-1] - ev[0]))
-    deg = int(np.count_nonzero(ev <= ev[0] + thr))
+    deg = int(np.count_nonzero(ev <= _ground_bound(ev[0], ev[-1])))
     basis = spec.vectors(0, deg)
     return GroundSubspace(float(ev[0]), deg, basis,
                           QuantumState("mixed", basis / np.sqrt(deg)))
@@ -388,18 +387,18 @@ class LevelTrack:
 def _low_groups(spec: Spectrum, n_levels: int):
     """Cluster the lowest eigenvalues into degenerate groups.
 
-    Returns [(energy, basis, blocks)] covering at least n_levels eigenstates,
-    ground group first, ``blocks`` being the set of the group's block labels;
-    the bases are copies, so they do not pin the spectrum.
+    Each group is the lowest ungrouped level and every level at most
+    ``_degeneracy_tol(span)`` above it, so the ground group is the one that
+    ``_ground_bound`` counts.  Returns [(energy, basis, blocks)] covering at
+    least n_levels eigenstates, ground group first, ``blocks`` being the set of
+    the group's block labels; the bases are copies, so they do not pin the
+    spectrum.
     """
     ev = spec.eigenvalues
     thr = _degeneracy_tol(float(ev[-1] - ev[0]))
     bounds = [0]
     while bounds[-1] < min(n_levels, ev.size):
-        stop = bounds[-1] + 1
-        while stop < ev.size and ev[stop] - ev[stop - 1] <= thr:
-            stop += 1
-        bounds.append(stop)
+        bounds.append(int(np.searchsorted(ev, ev[bounds[-1]] + thr, side="right")))
     vecs = spec.vectors(0, bounds[-1])
     return [(float(ev[start:stop].mean()), vecs[:, start:stop].copy(),
              frozenset(spec.blocks[start:stop].tolist()))
@@ -448,9 +447,11 @@ def _extremes(stacks, J: float, c: np.ndarray):
     return np.concatenate(low, axis=1), np.concatenate(top, axis=1)
 
 
-def _ground_bound(e0: float, top: float) -> float:
-    """The highest energy in the ground level when the spectrum spans [e0, top]:
-    ``ground_subspace``'s degeneracy threshold above e0."""
+def _ground_bound(e0: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """The highest energy in the ground level when the spectrum spans [e0, top],
+    for floats or arrays alike: ``_degeneracy_tol`` of the span above e0.  This
+    is the ground rule of ``ground_subspace``, the sweep records and the
+    bisection's block sets."""
     return e0 + _degeneracy_tol(top - e0)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .entanglement import concurrence_symmetric, concurrence_wootters
 from .errors import DomainError
-from .spectral import (_check_grid, _degeneracy_tol, _grid_chunks, _hand_out,
+from .spectral import (_check_grid, _grid_chunks, _ground_bound, _hand_out,
                        ground_subspace, solve_grid)
 from .states import SZ_BLOCK_TOL, QuantumState, TwoQubitRDM, fidelity, partial_trace
 from .system import SpinSystem
@@ -395,8 +395,7 @@ def _chunk_records(config: SweepConfig, system: SpinSystem, refs: ReferenceSet,
     zero-padded (points x dim x max-degeneracy) array of the ground factors
     B / sqrt(deg), one batched RDM product per pair and ``_overlaps``."""
     ev = np.stack([spec.eigenvalues for spec in spectra])
-    thr = _degeneracy_tol(ev[:, -1] - ev[:, 0])
-    deg = np.count_nonzero(ev <= ev[:, :1] + thr[:, None], axis=1)
+    deg = np.count_nonzero(ev <= _ground_bound(ev[..., :1], ev[..., -1:]), axis=1)
     bases = [spec.vectors(0, d) for spec, d in zip(spectra, deg.tolist())]
     factors = np.zeros((len(spectra), system.dimension, deg.max()),
                        dtype=np.result_type(*bases))

@@ -114,6 +114,8 @@ def test_bad_sweep_input_exits_with_code_not_traceback(extra, code):
     ["spectrum", "--n", "3", "--levels", "1", "--c-min", "0.9", "--c-max", "0.1"],
     ["ghz", "--field-h", "1e308"],
     ["ghz", "--field-h", "1e-300"],  # a split below float resolution at E0
+    ["sweep", "--n", "4", "--c-steps", "4", "--j", "5e-324"],  # subnormal J
+    ["spectrum", "--n", "3", "--c-steps", "2", "--j=-1e-310"],
 ])
 def test_non_finite_coupling_exits_3(argv):
     proc = subprocess.run([sys.executable, "-m", "spinweb.cli", *argv],
@@ -414,6 +416,44 @@ def test_spectrum_csv(tmp_path):
                  "--out", str(out)]) == 0
     header = out.read_text().splitlines()[0]
     assert header == "label,c,energy"
+
+
+def _csv_cells(path):
+    """The rows of a CSV file, each cell read as JSON reads a value; empty is None."""
+    with open(path, newline="") as fh:
+        return [{k: None if v == "" else json.loads(v) for k, v in row.items()}
+                for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "5", "--c-steps", "20", "--refs", "ring,star,ansatz"],
+    ["spectrum", "--n", "4", "--c-steps", "20", "--levels", "1"],
+    ["spectrum", "--n", "4", "--c-steps", "20", "--levels", "4"],
+])
+def test_csv_and_json_report_the_same_run(tmp_path, argv):
+    js, cs = tmp_path / "run.json", tmp_path / "run.csv"
+    assert main([*argv, "--format", "json", "--out", str(js)]) == 0
+    assert main([*argv, "--format", "csv", "--out", str(cs)]) == 0
+    payload = json.loads(js.read_text())
+    rows = _csv_cells(cs)
+    if argv[0] == "sweep":
+        assert len(rows) == len(payload["records"])
+        for row, record in zip(rows, payload["records"]):
+            for name, value in row.items():
+                assert value == record[name] and type(value) is type(record[name]), name
+    elif argv[-1] == "1":
+        assert [r["label"] for r in rows] == [0] * len(rows)
+        assert [{"c": r["c"], "energies": [r["energy"]]} for r in rows] == payload["records"]
+    else:
+        levels = {}
+        for r in rows:
+            levels.setdefault(str(r["label"]), []).append({"c": r["c"], "energy": r["energy"]})
+        assert levels == payload["records"]
+    assert _csv_cells(cs.with_name("run.csv.crossings.csv")) == payload["crossings"]
+    manifest = json.loads(cs.with_name("run.csv.manifest.json").read_text())
+    for meta in (manifest, payload["manifest"]):
+        del meta["timestamp"], meta["input_hash"], meta["config"]["format"]
+    assert manifest == payload["manifest"]
 
 
 # ---------------------------------------------------------------------------

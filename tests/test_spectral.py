@@ -92,6 +92,14 @@ def test_ground_subspace_degeneracy_and_projector():
     assert ground_subspace(_solve(5, 1.0)).degeneracy == 1
 
 
+def test_tracker_ground_group_is_the_ground_subspace():
+    # levels 0.6 t apart: a chain of gaps within t would join the third
+    t = spectral.DEGENERACY_TOL
+    spec = spectral._dense_spectrum(np.array([0.0, 0.6 * t, 1.2 * t, 1.0]), np.eye(4))
+    _, basis, _ = spectral._low_groups(spec, 2)[0]
+    assert basis.shape[1] == ground_subspace(spec).degeneracy == 2
+
+
 def test_track_levels_finds_both_ground_changes():
     s = SpinSystem(4, has_central=True)
     track = track_levels(s, 1.0, np.linspace(0.0, 1.0, 41), n_levels=4)
