@@ -2,9 +2,9 @@
 
 All commands emit plotting-tool-agnostic data files (CSV or JSON) plus a run
 manifest; rendering is left to external tools.  Exit codes: 0 success,
-2 usage error, 3 domain error, 4 resource guard.  The ``SPINWEB_THREADS``
-thread knob is applied by the package ``__init__``, which runs before this
-module and before numpy loads.
+1 a failed ``verify-n4`` check, 2 usage error, 3 domain error, 4 resource
+guard.  The ``SPINWEB_THREADS`` thread knob is applied by the package
+``__init__``, which runs before this module and before numpy loads.
 """
 
 import argparse
@@ -22,16 +22,20 @@ import numpy as np
 from . import __version__, n4
 from .errors import DomainError, ResourceLimitError
 from .spectral import _check_grid, _track, ground_subspace, solve_grid
-from .sweep import (SweepConfig, _default_nnn_pair, _recorded_points, make_references,
-                    pair_concurrence)
+from .sweep import (ReferenceSet, SweepConfig, _chunk_records, _default_nnn_pair,
+                    _recorded_points, make_references)
 from .system import SpinSystem
 
 SWEEP_COLUMNS = ["c", "E0", "deg", "C_nn", "C_nnn", "XX_nn", "XX_nnn",
                  "ZZ_nn", "ZZ_nnn", "O_r", "O_s", "O_p"]
 
 #: Memory a ``sweep`` or ``spectrum`` keeps per grid point until it writes its
-#: output: the record or tracked levels and the output text, 1.3 KiB at the
-#: defaults and 3.5-4.6 KiB with 8 levels, measured with tracemalloc at N = 2.
+#: output (the record or tracked levels and the output text), charged once per
+#: started group of 8 kept levels.  At N = 7 the tracemalloc peak grows per
+#: point, from 1,001- to 2,001-point grids, by (sweep CSV, sweep JSON, spectrum
+#: JSON, spectrum CSV) 0.0, 3.6, 3.0, 0.7 KiB with 8 levels (charged 4 KiB);
+#: 4.1, 13.1, 20.2, 9.4 KiB with 64 (32 KiB); 16.4, 41.9, 79.4, 36.5 KiB with
+#: 256 (128 KiB).
 GRID_POINT_BYTES = 4 << 10
 #: The most memory the per-point results of one command may take.
 MAX_GRID_BYTES = 1 << 30
@@ -83,11 +87,13 @@ def _system_and_grid(args):
     if not (0 <= args.c_min <= 1 and 0 <= args.c_max <= 1):  # also rejects nan
         raise DomainError("--c-min and --c-max must lie in [0, 1], "
                           f"got {args.c_min} and {args.c_max}")
-    if args.c_steps + 1 > MAX_GRID_BYTES // GRID_POINT_BYTES:
+    kept = min(max(args.levels, 1), system.dimension)
+    per_point = GRID_POINT_BYTES * -(-kept // 8)
+    if args.c_steps + 1 > MAX_GRID_BYTES // per_point:
         raise ResourceLimitError(
             f"--c-steps {args.c_steps} asks for {args.c_steps + 1} grid points; at about "
-            f"{GRID_POINT_BYTES} bytes each they would exceed {MAX_GRID_BYTES} bytes "
-            f"(at most {MAX_GRID_BYTES // GRID_POINT_BYTES - 1} steps)")
+            f"{per_point} bytes each with --levels {args.levels} they would exceed "
+            f"{MAX_GRID_BYTES} bytes (at most {MAX_GRID_BYTES // per_point - 1} steps)")
     return system, _check_grid(np.linspace(args.c_min, args.c_max, args.c_steps + 1))
 
 
@@ -267,9 +273,8 @@ def cmd_verify_n4(args) -> int:
             checks.append((f"action_table[{which}, |{bit}>|{label}>]", ok))
 
     cs = (0.0, 0.2, 0.4, 0.9, 1.0)
-    points = solve_grid(n4.FULL, 1.0, cs)
-    grounds = {c: ground_subspace(next(points)) for c in cs}
-    coeffs = {c: n4.extract_coefficients(gs) for c, gs in grounds.items()}
+    spectra = list(solve_grid(n4.FULL, 1.0, cs))
+    coeffs = {c: n4.extract_coefficients(ground_subspace(spec)) for c, spec in zip(cs, spectra)}
 
     for c, expected in ((0.0, (1 / np.sqrt(2), -1 / np.sqrt(2), 0.0)),
                         (1.0, (-np.sqrt(1 / 6), -np.sqrt(2 / 6), 1 / np.sqrt(2)))):
@@ -277,11 +282,12 @@ def cmd_verify_n4(args) -> int:
         err = max(abs(g - e) for g, e in zip((k.alpha, k.beta, k.gamma), expected))
         checks.append((f"coefficients at c={c:g}", err < 1e-8))
 
-    for c, gs in grounds.items():
+    # the concurrences of the (1, 2) and (1, 3) pairs as ``sweep`` reports them
+    records = _chunk_records(SweepConfig(n_outer=4, c_grid=cs), n4.FULL, ReferenceSet(),
+                             list(cs), spectra)
+    for c, r in zip(cs, records):
         c_nn, c_nnn = n4.level_I_concurrences(coeffs[c])
-        p_nn = pair_concurrence(gs.density, n4.FULL, (1, 2))
-        p_nnn = pair_concurrence(gs.density, n4.FULL, (1, 3))
-        ok = abs(c_nn - p_nn) < 1e-8 and abs(c_nnn - p_nnn) < 1e-8
+        ok = abs(c_nn - r.C_nn) < 1e-8 and abs(c_nnn - r.C_nnn) < 1e-8
         checks.append((f"closed form vs pipeline at c={c}", ok))
 
     failed = [name for name, ok in checks if not ok]

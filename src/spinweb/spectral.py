@@ -30,7 +30,8 @@ class Spectrum:
     dim x (stop - start) array; its column i pairs with ``eigenvalues[start + i]``.
     ``blocks[i]`` labels the invariant subspace that holds column i: columns with
     different labels are orthogonal, whatever c.  ``solve`` labels each level by
-    its (Sz, k) block (a k, -k pair sharing one label); the dense and Sz-block
+    the number of its (Sz, k) block's stored matrix (a complex matrix standing
+    for the k, -k pair); the dense and Sz-block
     oracles label the whole space as one block.  ``extremes[0, m]`` and
     ``extremes[1, m]`` are the lowest and highest eigenvalue of label m, its first
     and last occurrence in ``eigenvalues``; ``solve`` sets them, the oracles leave
@@ -102,20 +103,20 @@ def _bond_masks(system: SpinSystem) -> tuple[list[int], list[int]]:
 class _Blocks:
     """The (Sz, k) blocks of one system (J=1), as ``_momentum_blocks`` builds them.
 
-    ``stacks[s] = (ring, star, ids)`` holds equal-size blocks; ``ids[b]`` numbers
-    the blocks that block b stands for: one at k = 0 or pi, where the blocks are
-    real, else two, for k and for -k, whose block is the complex conjugate.  With
-    ``maps[s][b] = (states, rows, amps)``, the eigenvector v of block b expands to
-    the computational-basis vector with ``amps * v[rows]`` on ``states``.
+    ``stacks[s] = (ring, star)`` holds equal-size blocks, real at k = 0 or pi,
+    else complex: a complex block at k stands for itself and for -k, whose block
+    is its complex conjugate.  The matrices are numbered stack by stack, stack s
+    holding ``first[s]`` to ``first[s + 1] - 1``; a matrix number is a block's
+    one name.  With ``maps[s][b] = (states, rows, amps)``, the eigenvector v of
+    block b of stack s expands to the computational-basis vector with
+    ``amps * v[rows]`` on ``states``.
 
     A solve concatenates the stacks' flattened eigenvalues and takes them in
-    block-id order with ``gather``, which repeats a complex block's for -k.  Entry
+    (Sz, k) order with ``gather``, which repeats a complex block's for -k.  Entry
     q of that order is level ``entries[q, 2]`` of block ``entries[q, 1]`` of stack
     ``entries[q, 0]``, and its column is part ``entries[q, 3]`` of the expanded v:
     0 the vector itself (real blocks), 1 its real and 2 its imaginary part.
-
-    The stacked matrices are numbered stack by stack: entry q belongs to matrix
-    ``matrix[q]``, and block id i to matrix ``owner[i]``.
+    Entry q belongs to matrix ``matrix[q]``.
     """
 
     dim: int
@@ -124,7 +125,7 @@ class _Blocks:
     gather: np.ndarray
     entries: np.ndarray
     matrix: np.ndarray
-    owner: np.ndarray
+    first: np.ndarray
 
 
 @lru_cache(maxsize=4)
@@ -211,8 +212,6 @@ def _momentum_blocks(system: SpinSystem) -> _Blocks:
     storage = np.bincount(f, w, 2 * length[0]), np.empty(2 * length[1], dtype=complex)
     storage[1].real = np.bincount(fc, wc.real, 2 * length[1])
     storage[1].imag = np.bincount(fc, wc.imag, 2 * length[1])
-    id_block = np.repeat(np.arange(stack.size), 1 + cplx)  # ids: k = 0 or pi, else k, -k
-    first_id = np.searchsorted(id_block, np.arange(stack.size))
     stacks, maps = [], []
     for blocks in np.split(by_stack, start[1:]):
         k, kind, at = int(k_size[blocks[0]]), int(cplx[blocks[0]]), base[blocks[0]]
@@ -220,20 +219,20 @@ def _momentum_blocks(system: SpinSystem) -> _Blocks:
         np.add(pair, pair.conj().transpose(0, 1, 3, 2), out=pair)  # (ring, star) stacks
         pair *= 0.5  # exactly Hermitian despite sqrt round-off
         pair.setflags(write=False)
-        ids = first_id[blocks][:, None] + np.arange(1 + kind)
-        ids.setflags(write=False)
-        stacks.append((*pair, ids))
+        stacks.append(tuple(pair))
         maps.append(tuple(expand[b] for b in blocks.tolist()))
-    k_id, owner = k_size[id_block], matrix_of[id_block]
-    part = cplx[id_block] * (np.arange(id_block.size) - first_id[id_block] + 1)
-    entries = np.repeat(np.column_stack((stack[id_block], owner - start[stack[id_block]],
+    id_block = np.repeat(np.arange(stack.size), 1 + cplx)  # (Sz, k) order: k, then -k
+    k_id, id_matrix = k_size[id_block], matrix_of[id_block]
+    part = cplx[id_block] * (np.arange(id_block.size) - np.searchsorted(id_block, id_block) + 1)
+    entries = np.repeat(np.column_stack((stack[id_block], id_matrix - start[stack[id_block]],
                                          np.cumsum(k_id) - k_id, part)), k_id, axis=0)
     entries[:, 2] = np.arange(dim) - entries[:, 2]  # the level
     e_base = (np.cumsum(k_size[by_stack]) - k_size[by_stack])[matrix_of]  # first eigenvalue
-    gather, matrix = np.repeat(e_base[id_block], k_id) + entries[:, 2], np.repeat(owner, k_id)
-    for x in (gather, entries, matrix, owner):
+    gather, matrix = np.repeat(e_base[id_block], k_id) + entries[:, 2], np.repeat(id_matrix, k_id)
+    first = np.append(start, stack.size)
+    for x in (gather, entries, matrix, first):
         x.setflags(write=False)
-    return _Blocks(dim, stacks, maps, gather, entries, matrix, owner)
+    return _Blocks(dim, stacks, maps, gather, entries, matrix, first)
 
 
 def _columns(blocks: _Blocks, vecs: list[np.ndarray], picks: np.ndarray) -> np.ndarray:
@@ -267,7 +266,7 @@ def _solve_chunk(blocks: _Blocks, J: float, c: np.ndarray) -> list[Spectrum]:
     ``eigh`` per stack, each stack's matrices built just before it, and one
     stable argsort per point along axis 1."""
     vals, vecs, low, top = [], [], [], []
-    for ring, star, _ in blocks.stacks:
+    for ring, star in blocks.stacks:
         w, u = np.linalg.eigh(J * (c * star + (1.0 - c) * ring))
         vals.append(w.reshape(c.shape[0], -1))
         vecs.append(u)
@@ -287,7 +286,7 @@ def _grid_chunks(system: SpinSystem, J: float, cs):
     least one.  Every c is checked, at the first ``next``, before any is solved."""
     cs = _checked_cs(J, cs)
     blocks = _momentum_blocks(system)
-    step = max(1, GRID_CHUNK_BYTES // sum(ring.nbytes for ring, _, _ in blocks.stacks))
+    step = max(1, GRID_CHUNK_BYTES // sum(ring.nbytes for ring, _ in blocks.stacks))
     for start in range(0, cs.size, step):
         yield _solve_chunk(blocks, J, cs[start:start + step, None, None, None])
 
@@ -435,16 +434,20 @@ def _match_groups(prev_labeled: dict[int, tuple], groups) -> list[int]:
     return [assigned[gi] if gi in assigned else next(fresh) for gi in range(len(groups))]
 
 
-def _extremes(stacks, J: float, c: np.ndarray):
-    """Lowest and highest eigenvalue of every stacked matrix at each c of ``c``
-    (shape (points, 1, 1, 1)), as two (points, matrices) arrays, the matrices
-    numbered stack by stack: one batched ``eigvalsh`` per stack."""
-    low, top = [], []
-    for ring, star, _ in stacks:
-        vals = np.linalg.eigvalsh(J * (c * star + (1.0 - c) * ring))
-        low.append(vals[..., 0])
-        top.append(vals[..., -1])
-    return np.concatenate(low, axis=1), np.concatenate(top, axis=1)
+def _extremes(blocks: _Blocks, J: float, c, picks: np.ndarray, low: np.ndarray,
+              top: np.ndarray):
+    """Write the lowest and highest eigenvalue of the stacked matrices ``picks``
+    (ascending matrix numbers) into ``low[..., picks]`` and ``top[..., picks]``:
+    one batched ``eigvalsh`` per stack touched.  ``c`` is a float, or an array of
+    shape (points, 1, 1, 1) with ``low`` and ``top`` of shape (points, matrices).
+    This is the one place that reads block eigenvalues without vectors."""
+    cut = np.searchsorted(picks, blocks.first)
+    for s, (ring, star) in enumerate(blocks.stacks):
+        part = picks[cut[s]:cut[s + 1]]
+        if part.size:
+            at = part - blocks.first[s]
+            vals = np.linalg.eigvalsh(J * (c * star[at] + (1.0 - c) * ring[at]))
+            low[..., part], top[..., part] = vals[..., 0], vals[..., -1]
 
 
 def _ground_bound(e0: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -455,28 +458,29 @@ def _ground_bound(e0: np.ndarray, top: np.ndarray) -> np.ndarray:
     return e0 + _degeneracy_tol(top - e0)
 
 
-def _ground_set(lowest: np.ndarray, bound: float) -> frozenset:
-    """The block ids whose lowest eigenvalue (``lowest``, by id) is in the ground."""
-    return frozenset(np.flatnonzero(lowest <= bound).tolist())
+def _ground_set(low: np.ndarray, top: np.ndarray) -> frozenset:
+    """The matrices whose lowest eigenvalue (``low``, by matrix number) is in the
+    ground level of a spectrum spanning [low.min(), top.max()]; a complex matrix
+    stands for k and -k together."""
+    return frozenset(np.flatnonzero(low <= _ground_bound(low.min(), top.max())).tolist())
 
 
 def _grid_ground_blocks(system: SpinSystem, J: float, cs):
     """For each c of ``cs``: the lowest and highest eigenvalue of each stacked
     matrix, as a (points, 2, matrices) array in the form of ``Spectrum.extremes``,
-    and the set of blocks whose lowest lies within ``ground_subspace``'s
-    degeneracy threshold of the minimum, the range being that of the whole
-    spectrum.  One batched ``eigvalsh`` per stack."""
-    blocks = _momentum_blocks(system)
-    low, top = _extremes(blocks.stacks, J, _checked_cs(J, cs)[:, None, None, None])
-    return np.stack((low, top), axis=1), [
-        _ground_set(row[blocks.owner], _ground_bound(row.min(), t))
-        for row, t in zip(low, top.max(axis=1))]
+    and the set of ground matrices of ``_ground_set``, the range being that of
+    the whole spectrum.  One ``_extremes`` call on every matrix at every c."""
+    blocks, cs = _momentum_blocks(system), _checked_cs(J, cs)
+    extremes = np.empty((cs.size, 2, blocks.first[-1]))
+    _extremes(blocks, J, cs[:, None, None, None], np.arange(blocks.first[-1]),
+              extremes[:, 0], extremes[:, 1])
+    return extremes, [_ground_set(low, top) for low, top in extremes]
 
 
 class _Bisection:
     """The (Sz, k) blocks of one bracket [c0, c1] of ``_refine_crossing``, with
-    every block's lowest and highest eigenvalue at both ends: ``ends[0]`` and
-    ``ends[1]`` in the form of ``Spectrum.extremes``.
+    every matrix's lowest and highest eigenvalue at both ends, ``ends[0]`` and
+    ``ends[1]`` in the form of ``Spectrum.extremes``, and the ground sets there.
 
     For the pencil J (c S + (1 - c) R) a block's lowest eigenvalue is a minimum
     of functions affine in c, so concave, and its highest is convex: inside
@@ -487,33 +491,18 @@ class _Bisection:
     """
 
     def __init__(self, system: SpinSystem, J: float, c0: float, c1: float, ends):
-        blocks = _momentum_blocks(system)
-        self.J, self.stacks, self.owner = J, blocks.stacks, blocks.owner
-        self.first = np.cumsum([0] + [ids.shape[0] for _, _, ids in self.stacks])
+        self.blocks, self.J = _momentum_blocks(system), J
         (self.low0, self.top0), (self.low1, self.top1) = ends
         self.c0, self.width = c0, c1 - c0
         self.margin = CHORD_MARGIN * max(1.0, float(np.abs(ends).max()))
-        self.ends = [_ground_set(low[self.owner], _ground_bound(low.min(), top.max()))
-                     for low, top in ends]
+        self.ends = [_ground_set(low, top) for low, top in ends]
 
-    def evaluate(self, c: float, picks: np.ndarray, low: np.ndarray, top: np.ndarray):
-        """Write the lowest and highest eigenvalue at c of the matrices ``picks``
-        (ascending) into ``low`` and ``top``: one ``eigvalsh`` per stack touched,
-        on the same matrices, built the same way, as ``_extremes``."""
-        cut = np.searchsorted(picks, self.first)
-        for s, (ring, star, _) in enumerate(self.stacks):
-            part = picks[cut[s]:cut[s + 1]]
-            if part.size:
-                at = part - self.first[s]
-                vals = np.linalg.eigvalsh(self.J * (c * star[at] + (1.0 - c) * ring[at]))
-                low[part], top[part] = vals[:, 0], vals[:, -1]
-
-    def ground(self, c: float, seed: np.ndarray):
+    def ground(self, c: float, seed: frozenset):
         """The lowest eigenvalue of each matrix at c (inf where it is not
-        evaluated) and the set of ground block ids, equal to those of
+        evaluated) and the set of ground matrices, equal to those of
         ``_grid_ground_blocks``, evaluating only the matrices that can decide them.
 
-        The matrices ``seed`` (a mask) and the one with the highest top chord are
+        The matrices ``seed`` and the one with the highest top chord are
         evaluated first.  Then every matrix is added whose lowest-chord, less the
         margin, is within the ground bound of the evaluated minimum, or whose
         top chord, plus the margin, reaches the evaluated top, until none is.  No
@@ -523,21 +512,13 @@ class _Bisection:
         floor = self.low0 + t * (self.low1 - self.low0) - self.margin
         ceiling = self.top0 + t * (self.top1 - self.top0) + self.margin
         low, top = np.full(floor.size, np.inf), np.full(floor.size, -np.inf)
-        seed = seed.copy()
-        seed[ceiling.argmax()] = True
-        picks = np.flatnonzero(seed)
+        picks = np.array(sorted(seed | {int(ceiling.argmax())}))
         while picks.size:
-            self.evaluate(c, picks, low, top)
+            _extremes(self.blocks, self.J, c, picks, low, top)
             e_top = top.max()
             bound = _ground_bound(low.min(), e_top)
             picks = np.flatnonzero(np.isinf(low) & ((floor <= bound) | (ceiling >= e_top)))
-        return low, _ground_set(low[self.owner], bound)
-
-    def mask(self, ids) -> np.ndarray:
-        """The matrices of the block ids ``ids``, as a mask."""
-        seed = np.zeros(self.low0.size, dtype=bool)
-        seed[self.owner[list(ids)]] = True
-        return seed
+        return low, _ground_set(low, top)
 
 
 def _refine_crossing(system, J, c_lo, c_hi, ends):
@@ -552,13 +533,14 @@ def _refine_crossing(system, J, c_lo, c_hi, ends):
     Levels in different blocks cross without repelling, so a ground change is a
     change of the set of ground blocks, and each step reads only block
     eigenvalues: c_lo moves to the midpoint exactly when the midpoint's set is
-    c_lo's, else c_hi does.  When both ends have the same set, the first
+    c_lo's, else c_hi does.  The sets hold matrix numbers, a complex matrix
+    standing for k and -k together.  When both ends have the same set, the first
     midpoint with a different set takes the place of c_hi's; if no midpoint
     differs, there is no crossing.  ``min_gap`` is the least |E_a - E_b| over
     the midpoints (over the one midpoint of an interval already narrower than
-    CROSSING_WIDTH), E the lowest eigenvalue of a block, with a the first block
-    that leaves the ground set (else the first at c_lo) and b the first that
-    enters it (else the first of the other set).
+    CROSSING_WIDTH), E the lowest eigenvalue of a matrix, with a the
+    lowest-numbered matrix that leaves the ground set (else the lowest at c_lo)
+    and b the lowest-numbered that enters it (else the lowest of the other set).
 
     No block is diagonalized at the two ends.  A midpoint diagonalizes the blocks
     of both ends' ground sets, the block with the highest top chord, and then only the blocks that
@@ -570,18 +552,16 @@ def _refine_crossing(system, J, c_lo, c_hi, ends):
     """
     bisect = _Bisection(system, J, c_lo, c_hi, ends)
     ground_lo, ground_hi = bisect.ends
-    seed = bisect.mask(ground_lo | ground_hi)
     visited = []  # (midpoint, lowest eigenvalue of each matrix, inf if not evaluated)
     while c_hi - c_lo > CROSSING_WIDTH:
         c_mid = 0.5 * (c_lo + c_hi)
-        lowest, ground = bisect.ground(c_mid, seed)
+        lowest, ground = bisect.ground(c_mid, ground_lo | ground_hi)
         visited.append((c_mid, lowest))
         if ground == ground_lo:
             c_lo = c_mid
         else:
             if ground_hi == ground_lo:
                 ground_hi = ground
-                seed = bisect.mask(ground_lo | ground_hi)
             c_hi = c_mid
     if ground_hi == ground_lo:
         return None
@@ -589,12 +569,11 @@ def _refine_crossing(system, J, c_lo, c_hi, ends):
         c_mid = 0.5 * (c_lo + c_hi)
         visited.append((c_mid, np.full(bisect.low0.size, np.inf)))
     a, b = min(ground_lo - ground_hi or ground_lo), min(ground_hi - ground_lo or ground_hi)
-    a, b = bisect.owner[a], bisect.owner[b]
     pair = np.array(sorted({a, b}))
     for c_mid, lowest in visited:
         missing = pair[np.isinf(lowest[pair])]
         if missing.size:
-            bisect.evaluate(c_mid, missing, lowest, np.empty_like(lowest))
+            _extremes(bisect.blocks, J, c_mid, missing, lowest, np.empty_like(lowest))
     return c_lo, c_hi, float(min(abs(lowest[a] - lowest[b]) for _, lowest in visited))
 
 

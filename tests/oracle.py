@@ -88,7 +88,7 @@ def momentum_blocks(system: SpinSystem) -> spectral._Blocks:
     outer = (1 << n) - 1
     ring, star = spectral._bond_masks(system)
     grouped: dict[tuple, list] = {}
-    layout = []  # (stack key, position in the stack, part), one per block id
+    layout = []  # (stack key, position in the stack, part), one per (Sz, k), k and -k apart
     for idx in popcount_sectors(system.dimension):
         o, rots = idx & outer, [idx]  # rots[r] = T^r applied to each state
         for _ in range(n - 1):
@@ -116,33 +116,29 @@ def momentum_blocks(system: SpinSystem) -> spectral._Blocks:
                 a.setflags(write=False)
             key = (r.shape[0], r.dtype.kind)
             group = grouped.setdefault(key, [])
-            ids = list(range(len(layout), len(layout) + len(parts)))
             layout += [(key, len(group), part) for part in parts]
-            group.append(((r, s, ids), expand))
+            group.append(((r, s), expand))
     stacks, maps = [], []
     for group in grouped.values():
         blocks, expands = zip(*group)
-        r, s, ids = (np.stack(x) for x in zip(*blocks))
-        for a in (r, s, ids):
+        r, s = (np.stack(x) for x in zip(*blocks))
+        for a in (r, s):
             a.setflags(write=False)
-        stacks.append((r, s, ids))
+        stacks.append((r, s))
         maps.append(expands)
     stack_of = {key: i for i, key in enumerate(grouped)}
     entries = np.array([(stack_of[key], b, level, part)
                         for key, b, part in layout for level in range(key[0])])
-    sizes = np.array([ring.shape[1] for ring, _, _ in stacks])
+    sizes = np.array([ring.shape[1] for ring, _ in stacks])
     offsets = np.concatenate(([0], np.cumsum([ring.shape[0] * ring.shape[1]
-                                              for ring, _, _ in stacks])))
+                                              for ring, _ in stacks])))
     stack, b, level = entries[:, 0], entries[:, 1], entries[:, 2]
     gather = offsets[stack] + b * sizes[stack] + level
-    first = np.cumsum([0] + [ids.shape[0] for _, _, ids in stacks])
+    first = np.cumsum([0] + [ring.shape[0] for ring, _ in stacks])
     matrix = first[stack] + b
-    owner = np.empty(len(layout), dtype=np.intp)
-    for (_, _, ids), start in zip(stacks, first):
-        owner[ids] = start + np.arange(ids.shape[0])[:, None]
-    for a in (gather, entries, matrix, owner):
+    for a in (gather, entries, matrix, first):
         a.setflags(write=False)
-    return spectral._Blocks(system.dimension, stacks, maps, gather, entries, matrix, owner)
+    return spectral._Blocks(system.dimension, stacks, maps, gather, entries, matrix, first)
 
 
 def sz_block_solve(system: SpinSystem, J: float, c: float) -> spectral.Spectrum:
@@ -172,17 +168,14 @@ def sz_block_grid_chunks(system: SpinSystem, J: float, cs):
 
 
 def ground_blocks(system: SpinSystem, J: float, c: float):
-    """Every (Sz, k) block's lowest eigenvalue at c, by block id, and the set of
-    ground block ids, those within ``ground_subspace``'s degeneracy threshold of
+    """Every (Sz, k) block's lowest eigenvalue at c, by matrix number, and the set
+    of ground matrices, those within ``ground_subspace``'s degeneracy threshold of
     the minimum; every block diagonalized, one ``eigvalsh`` per stack."""
     config = CouplingConfig(J=J, c=c)
-    stacks = spectral._momentum_blocks(system).stacks
-    lowest = np.empty(sum(ids.size for _, _, ids in stacks))
-    top = -np.inf
-    for ring, star, ids in stacks:
-        vals = np.linalg.eigvalsh(config.J * (config.c * star + (1.0 - config.c) * ring))
-        lowest[ids] = vals[:, :1]
-        top = max(top, vals[:, -1].max())
+    vals = [np.linalg.eigvalsh(config.J * (config.c * star + (1.0 - config.c) * ring))
+            for ring, star in spectral._momentum_blocks(system).stacks]
+    lowest = np.concatenate([v[:, 0] for v in vals])
+    top = max(v[:, -1].max() for v in vals)
     e0 = lowest.min()
     thr = spectral.DEGENERACY_TOL * (top - e0)
     return lowest, frozenset(np.flatnonzero(lowest <= e0 + thr).tolist())

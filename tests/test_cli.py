@@ -189,6 +189,30 @@ def test_huge_grid_exits_4_before_allocating(monkeypatch, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["sweep", "spectrum"])
+def test_grid_guard_charges_each_group_of_eight_levels(monkeypatch, capsys, command):
+    from spinweb import spectral, sweep
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid reached the solver")
+
+    for module in (spectral, sweep):
+        monkeypatch.setattr(module, "_grid_chunks", refuse)
+    # 256 levels of N = 7 (dim 256) are 32 groups at 4 KiB a point: 8,191 steps
+    # fit in 1 GiB; 8 levels or fewer keep the 262,143 steps of one group
+    for levels, steps in (("256", 8191), ("8", 262143)):
+        with pytest.raises(AssertionError, match="reached the solver"):
+            run_cli(command, "--n", "7", "--levels", levels, "--c-steps", str(steps))
+    # a level count below 1 passes the guard as one group, to its own check
+    assert run_cli(command, "--n", "7", "--levels", "-1", "--c-steps", "262143") == 3
+    capsys.readouterr()
+    for levels, steps in (("256", 8192), ("256", 100000), ("9", 131072)):
+        assert run_cli(command, "--n", "7", "--levels", levels, "--c-steps", str(steps)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("resource guard: ") and err.count("\n") == 1, err
+        assert f"--levels {levels} " in err, err
+
+
+@pytest.mark.parametrize("command", ["sweep", "spectrum"])
 @pytest.mark.parametrize("n", ["1", "0", "-3"])
 def test_too_few_spins_exit_3(command, n, capsys):
     assert run_cli(command, "--n", n, "--c-steps", "2") == 3
@@ -605,6 +629,21 @@ def test_verify_n4_passes(capsys):
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
     assert all(ln.startswith("PASS") for ln in lines)
     assert len(lines) >= 30  # 28 action checks + endpoints + cross-checks
+
+
+def test_verify_n4_checks_the_concurrences_sweep_reports(monkeypatch, capsys):
+    from spinweb import sweep
+    observables = sweep._rdm_observables
+
+    def shifted(rdms):
+        conc, xx, zz = observables(rdms)
+        return conc + 1e-6, xx, zz
+
+    monkeypatch.setattr(sweep, "_rdm_observables", shifted)
+    assert run_cli("verify-n4") == 1
+    failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+    assert len(failed) == 5
+    assert all(ln.startswith("FAIL  closed form vs pipeline at c=") for ln in failed)
 
 
 def test_verify_n4_solves_each_hamiltonian_once(monkeypatch):

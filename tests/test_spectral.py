@@ -142,36 +142,38 @@ def test_track_levels_validates_grid(monkeypatch):
 @pytest.mark.parametrize("n_outer", range(2, 10))
 def test_momentum_blocks_split_the_spectrum(n_outer):
     s = SpinSystem(n_outer, has_central=True)
-    stacks = spectral._momentum_blocks(s).stacks
+    blocks = spectral._momentum_blocks(s)
+    stacks = blocks.stacks
     # a complex block at k stands for itself and its conjugate at -k
-    assert sum(ring.shape[1] * ids.size for ring, _, ids in stacks) == s.dimension
-    ids = np.concatenate([ids.ravel() for _, _, ids in stacks])
-    np.testing.assert_array_equal(np.sort(ids), np.arange(ids.size))
-    for ring, star, ids in stacks:
-        assert ids.shape[1] == (2 if np.iscomplexobj(ring) else 1)
+    copies = [1 + np.iscomplexobj(ring) for ring, _ in stacks]
+    assert sum(ring.shape[0] * ring.shape[1] * k
+               for (ring, _), k in zip(stacks, copies)) == s.dimension
+    np.testing.assert_array_equal(blocks.first,
+                                  np.cumsum([0] + [ring.shape[0] for ring, _ in stacks]))
+    for ring, star in stacks:
         for block in (ring, star):
             np.testing.assert_array_equal(block, block.conj().transpose(0, 2, 1))
     for J in (1.0, 0.7):
         for c in (0.0, 0.3, 0.694, 1.0):
             vals = [np.repeat(np.linalg.eigvalsh(J * (c * star + (1.0 - c) * ring)),
-                              ids.shape[1], axis=0).ravel()
-                    for ring, star, ids in stacks]
+                              k, axis=0).ravel()
+                    for (ring, star), k in zip(stacks, copies)]
             np.testing.assert_allclose(np.sort(np.concatenate(vals)),
                                        solve(s, J, c).eigenvalues, rtol=0, atol=1e-12)
 
 
 def _block_arrays(blocks):
-    """Every array of a ``_Blocks``, by name: each stack's ring, star and ids,
-    every expansion map, ``gather``, ``entries``, ``matrix`` and ``owner``."""
+    """Every array of a ``_Blocks``, by name: each stack's ring and star, every
+    expansion map, ``gather``, ``entries``, ``matrix`` and ``first``."""
     arrays = {}
-    for s, (ring, star, ids) in enumerate(blocks.stacks):
-        arrays.update({f"ring{s}": ring, f"star{s}": star, f"ids{s}": ids})
+    for s, (ring, star) in enumerate(blocks.stacks):
+        arrays.update({f"ring{s}": ring, f"star{s}": star})
     for s, expands in enumerate(blocks.maps):
         for b, expand in enumerate(expands):
             arrays.update({f"{name}{s}.{b}": a
                            for name, a in zip(("states", "rows", "amps"), expand)})
     arrays.update({name: getattr(blocks, name)
-                   for name in ("gather", "entries", "matrix", "owner")})
+                   for name in ("gather", "entries", "matrix", "first")})
     return arrays
 
 
@@ -337,7 +339,7 @@ def test_pruned_bisection_equals_full_evaluation_on_any_bracket(n_outer, magnitu
 @pytest.mark.parametrize("n_outer, c_lo, c_hi", [(8, 0.25, 0.5), (10, 0.36, 0.3625)])
 def test_bisection_diagonalizes_few_blocks_per_midpoint(monkeypatch, n_outer, c_lo, c_hi):
     s = SpinSystem(n_outer, has_central=True)
-    n_blocks = sum(ids.shape[0] for _, _, ids in spectral._momentum_blocks(s).stacks)
+    n_blocks = spectral._momentum_blocks(s).first[-1]
     midpoints = int(np.ceil(np.log2((c_hi - c_lo) / spectral.CROSSING_WIDTH)))
     eigvalsh, given_matrices = np.linalg.eigvalsh, []
 
@@ -366,9 +368,10 @@ def test_bisection_diagonalizes_few_blocks_per_midpoint(monkeypatch, n_outer, c_
 def test_bisection_ends_come_from_the_grid_pass(monkeypatch):
     extremes, given_points = spectral._extremes, []
 
-    def counted(stacks, J, c):
-        given_points.append(c.shape[0])
-        return extremes(stacks, J, c)
+    def counted(blocks, J, c, *args):
+        if isinstance(c, np.ndarray):  # a grid of c values; a midpoint is a float
+            given_points.append(c.shape[0])
+        return extremes(blocks, J, c, *args)
 
     monkeypatch.setattr(spectral, "_extremes", counted)
     track = track_levels(SpinSystem(8, has_central=True), 1.0, np.linspace(0.0, 0.5, 3), 4)
@@ -377,6 +380,29 @@ def test_bisection_ends_come_from_the_grid_pass(monkeypatch):
     n4._regions.cache_clear()
     assert len(n4.detect_regions()) == 2
     assert given_points == [201]  # the region scan, whose rows both bisections read
+
+
+@pytest.mark.parametrize("n_outer", [6, 9])
+@pytest.mark.parametrize("J", [1.0, -0.7])
+def test_extremes_kernel_agrees_on_a_grid_and_per_point(n_outer, J):
+    s = SpinSystem(n_outer, has_central=True)
+    blocks = spectral._momentum_blocks(s)
+    grid, every = np.linspace(0.0, 1.0, 7), np.arange(blocks.first[-1])
+    low, top = np.full((2, grid.size, every.size), np.nan)
+    spectral._extremes(blocks, J, grid[:, None, None, None], every, low, top)
+    for i, c in enumerate(grid.tolist()):
+        one_low, one_top = np.full((2, every.size), np.nan)
+        spectral._extremes(blocks, J, c, every, one_low, one_top)
+        assert one_low.tobytes() == low[i].tobytes() and one_top.tobytes() == top[i].tobytes()
+        np.testing.assert_allclose(low[i], oracle.ground_blocks(s, J, c)[0], rtol=0, atol=1e-12)
+        # a subset of the matrices, across stacks: only its columns are written
+        picks = every[1::3]
+        part_low, part_top = np.full((2, every.size), np.nan)
+        spectral._extremes(blocks, J, c, picks, part_low, part_top)
+        assert part_low[picks].tobytes() == low[i, picks].tobytes()
+        assert part_top[picks].tobytes() == top[i, picks].tobytes()
+        rest = np.setdiff1d(every, picks)
+        assert np.isnan(part_low[rest]).all() and np.isnan(part_top[rest]).all()
 
 
 def test_level_matching_takes_no_svd_across_blocks(monkeypatch):
@@ -403,8 +429,8 @@ def test_level_matching_takes_no_svd_across_blocks(monkeypatch):
 def test_solve_labels_each_level_by_its_block():
     s = SpinSystem(5, has_central=True)
     blocks = spectral._momentum_blocks(s)
-    matrices = [(ring[b], star[b], ids.shape[1])
-                for ring, star, ids in blocks.stacks for b in range(ids.shape[0])]
+    matrices = [(ring[b], star[b], 1 + np.iscomplexobj(ring))
+                for ring, star in blocks.stacks for b in range(ring.shape[0])]
     spec = solve(s, 0.7, 0.3)
     v = spec.vectors()
     for m, (ring, star, copies) in enumerate(matrices):
@@ -452,7 +478,8 @@ def test_solve_keeps_builder_guards():
     blocks = spectral._momentum_blocks(SpinSystem(3, has_central=True))
     arrays = [a for stack in blocks.stacks for a in stack]
     arrays += [a for maps in blocks.maps for expand in maps for a in expand]
-    assert not any(a.flags.writeable for a in arrays + [blocks.gather, blocks.entries])
+    arrays += [blocks.gather, blocks.entries, blocks.matrix, blocks.first]
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_sweep_then_tracking_builds_blocks_once():
@@ -473,7 +500,7 @@ def test_sweep_then_tracking_builds_blocks_once():
 def test_solve_grid_equals_one_point_solve(n_outer, steps):
     s = SpinSystem(n_outer, has_central=True)
     grid = np.linspace(0.0, 1.0, steps + 1)
-    per_point = sum(ring.nbytes for ring, _, _ in spectral._momentum_blocks(s).stacks)
+    per_point = sum(ring.nbytes for ring, _ in spectral._momentum_blocks(s).stacks)
     if n_outer >= 8:  # the grid spans several chunks
         assert spectral.GRID_CHUNK_BYTES // per_point < grid.size
     for J in (1.0, 0.7):
