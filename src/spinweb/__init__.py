@@ -6,16 +6,23 @@ detection, reference-state fidelities, the N=4 analytic layer, and the
 GHZ-state extraction protocol.
 
 ``SPINWEB_THREADS=k`` caps the BLAS thread pool: importing the package copies
-``k`` into ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS``
-(values already set take precedence).  It takes effect only if numpy has not
-been imported earlier in the process.
+a positive decimal integer ``k`` into ``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` (values already set take
+precedence) and ignores any other value, which the command line rejects.  It
+takes effect only if numpy has not been imported earlier in the process.
 """
 
 import os as _os
 
+
+def _is_thread_count(value: str) -> bool:
+    """The rule for ``SPINWEB_THREADS``: a positive decimal integer."""
+    return value.isascii() and value.isdigit() and int(value) > 0
+
+
 # must land in the environment before the imports below load numpy's BLAS
 _threads = _os.environ.get("SPINWEB_THREADS")
-if _threads:
+if _threads and _is_thread_count(_threads):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
 

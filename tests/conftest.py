@@ -29,6 +29,14 @@ def child_env():
             "PYTHONPATH": SRC_ROOT + (os.pathsep + path if path else "")}
 
 
+def bare_env(**extra):
+    """An environment with nothing of the caller's but ``PATH``: no BLAS or
+    ``SPINWEB_THREADS`` variables, the spinweb under test on ``PYTHONPATH`` and
+    no bytecode written, plus ``extra``."""
+    return {"PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONPATH": SRC_ROOT,
+            "PYTHONDONTWRITEBYTECODE": "1", **extra}
+
+
 @lru_cache(maxsize=None)
 def _ground(n_outer: int, c: float, J: float = 1.0):
     system = SpinSystem(n_outer, has_central=True)

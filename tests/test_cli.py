@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from spinweb.cli import main
 
-from conftest import SRC_ROOT, child_env
+from conftest import bare_env, child_env
 
 
 def run_cli(*argv):
@@ -91,6 +91,9 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
     (["--pairs", "1:2,1:3,2:4"], 2),
     (["--pairs", "1:99"], 3),
     (["--pairs", "1:1"], 3),
+    (["--pairs", "nnn"], 2),
+    (["--pairs", "nnn,nn"], 2),
+    (["--pairs", "1:3,nn"], 2),
 ])
 def test_bad_sweep_input_exits_with_code_not_traceback(extra, code):
     proc = subprocess.run(
@@ -664,13 +667,22 @@ def test_verify_n4_solves_each_hamiltonian_once(monkeypatch):
 
 def test_cli_import_loads_no_scipy():
     # scipy costs most of the CLI's start-up time and the sweep path needs none
-    env = {"PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONPATH": SRC_ROOT,
-           "PYTHONDONTWRITEBYTECODE": "1"}
     code = "import sys, spinweb.cli\nprint('scipy' in sys.modules)\n"
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=bare_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_freezes_the_heap_and_the_library_does_not():
+    # the CLI's import-time objects live until exit, so the collector need not
+    # walk them again; a library user's collector is left alone
+    for module, frozen in (("spinweb.cli", True), ("spinweb", False)):
+        code = f"import gc, {module}\nprint(gc.get_freeze_count())\n"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=bare_env())
+        assert proc.returncode == 0, proc.stderr
+        assert (int(proc.stdout) > 0) == frozen, module
 
 
 def test_thread_knob_sets_blas_env():
@@ -681,8 +693,7 @@ def test_thread_knob_sets_blas_env():
     # at the moment numpy is first imported: the knob has to be in place
     # before numpy loads its BLAS, for plain ``import spinweb`` as well as
     # ``import spinweb.cli``.
-    env = {"PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONPATH": SRC_ROOT,
-           "PYTHONDONTWRITEBYTECODE": "1"}
+    env = bare_env()
     for module in ("spinweb.cli", "spinweb"):
         code = (
             "import os, sys\n"
@@ -703,3 +714,18 @@ def test_thread_knob_sets_blas_env():
         after_import, at_numpy_load = proc.stdout.splitlines()
         assert after_import.split() == ["1", "1", "1"]
         assert at_numpy_load.split() == ["1", "1", "1"], module
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_thread_knob_rejects_a_non_positive_integer(value):
+    # the package hands BLAS no such value, and the command line says why
+    env = bare_env(SPINWEB_THREADS=value)
+    proc = subprocess.run([sys.executable, "-m", "spinweb.cli", "sweep", "--n", "3",
+                           "--c-steps", "1"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: SPINWEB_THREADS must be a positive integer, got {value!r}\n"
+    code = "import os, spinweb\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "None"
