@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__, _is_thread_count, n4
 from .errors import DomainError, ResourceLimitError
 from .spectral import _check_grid, _track, ground_subspace, solve_grid
-from .sweep import (ReferenceSet, SweepConfig, _chunk_records, _default_nnn_pair,
-                    _recorded_points, make_references)
+from .sweep import (ReferenceSet, SweepConfig, _chunk_records, _recorded_points,
+                    make_references)
 from .system import SpinSystem
 
 # Everything alive now (stdlib, numpy, spinweb) lives until exit: freezing it
@@ -94,6 +94,9 @@ def _system_and_grid(args):
     system = SpinSystem(args.n, has_central=True)  # owns the size limit
     if not (0 <= args.c_min <= 1 and 0 <= args.c_max <= 1):  # also rejects nan
         raise DomainError("--c-min and --c-max must lie in [0, 1], "
+                          f"got {args.c_min} and {args.c_max}")
+    if args.c_steps > 0 and not args.c_min < args.c_max:
+        raise DomainError("--c-min must be below --c-max when --c-steps > 0, "
                           f"got {args.c_min} and {args.c_max}")
     kept = min(max(args.levels, 1), system.dimension)
     per_point = GRID_POINT_BYTES * -(-kept // 8)
@@ -197,12 +200,10 @@ def _write_grid(args, command: str, keys: dict, records, crossings, reports: dic
 def cmd_sweep(args) -> int:
     system, grid = _system_and_grid(args)
     references, ring_eps = _parse_refs(args.refs)
-    named = {"nn": (1, 2), "nnn": _default_nnn_pair(args.n)}
-    pairs = [named.get(t, t) for t in args.pairs]
-    nn = pairs[0] if pairs else (1, 2)
-    nnn = pairs[1] if len(pairs) >= 2 else None
+    # only the explicit a:b pairs are passed: a named one is SweepConfig's default
+    explicit = {k: t for k, t in zip(("nn_pair", "nnn_pair"), args.pairs) if isinstance(t, tuple)}
     config = SweepConfig(
-        n_outer=args.n, J=args.j, c_grid=grid, nn_pair=nn, nnn_pair=nnn,
+        n_outer=args.n, J=args.j, c_grid=grid, **explicit,
         references=references, ring_eps=ring_eps, n_levels=args.levels,
     )
     records = []

@@ -252,6 +252,7 @@ def level_II_concurrences(coeffs: LevelCoefficients) -> tuple[float, float]:
 # Regions and the measurement protocol
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def detect_regions():
     """Ground-level crossing boundaries of the N=4 sweep.
 
@@ -260,23 +261,16 @@ def detect_regions():
     ground (Sz, k) blocks are scanned on a 201-point grid, from block
     eigenvalues only, and each grid interval where the set changes is bisected
     by ``_refine_crossing``, which takes its ends' block eigenvalues from the
-    scan; no eigenvector is formed.  The bounds hold for
-    every J > 0: the spectrum scales with J and the eigenvectors do not, so
-    they are found once per process, at J = 1.
+    scan; no eigenvector is formed.  The bounds hold for every J > 0: the
+    spectrum scales with J and the eigenvectors do not, so they are found at
+    J = 1 and cached, once per process.
     """
-    return _regions()
-
-
-@lru_cache(maxsize=1)
-def _regions():
     grid = np.linspace(0.0, 1.0, 201).tolist()
     extremes, grounds = _grid_ground_blocks(FULL, 1.0, grid)
     crossings = [_refine_crossing(FULL, 1.0, grid[i], grid[i + 1], extremes[i:i + 2])[:2]
                  for i, (a, b) in enumerate(zip(grounds, grounds[1:])) if a != b]
     if len(crossings) != 2:
-        raise DomainError(
-            f"expected 2 ground-level crossings for N=4, found {len(crossings)}"
-        )
+        raise DomainError(f"expected 2 ground-level crossings for N=4, found {len(crossings)}")
     return tuple(crossings)
 
 

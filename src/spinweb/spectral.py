@@ -292,8 +292,9 @@ def _grid_chunks(system: SpinSystem, J: float, cs):
 
 
 def _hand_out(spectra: list):
-    """Yield the spectra of a chunk in order, each removed from the list as it goes,
-    so the chunk's arrays are dropped with the last spectrum its caller drops."""
+    """Yield a chunk's spectra in order, popping each: the caller becomes its only
+    owner, so the chunk's arrays go with the last one it drops, while a kept list
+    (``yield from``) would pin every point through the tracker's bisection."""
     spectra.reverse()
     while spectra:
         yield spectra.pop()
@@ -477,50 +478,6 @@ def _grid_ground_blocks(system: SpinSystem, J: float, cs):
     return extremes, [_ground_set(low, top) for low, top in extremes]
 
 
-class _Bisection:
-    """The (Sz, k) blocks of one bracket [c0, c1] of ``_refine_crossing``, with
-    every matrix's lowest and highest eigenvalue at both ends, ``ends[0]`` and
-    ``ends[1]`` in the form of ``Spectrum.extremes``, and the ground sets there.
-
-    For the pencil J (c S + (1 - c) R) a block's lowest eigenvalue is a minimum
-    of functions affine in c, so concave, and its highest is convex: inside
-    [c0, c1] the chord between the ends is a lower bound on the lowest and an
-    upper bound on the highest.  ``margin`` widens both bounds by round-off:
-    CHORD_MARGIN times the largest |eigenvalue| at the ends (at least 1), which
-    bounds |H| over the bracket.
-    """
-
-    def __init__(self, system: SpinSystem, J: float, c0: float, c1: float, ends):
-        self.blocks, self.J = _momentum_blocks(system), J
-        (self.low0, self.top0), (self.low1, self.top1) = ends
-        self.c0, self.width = c0, c1 - c0
-        self.margin = CHORD_MARGIN * max(1.0, float(np.abs(ends).max()))
-        self.ends = [_ground_set(low, top) for low, top in ends]
-
-    def ground(self, c: float, seed: frozenset):
-        """The lowest eigenvalue of each matrix at c (inf where it is not
-        evaluated) and the set of ground matrices, equal to those of
-        ``_grid_ground_blocks``, evaluating only the matrices that can decide them.
-
-        The matrices ``seed`` and the one with the highest top chord are
-        evaluated first.  Then every matrix is added whose lowest-chord, less the
-        margin, is within the ground bound of the evaluated minimum, or whose
-        top chord, plus the margin, reaches the evaluated top, until none is.  No
-        other matrix then holds the minimum, the top or a ground level.
-        """
-        t = (c - self.c0) / self.width
-        floor = self.low0 + t * (self.low1 - self.low0) - self.margin
-        ceiling = self.top0 + t * (self.top1 - self.top0) + self.margin
-        low, top = np.full(floor.size, np.inf), np.full(floor.size, -np.inf)
-        picks = np.array(sorted(seed | {int(ceiling.argmax())}))
-        while picks.size:
-            _extremes(self.blocks, self.J, c, picks, low, top)
-            e_top = top.max()
-            bound = _ground_bound(low.min(), e_top)
-            picks = np.flatnonzero(np.isinf(low) & ((floor <= bound) | (ceiling >= e_top)))
-        return low, _ground_set(low, top)
-
-
 def _refine_crossing(system, J, c_lo, c_hi, ends):
     """Bisect [c_lo, c_hi] on the set of ground (Sz, k) blocks until its change
     lies within CROSSING_WIDTH.  Returns ``(c_lo, c_hi, min_gap)``, or None when
@@ -542,20 +499,44 @@ def _refine_crossing(system, J, c_lo, c_hi, ends):
     lowest-numbered matrix that leaves the ground set (else the lowest at c_lo)
     and b the lowest-numbered that enters it (else the lowest of the other set).
 
-    No block is diagonalized at the two ends.  A midpoint diagonalizes the blocks
-    of both ends' ground sets, the block with the highest top chord, and then only the blocks that
-    the chord bounds of ``_Bisection`` cannot rule out of the minimum, the top
-    or the ground set; blocks a and b are added at the midpoints that skipped
-    them.  LAPACK factors each matrix of a batch as it would factor it alone, so
-    every eigenvalue read, and with it every set, c_lo, c_hi and ``min_gap``,
-    equals that of diagonalizing every block at every midpoint.
+    For the pencil J (c S + (1 - c) R) a block's lowest eigenvalue is a minimum
+    of functions affine in c, so concave, and its highest is convex: inside the
+    bracket the chord between its original ends bounds the lowest from below and
+    the highest from above.  ``margin`` widens both bounds by round-off:
+    CHORD_MARGIN times the largest |eigenvalue| at the ends (at least 1), which
+    bounds |H| over the bracket.  No block is diagonalized at the ends.  A
+    midpoint diagonalizes the blocks of both ends' ground sets and the one with
+    the highest top chord, then every block whose lowest chord, less the margin,
+    is within the ground bound of the evaluated minimum, or whose top chord, plus
+    the margin, reaches the evaluated top, until none is: no other block holds
+    the minimum, the top or a ground level.  Blocks a and b are added at the
+    midpoints that skipped them.  LAPACK factors each matrix of a batch as it
+    would factor it alone, so every eigenvalue read, and with it every set, c_lo,
+    c_hi and ``min_gap``, equals that of diagonalizing every block at every midpoint.
     """
-    bisect = _Bisection(system, J, c_lo, c_hi, ends)
-    ground_lo, ground_hi = bisect.ends
+    blocks = _momentum_blocks(system)
+    (low0, top0), (low1, top1) = ends
+    c0, width = c_lo, c_hi - c_lo  # the chords stay anchored at the bracket's ends
+    margin = CHORD_MARGIN * max(1.0, float(np.abs(ends).max()))
+
+    def midpoint(c: float, seed: frozenset):  # lowest eigenvalue by matrix, ground set
+        t = (c - c0) / width
+        floor = low0 + t * (low1 - low0) - margin
+        ceiling = top0 + t * (top1 - top0) + margin
+        low, top = np.full(floor.size, np.inf), np.full(floor.size, -np.inf)
+        picks = np.array(sorted(seed | {int(ceiling.argmax())}))
+        while picks.size:
+            _extremes(blocks, J, c, picks, low, top)
+            e_top = top.max()
+            bound = _ground_bound(low.min(), e_top)
+            picks = np.flatnonzero(np.isinf(low) & ((floor <= bound) | (ceiling >= e_top)))
+        return low, _ground_set(low, top)
+
+    ground_lo, ground_hi = (_ground_set(low, top) for low, top in ends)
     visited = []  # (midpoint, lowest eigenvalue of each matrix, inf if not evaluated)
     while c_hi - c_lo > CROSSING_WIDTH:
         c_mid = 0.5 * (c_lo + c_hi)
-        lowest, ground = bisect.ground(c_mid, ground_lo | ground_hi)
+        lowest, ground = midpoint(c_mid, ground_lo | ground_hi)
         visited.append((c_mid, lowest))
         if ground == ground_lo:
             c_lo = c_mid
@@ -566,14 +547,13 @@ def _refine_crossing(system, J, c_lo, c_hi, ends):
     if ground_hi == ground_lo:
         return None
     if not visited:
-        c_mid = 0.5 * (c_lo + c_hi)
-        visited.append((c_mid, np.full(bisect.low0.size, np.inf)))
+        visited.append((0.5 * (c_lo + c_hi), np.full(low0.size, np.inf)))
     a, b = min(ground_lo - ground_hi or ground_lo), min(ground_hi - ground_lo or ground_hi)
     pair = np.array(sorted({a, b}))
     for c_mid, lowest in visited:
         missing = pair[np.isinf(lowest[pair])]
         if missing.size:
-            _extremes(bisect.blocks, J, c_mid, missing, lowest, np.empty_like(lowest))
+            _extremes(blocks, J, c_mid, missing, lowest, np.empty_like(lowest))
     return c_lo, c_hi, float(min(abs(lowest[a] - lowest[b]) for _, lowest in visited))
 
 

@@ -13,6 +13,8 @@ from .system import SpinSystem
 NORM_TOL = 1e-12
 PSD_TOL = -1e-10
 SZ_BLOCK_TOL = 1e-10  # largest off-block RDM entry still read as zero
+#: (rows, cols) of the ten two-qubit RDM entries that total-Sz conservation zeroes
+SZ_OFF_BLOCK = ([0, 0, 0, 1, 2, 1, 2, 3, 3, 3], [1, 2, 3, 3, 3, 0, 0, 0, 1, 2])
 
 
 class QuantumState:
@@ -133,9 +135,7 @@ class TwoQubitRDM:
     def sz_blocks(self):
         """(v, w, x, y, z) when Sz-block-diagonal, else None."""
         m = self.matrix
-        off = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
-        if any(abs(m[i, j]) >= SZ_BLOCK_TOL or abs(m[j, i]) >= SZ_BLOCK_TOL
-               for i, j in off):
+        if (np.abs(m[SZ_OFF_BLOCK]) >= SZ_BLOCK_TOL).any():
             return None
         return (m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real, m[1, 2])
 

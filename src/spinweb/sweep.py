@@ -14,7 +14,7 @@ from .entanglement import concurrence_symmetric, concurrence_wootters
 from .errors import DomainError
 from .spectral import (_check_grid, _grid_chunks, _ground_bound, _hand_out,
                        ground_subspace, solve_grid)
-from .states import SZ_BLOCK_TOL, QuantumState, TwoQubitRDM, fidelity, partial_trace
+from .states import SZ_BLOCK_TOL, SZ_OFF_BLOCK, QuantumState, TwoQubitRDM, fidelity, partial_trace
 from .system import SpinSystem
 
 
@@ -48,6 +48,8 @@ class SweepConfig:
         if "ring" in self.references and "ring_eps" in self.references:
             raise DomainError("references 'ring' and 'ring_eps' fill the same "
                               "O_r column; choose one")
+        if not 0.0 <= self.ring_eps <= 1.0:  # also rejects nan
+            raise DomainError(f"ring_eps must lie in [0, 1], got {self.ring_eps}")
         if self.n_levels < 1:
             raise DomainError(f"n_levels must be >= 1, got {self.n_levels}")
         if self.n_outer < 2:  # the ring builder's check, ahead of the site pairs'
@@ -59,14 +61,11 @@ class SweepConfig:
 
     @property
     def resolved_nnn_pair(self) -> tuple[int, int]:
+        """``nnn_pair``, or by default the next-to-nearest outer pair on the ring:
+        (1, 3), or (1, 2) when N=2."""
         if self.nnn_pair is not None:
             return self.nnn_pair
-        return _default_nnn_pair(self.n_outer)
-
-
-def _default_nnn_pair(n_outer: int) -> tuple[int, int]:
-    """Next-to-nearest outer pair on the ring: (1, 3), or (1, 2) when N=2."""
-    return (1, 3) if n_outer >= 3 else (1, 2)
+        return (1, 3) if self.n_outer >= 3 else (1, 2)
 
 
 @dataclass(frozen=True)
@@ -328,9 +327,6 @@ def _pair_rdms(system: SpinSystem, factors: np.ndarray, pair: tuple[int, int]) -
     return f @ f.conj().swapaxes(1, 2)
 
 
-_OFF_BLOCK = ([0, 0, 0, 1, 2, 1, 2, 3, 3, 3], [1, 2, 3, 3, 3, 0, 0, 0, 1, 2])
-
-
 def _rdm_observables(rdms: np.ndarray):
     """Concurrence, <sigma_x sigma_x> = 2 Re(rho_03 + rho_12) and <sigma_z sigma_z>
     = rho_00 + rho_33 - rho_11 - rho_22 of each 4 x 4 RDM of ``rdms``, as three
@@ -342,7 +338,7 @@ def _rdm_observables(rdms: np.ndarray):
     zz = v + y - w - x
     conc = np.minimum(2.0 * np.maximum(
         np.abs(rdms[:, 1, 2]) - np.sqrt(np.maximum(v, 0.0) * np.maximum(y, 0.0)), 0.0), 1.0)
-    blocked = (np.abs(rdms[:, _OFF_BLOCK[0], _OFF_BLOCK[1]]) < SZ_BLOCK_TOL).all(axis=1)
+    blocked = (np.abs(rdms[:, SZ_OFF_BLOCK[0], SZ_OFF_BLOCK[1]]) < SZ_BLOCK_TOL).all(axis=1)
     for i in np.flatnonzero(~blocked).tolist():
         conc[i] = concurrence_wootters(TwoQubitRDM(rdms[i])).value
     return conc, xx, zz

@@ -107,6 +107,22 @@ def test_bad_sweep_input_exits_with_code_not_traceback(extra, code):
         assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--c-min", "0.6", "--c-max", "0.4", "--c-steps", "2"],
+     "--c-min must be below --c-max when --c-steps > 0, got 0.6 and 0.4"),
+    (["--c-min", "0.5", "--c-max", "0.5", "--c-steps", "3"],
+     "--c-min must be below --c-max when --c-steps > 0, got 0.5 and 0.5"),
+    (["--c-steps", "2", "--refs", "ring-eps=2"], "ring_eps must lie in [0, 1], got 2.0"),
+    (["--c-steps", "2", "--refs", "ring-eps=nan"], "ring_eps must lie in [0, 1], got nan"),
+    (["--c-steps", "2", "--refs", "ring-eps=-0.1"], "ring_eps must lie in [0, 1], got -0.1"),
+])
+def test_bad_sweep_input_names_what_the_user_typed(extra, message):
+    proc = subprocess.run([sys.executable, "-m", "spinweb.cli", "sweep", "--n", "4", *extra],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--n", "3", "--c-steps", "2", "--j", "nan"],
     ["spectrum", "--n", "3", "--c-steps", "2", "--j", "inf"],
@@ -346,15 +362,23 @@ def test_sweep_deterministic_across_runs(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_sweep_custom_pairs(tmp_path):
+@pytest.mark.parametrize("pairs, nn, nnn", [
+    ("2:3,2:4", (2, 3), (2, 4)),
+    ("nn,nnn", (1, 2), (1, 3)),
+    ("nn", (1, 2), (1, 3)),
+    ("", (1, 2), (1, 3)),
+    ("2:3", (2, 3), (1, 3)),
+    ("nn,2:4", (1, 2), (2, 4)),
+], ids=["2:3,2:4", "nn,nnn", "nn", "none", "2:3", "nn,2:4"])
+def test_sweep_custom_pairs(tmp_path, pairs, nn, nnn):
     out = tmp_path / "pairs.csv"
-    assert main(["sweep", "--n", "5", "--c-steps", "2", "--pairs", "2:3,2:4",
+    assert main(["sweep", "--n", "5", "--c-steps", "2", "--pairs", pairs,
                  "--out", str(out)]) == 0
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     from spinweb import SweepConfig, run_sweep
     records = run_sweep(SweepConfig(n_outer=5, c_grid=np.linspace(0, 1, 3),
-                                    nn_pair=(2, 3), nnn_pair=(2, 4)))
+                                    nn_pair=nn, nnn_pair=nnn))
     for row, rec in zip(rows, records):
         assert float(row["C_nn"]) == rec.C_nn
         assert float(row["C_nnn"]) == rec.C_nnn
@@ -581,7 +605,7 @@ def test_second_ghz_makes_only_its_own_solves(monkeypatch, tmp_path):
         raise AssertionError("region detection formed eigenvectors")
 
     solved = count_grid_solves(monkeypatch)
-    n4._regions.cache_clear()
+    n4.detect_regions.cache_clear()
     with monkeypatch.context() as m:  # the region bounds come from block eigenvalues
         m.setattr(np.linalg, "eigh", refuse)
         n4.detect_regions()

@@ -4,6 +4,7 @@ import contextlib
 import io
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -315,7 +316,7 @@ def test_pruned_bisection_on_the_n4_region_grid():
                for i in found]
     assert refined == [oracle.full_refine_crossing(s, 1.0, grid[i], grid[i + 1])
                        for i in found]
-    assert n4._regions() == tuple(x[:2] for x in refined)
+    assert n4.detect_regions() == tuple(x[:2] for x in refined)
     # a bracket already narrower than CROSSING_WIDTH: its one midpoint is not bisected
     for lo, hi, _ in refined:
         again = spectral._refine_crossing(s, 1.0, lo, hi, oracle.bracket_ends(s, 1.0, lo, hi))
@@ -377,7 +378,7 @@ def test_bisection_ends_come_from_the_grid_pass(monkeypatch):
     track = track_levels(SpinSystem(8, has_central=True), 1.0, np.linspace(0.0, 0.5, 3), 4)
     assert len(track.crossings) == 1
     assert given_points == []  # the tracker's bisection diagonalized no end
-    n4._regions.cache_clear()
+    n4.detect_regions.cache_clear()
     assert len(n4.detect_regions()) == 2
     assert given_points == [201]  # the region scan, whose rows both bisections read
 
@@ -527,6 +528,21 @@ def test_n12_sweep_holds_no_more_than_one_point(tmp_path):
     assert peak <= 9 * 2**20
 
 
+def test_grid_generators_keep_no_spectrum_they_handed_out():
+    system, grid = SpinSystem(3, has_central=True), np.linspace(0.0, 1.0, 5)
+    config = SweepConfig(n_outer=3, c_grid=grid)
+    for points in (spectral.solve_grid(system, 1.0, grid),
+                   sweep._recorded_points(config, system, sweep.make_references(config), [])):
+        spectra = [next(points) for _ in grid]
+        first = spectra[0].eigenvalues.base
+        assert all(spec.eigenvalues.base is first for spec in spectra)  # one chunk
+        chunk = weakref.ref(first)
+        del spectra, first
+        # the suspended generator holds none of them, so no point outlives its consumer
+        assert chunk() is None
+        assert next(points, None) is None
+
+
 def _grid_run(n_outer):
     """Records and crossings of a 401-point sweep, built as ``cmd_sweep`` builds them."""
     config = SweepConfig(n_outer=n_outer, references=("ring", "star", "singlet_ansatz"))
@@ -633,7 +649,7 @@ def test_sweep_path_forms_no_dense_operator(monkeypatch):
 
     monkeypatch.setattr(operators, "_embed", refuse)
     spectral._momentum_blocks.cache_clear()
-    n4._regions.cache_clear()
+    n4.detect_regions.cache_clear()
     grid = np.linspace(0.0, 1.0, 3)
     for n_outer in range(4, 9):
         records = run_sweep(SweepConfig(n_outer=n_outer, c_grid=grid,

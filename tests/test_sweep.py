@@ -191,6 +191,12 @@ def test_ring_eps_reference_replaces_plain_ring():
         SweepConfig(n_outer=5, references=("ring", "ring_eps"))
 
 
+@pytest.mark.parametrize("eps", [2.0, -0.1, float("nan")])
+def test_out_of_range_ring_eps_is_refused_at_construction(eps):
+    with pytest.raises(DomainError, match=r"ring_eps must lie in \[0, 1\]"):
+        SweepConfig(n_outer=4, ring_eps=eps)
+
+
 def test_even_n_ansatz_overlap_high_near_ring():
     cfg = SweepConfig(n_outer=4, c_grid=np.array([0.05]),
                       references=("singlet_ansatz",))
