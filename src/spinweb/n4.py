@@ -16,11 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .entanglement import concurrence_wootters
 from .errors import DomainError
 from .spectral import (GroundSubspace, _grid_ground_blocks, _refine_crossing,
                        ground_subspace, solve)
-from .states import QuantumState, TwoQubitRDM, partial_trace
+from .states import QuantumState, partial_trace
+from .sweep import pair_concurrence
 from .system import SpinSystem
 
 N_OUTER = 4
@@ -314,12 +314,9 @@ def bipartition_entropies(outer_state: QuantumState) -> tuple[float, ...]:
 
 
 def pairwise_concurrences(outer_state: QuantumState) -> tuple[float, ...]:
-    """Wootters concurrence of all 6 outer pairs."""
-    out = []
-    for a, b in combinations(range(1, 5), 2):
-        rdm = TwoQubitRDM.from_state(partial_trace(outer_state, OUTER, [a, b]))
-        out.append(concurrence_wootters(rdm).value)
-    return tuple(out)
+    """Concurrence of all 6 outer pairs, by the sweep's rule ``pair_concurrence``."""
+    return tuple(pair_concurrence(outer_state, OUTER, pair)
+                 for pair in combinations(range(1, 5), 2))
 
 
 def _classify(outer_vec: np.ndarray) -> str:
@@ -363,11 +360,11 @@ def _protocol(level: str, c: float, field_h: float, J: float,
     lowest, second = np.argsort(shifted, kind="stable")[:2]
     if shifted[second] - shifted[lowest] < 0.1 * field_h:
         raise DomainError("field did not lift the ground degeneracy")
-    v = vecs[:, lowest]
-    # the perturbed ground must still live in the unperturbed subspace
-    proj = unperturbed.basis @ (unperturbed.basis.conj().T @ v)
-    if np.linalg.norm(proj) ** 2 < 1.0 - 1e-6:
+    # the ground subspace is spanned by the first `degeneracy` columns of the same
+    # orthonormal vecs, so the split ground stays in it exactly when it is one of them
+    if lowest >= unperturbed.degeneracy:
         raise DomainError("field strength pushed the state out of the ground subspace")
+    v = vecs[:, lowest]
 
     outcomes = []
     half = FULL.dimension // 2

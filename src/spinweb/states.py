@@ -17,6 +17,12 @@ SZ_BLOCK_TOL = 1e-10  # largest off-block RDM entry still read as zero
 SZ_OFF_BLOCK = ([0, 0, 0, 1, 2, 1, 2, 3, 3, 3], [1, 2, 3, 3, 3, 0, 0, 0, 1, 2])
 
 
+def sz_blocked(rdms: np.ndarray) -> np.ndarray:
+    """Whether each 4 x 4 RDM of the (..., 4, 4) stack ``rdms`` has the Sz-block
+    form: every ``SZ_OFF_BLOCK`` entry below ``SZ_BLOCK_TOL`` (a NaN one is not)."""
+    return (np.abs(rdms[..., SZ_OFF_BLOCK[0], SZ_OFF_BLOCK[1]]) < SZ_BLOCK_TOL).all(axis=-1)
+
+
 class QuantumState:
     """A quantum state stored as a factor F (dim x rank) with rho = F F-dagger.
 
@@ -35,6 +41,8 @@ class QuantumState:
     @classmethod
     def pure(cls, amplitudes) -> "QuantumState":
         v = np.asarray(amplitudes, dtype=complex).ravel()
+        if not np.isfinite(v).all():
+            raise DomainError("amplitudes must be finite")
         norm = np.linalg.norm(v)
         if abs(norm - 1.0) > 1e-10:
             raise DomainError(f"pure state norm {norm} differs from 1")
@@ -44,6 +52,8 @@ class QuantumState:
     @classmethod
     def mixed(cls, density) -> "QuantumState":
         rho = np.asarray(density, dtype=complex)
+        if not np.isfinite(rho).all():
+            raise DomainError("density matrix entries must be finite")
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise DomainError(f"density matrix must be square, got {rho.shape}")
         if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
@@ -74,6 +84,8 @@ class QuantumState:
 def mix(states: Sequence[QuantumState], weights: Sequence[float]) -> QuantumState:
     """Convex mixture sum_i w_i rho_i of states with given weights."""
     weights = np.asarray(weights, dtype=float)
+    if not np.isfinite(weights).all():
+        raise DomainError("weights must be finite")
     if len(states) != len(weights):
         raise DomainError("states and weights must have equal length")
     if np.any(weights < 0):
@@ -135,7 +147,7 @@ class TwoQubitRDM:
     def sz_blocks(self):
         """(v, w, x, y, z) when Sz-block-diagonal, else None."""
         m = self.matrix
-        if (np.abs(m[SZ_OFF_BLOCK]) >= SZ_BLOCK_TOL).any():
+        if not sz_blocked(m):
             return None
         return (m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real, m[1, 2])
 

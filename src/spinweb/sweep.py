@@ -14,7 +14,7 @@ from .entanglement import concurrence_symmetric, concurrence_wootters
 from .errors import DomainError
 from .spectral import (_check_grid, _grid_chunks, _ground_bound, _hand_out,
                        ground_subspace, solve_grid)
-from .states import SZ_BLOCK_TOL, SZ_OFF_BLOCK, QuantumState, TwoQubitRDM, fidelity, partial_trace
+from .states import QuantumState, TwoQubitRDM, fidelity, partial_trace, sz_blocked
 from .system import SpinSystem
 
 
@@ -251,10 +251,11 @@ def make_references(config: SweepConfig) -> ReferenceSet:
 
 
 @lru_cache(maxsize=None)
-def _span_basis(n_outer: int, include_central: bool) -> np.ndarray:
+def _span_basis(n_outer: int) -> np.ndarray:
     """Orthonormal basis T V w^-1/2 of the covering-term span, from the eigenpairs
-    (w, V) of T^dagger T; w <= 1e-12 max(w) are dependent terms (N=3), dropped."""
-    t = np.column_stack(ansatz_terms(n_outer, include_central=include_central))
+    (w, V) of T^dagger T; w <= 1e-12 max(w) are dependent terms (N=3), dropped.
+    The terms hold the central spin for odd N and only the outer spins for even N."""
+    t = np.column_stack(ansatz_terms(n_outer, include_central=n_outer % 2 == 1))
     w, v = np.linalg.eigh(t.conj().T @ t)
     keep = w > 1e-12 * w.max()
     q = t @ (v[:, keep] / np.sqrt(w[keep]))
@@ -274,7 +275,7 @@ def ansatz_overlap(n_outer: int, state: QuantumState, system: SpinSystem) -> flo
     factor = state.factor if odd else \
         partial_trace(state, system, list(range(1, n_outer + 1))).factor
     scale = factor.shape[1] if odd else 1
-    sigma = np.linalg.norm(_span_basis(n_outer, odd).conj().T @ factor, 2)
+    sigma = np.linalg.norm(_span_basis(n_outer).conj().T @ factor, 2)
     return float(min(scale * sigma ** 2, 1.0))
 
 
@@ -331,15 +332,13 @@ def _rdm_observables(rdms: np.ndarray):
     """Concurrence, <sigma_x sigma_x> = 2 Re(rho_03 + rho_12) and <sigma_z sigma_z>
     = rho_00 + rho_33 - rho_11 - rho_22 of each 4 x 4 RDM of ``rdms``, as three
     arrays.  The concurrence is ``concurrence_symmetric``'s formula for an RDM in
-    Sz-block form (every off-block entry below ``SZ_BLOCK_TOL``) and
-    ``concurrence_wootters`` for any other."""
+    Sz-block form (``sz_blocked``) and ``concurrence_wootters`` for any other."""
     v, w, x, y = (rdms[:, k, k].real for k in range(4))
     xx = 2.0 * (rdms[:, 0, 3] + rdms[:, 1, 2]).real
     zz = v + y - w - x
     conc = np.minimum(2.0 * np.maximum(
         np.abs(rdms[:, 1, 2]) - np.sqrt(np.maximum(v, 0.0) * np.maximum(y, 0.0)), 0.0), 1.0)
-    blocked = (np.abs(rdms[:, SZ_OFF_BLOCK[0], SZ_OFF_BLOCK[1]]) < SZ_BLOCK_TOL).all(axis=1)
-    for i in np.flatnonzero(~blocked).tolist():
+    for i in np.flatnonzero(~sz_blocked(rdms)).tolist():
         conc[i] = concurrence_wootters(TwoQubitRDM(rdms[i])).value
     return conc, xx, zz
 
@@ -347,40 +346,25 @@ def _rdm_observables(rdms: np.ndarray):
 def _overlaps(refs: ReferenceSet, factors: np.ndarray, deg: np.ndarray):
     """O_r, O_s and O_p (each an array, or None without its reference) of the
     ground states F F-dagger, F each matrix of ``factors``, zero-padded, of
-    degeneracies ``deg``.
+    degeneracies ``deg``: one batched SVD of F-dagger R per reference basis R, in
+    which zero columns of F add only zero singular values.  O_r and O_s are
+    ``fidelity``'s min((sum sigma)^2, 1).  O_p is ``ansatz_overlap``'s
+    min(scale * sigma_max^2, 1) with R the covering-span basis; for even N the
+    central spin (the leading bit) is traced out, which makes F the outer-spin
+    factor [F_0, F_1] of its rows with central bit 0 and with central bit 1."""
+    def singular_values(f, r):
+        return np.linalg.svd(f.conj().swapaxes(1, 2) @ r, compute_uv=False)
 
-    One batched product of F-dagger with the reference factors and the
-    covering-span basis, and one batched SVD of every overlap matrix, padded with
-    zeros to one shape: zero rows and columns add only zero singular values.  O_r
-    and O_s are ``fidelity``'s (sum sigma)^2; O_p is ``ansatz_overlap``'s
-    scale * sigma_max^2.  For even N the central spin is traced out: its two
-    states each meet the outer-spin span, and the rows of both halves form the
-    overlap with the traced factor."""
-    parts = [ref.factor for ref in (refs.ring, refs.star) if ref is not None]
-    n = refs.ansatz_n_outer
+    o_r, o_s = (None if ref is None else
+                np.minimum(singular_values(factors, ref.factor).sum(axis=1) ** 2, 1.0)
+                for ref in (refs.ring, refs.star))
+    n, o_p = refs.ansatz_n_outer, None
     if n is not None:
-        span = _span_basis(n, n % 2 == 1)
-        parts.append(span if n % 2 else np.kron(np.eye(2), span))
-    if not parts:
-        return None, None, None
-    points, rank = factors.shape[0], factors.shape[2]
-    x = factors.conj().swapaxes(1, 2) @ np.concatenate(parts, axis=1)
-    cuts = np.cumsum([0] + [part.shape[1] for part in parts])
-    pieces = [x[..., lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    if n is not None and n % 2 == 0:
-        k = pieces[-1].shape[2] // 2
-        pieces[-1] = pieces[-1].reshape(points, rank, 2, k).swapaxes(1, 2).reshape(
-            points, 2 * rank, k)
-    padded = np.zeros((points, len(pieces), max(p.shape[1] for p in pieces),
-                       max(p.shape[2] for p in pieces)), dtype=x.dtype)
-    for i, piece in enumerate(pieces):
-        padded[:, i, :piece.shape[1], :piece.shape[2]] = piece
-    sv = np.linalg.svd(padded, compute_uv=False)
-    fids = iter(np.minimum(sv.sum(axis=2) ** 2, 1.0).T)
-    o_r, o_s = (None if ref is None else next(fids) for ref in (refs.ring, refs.star))
-    o_p = None
-    if n is not None:
-        o_p = np.minimum((deg if n % 2 else 1) * sv[:, -1, 0] ** 2, 1.0)
+        if n % 2 == 0:
+            half = factors.shape[1] // 2
+            factors = np.concatenate((factors[:, :half], factors[:, half:]), axis=2)
+        sigma = singular_values(factors, _span_basis(n))[:, 0]
+        o_p = np.minimum((deg if n % 2 else 1) * sigma ** 2, 1.0)
     return o_r, o_s, o_p
 
 

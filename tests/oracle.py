@@ -11,6 +11,8 @@ reference of the one-pass ``spectral._momentum_blocks``.
 bisection and the level matching with nothing pruned; ``bracket_ends`` gives a
 bisection that has no grid pass its ends.  ``record`` builds one sweep record from the
 public per-state functions, the reference of the batched record builder.
+``free_fermion_ring_energy`` and ``star_energy`` are the closed-form ground energies
+of the c = 0 and c = 1 endpoints.
 """
 
 from dataclasses import replace
@@ -248,3 +250,22 @@ def record(config, system, refs, c, spec):
         )
     except DomainError as exc:
         raise DomainError(f"sweep failed at c={c}: {exc}") from exc
+
+
+def free_fermion_ring_energy(n_outer, J):
+    """Ring ground energy (Lieb, Schultz and Mattis): the least, over fermion
+    number n_f, sum of the n_f lowest 4J cos q, with q = 2 pi (j + 1/2) / N for
+    even n_f and q = 2 pi j / N for odd n_f."""
+    j = np.arange(n_outer)
+    best = 0.0
+    for n_f in range(1, n_outer + 1):
+        q = 2.0 * np.pi * (j + 0.5 * (n_f % 2 == 0)) / n_outer
+        best = min(best, float(np.sort(4.0 * J * np.cos(q))[:n_f].sum()))
+    return best
+
+
+def star_energy(n_outer, J):
+    """Star ground energy: -2J max_m sqrt(S(S+1) - m(m+1)) with S = N/2."""
+    S = n_outer / 2
+    m = np.arange(-S, S)
+    return float(-2.0 * J * np.sqrt(S * (S + 1) - m * (m + 1)).max())

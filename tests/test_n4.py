@@ -182,6 +182,17 @@ def test_protocol_solves_its_own_ground_and_checks_coupling():
             protocol(c, J=0)
 
 
+def test_protocol_refuses_a_field_that_leaves_the_ground_level():
+    c = sum(n4.intermediate_region()) / 2
+    pushed = "^field strength pushed the state out of the ground subspace$"
+    with pytest.raises(DomainError, match=pushed):
+        n4.ghz_protocol(c, field_h=0.5)
+    with pytest.raises(DomainError, match=pushed):
+        n4.star_region_protocol(0.95, field_h=0.5)
+    with pytest.raises(DomainError, match="^field did not lift the ground degeneracy$"):
+        n4.ghz_protocol(c, field_h=1.0)
+
+
 def test_star_region_protocol():
     outcomes = n4.star_region_protocol(0.95, region=(0.77, 1.0))
     by_name = {o.outcome: o for o in outcomes}

@@ -592,31 +592,13 @@ def test_solve_columns_are_real_orthonormal_sector_eigenvectors(n_outer, cs):
             assert np.linalg.norm(residual, axis=0).max(initial=0.0) <= tol
 
 
-def _free_fermion_ring_energy(n_outer, J):
-    """Ring ground energy (Lieb, Schultz and Mattis): the least, over fermion
-    number n_f, sum of the n_f lowest 4J cos q, with q = 2 pi (j + 1/2) / N for
-    even n_f and q = 2 pi j / N for odd n_f."""
-    j = np.arange(n_outer)
-    best = 0.0
-    for n_f in range(1, n_outer + 1):
-        q = 2.0 * np.pi * (j + 0.5 * (n_f % 2 == 0)) / n_outer
-        best = min(best, float(np.sort(4.0 * J * np.cos(q))[:n_f].sum()))
-    return best
-
-
-def _star_energy(n_outer, J):
-    """Star ground energy: -2J max_m sqrt(S(S+1) - m(m+1)) with S = N/2."""
-    S = n_outer / 2
-    m = np.arange(-S, S)
-    return float(-2.0 * J * np.sqrt(S * (S + 1) - m * (m + 1)).max())
-
-
 @pytest.mark.parametrize("n_outer", [10, 12])
 @pytest.mark.parametrize("J", [1.0, 0.7])
 def test_solve_meets_ring_and_star_closed_forms(n_outer, J):
     s = SpinSystem(n_outer, has_central=True)
-    assert abs(solve(s, J, 0.0).eigenvalues[0] - _free_fermion_ring_energy(n_outer, J)) <= 1e-10
-    assert abs(solve(s, J, 1.0).eigenvalues[0] - _star_energy(n_outer, J)) <= 1e-10
+    ring, star = oracle.free_fermion_ring_energy(n_outer, J), oracle.star_energy(n_outer, J)
+    assert abs(solve(s, J, 0.0).eigenvalues[0] - ring) <= 1e-10
+    assert abs(solve(s, J, 1.0).eigenvalues[0] - star) <= 1e-10
 
 
 def test_n12_solve_and_ground_allocate_no_dense_matrix():

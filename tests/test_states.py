@@ -92,6 +92,17 @@ def test_mix_weights_validated():
         mix([up, QuantumState.pure([1.0, 0.0, 0.0, 0.0])], [0.5, 0.5])
 
 
+def test_constructors_refuse_non_finite_input():
+    up = QuantumState.pure([1.0, 0.0])
+    for amplitudes in ([np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(DomainError, match="^amplitudes must be finite$"):
+            QuantumState.pure(amplitudes)
+    with pytest.raises(DomainError, match="^density matrix entries must be finite$"):
+        QuantumState.mixed(np.full((2, 2), np.nan))
+    with pytest.raises(DomainError, match="^weights must be finite$"):
+        mix([up, up], [np.nan, np.nan])
+
+
 # ---------------------------------------------------------------------------
 # Partial trace
 # ---------------------------------------------------------------------------

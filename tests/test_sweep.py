@@ -25,6 +25,7 @@ from spinweb import (
     run_sweep,
     singlet_coverings,
     spectral,
+    star_concurrence_closed_form,
     sweep,
 )
 from spinweb.spectral import solve
@@ -176,6 +177,47 @@ def test_batched_concurrence_equals_both_public_forms(rng):
     for rho, got in zip(generic, conc[20:]):
         assert TwoQubitRDM(rho).sz_blocks is None
         assert got == concurrence_wootters(TwoQubitRDM(rho)).value
+
+
+def test_every_reader_refuses_a_nan_rdm():
+    rho = np.diag(np.full(4, 0.25))
+    rho[0, 3] = np.nan
+    assert TwoQubitRDM(rho).sz_blocks is None
+    for reader in (concurrence_symmetric, concurrence_wootters):
+        with pytest.raises(DomainError):
+            reader(TwoQubitRDM(rho))
+    with pytest.raises(DomainError):
+        sweep._rdm_observables(rho[None])
+
+
+@pytest.mark.parametrize("n_outer", [2, 3, 4, 5])
+@pytest.mark.parametrize("references", [("ring", "star"), ("ring_eps",), ("singlet_ansatz",)],
+                         ids=",".join)
+def test_overlap_kernel_equals_the_public_functions(rng, n_outer, references):
+    # ranks a ground state never has, zero-padded to one width, as the records pad them
+    system = SpinSystem(n_outer, has_central=True)
+    refs = make_references(SweepConfig(n_outer=n_outer, c_grid=[0.5], references=references))
+    ranks = np.array([1, 2, 3, 4, 2, 1])
+    factors = np.zeros((ranks.size, system.dimension, ranks.max()), dtype=complex)
+    for f, rank in zip(factors, ranks.tolist()):
+        f[:, :rank] = rng.normal(size=(system.dimension, rank)) \
+            + 1j * rng.normal(size=(system.dimension, rank))
+        f /= np.linalg.norm(f)
+    columns = sweep._overlaps(refs, factors, ranks)
+    for i, (f, rank) in enumerate(zip(factors, ranks.tolist())):
+        want = sweep.reference_overlaps(QuantumState("mixed", f[:, :rank]), refs, system)
+        for got, value in zip(columns, want):
+            assert (got is None) == (value is None)
+            assert got is None or abs(got[i] - value) <= 1e-12, (i, got[i], value)
+
+
+@pytest.mark.parametrize("n_outer", range(2, 13))
+def test_star_endpoint_records_meet_the_closed_forms(n_outer):
+    (r,) = run_sweep(SweepConfig(n_outer=n_outer, c_grid=[1.0], references=()))
+    conc = star_concurrence_closed_form(n_outer)
+    assert abs(r.C_nn - conc) <= 1e-12 and abs(r.C_nnn - conc) <= 1e-12
+    assert r.ground_degeneracy == (2 if n_outer % 2 == 0 else 1)
+    assert abs(r.ground_energy - oracle.star_energy(n_outer, 1.0)) <= 1e-10
 
 
 def test_ring_eps_reference_replaces_plain_ring():
