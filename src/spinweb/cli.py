@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, _is_thread_count, n4
 from .errors import DomainError, ResourceLimitError
-from .spectral import _check_grid, _track, ground_subspace, solve_grid
+from .spectral import _check_grid, _track, ground_subspace, solve_grid, track_levels
 from .sweep import (ReferenceSet, SweepConfig, _chunk_records, _recorded_points,
                     make_references)
 from .system import SpinSystem
@@ -229,8 +229,7 @@ def cmd_spectrum(args) -> int:
         records = [{"c": c, "energies": [e]} for c, e in levels[0]]
         crossings, reports = [], {"note": "levels < 2: no crossing analysis"}
     else:
-        # unlike track_levels, takes a one-point grid
-        track = _track(system, args.j, grid, args.levels, solve_grid(system, args.j, grid))
+        track = track_levels(system, args.j, grid, args.levels)
         levels = track.tracked_levels
         records = {str(label): [{"c": c, "energy": e} for c, e in points]
                    for label, points in levels.items()}

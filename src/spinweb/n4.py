@@ -55,17 +55,12 @@ _NAMED["j2m0"] = (np.sqrt(2.0) * _NAMED["A"] + 2.0 * _NAMED["B"]) / _SQ6
 STATE_LABELS = tuple(_NAMED)
 
 
-@dataclass(frozen=True)
-class NamedState:
-    label: str
-    vector: np.ndarray  # 16-dimensional outer-spin state
-
-
-def named_state(label: str) -> NamedState:
-    """One of the rotationally invariant outer-spin states used throughout."""
+def named_state(label: str) -> np.ndarray:
+    """One of the rotationally invariant outer-spin states used throughout: a copy
+    of its 16-dimensional vector."""
     if label not in _NAMED:
         raise DomainError(f"unknown state label {label!r}; valid: {STATE_LABELS}")
-    return NamedState(label, _NAMED[label].copy())
+    return _NAMED[label].copy()
 
 
 def with_central(central_bit: int, outer_vector: np.ndarray) -> np.ndarray:
@@ -109,7 +104,7 @@ def verify_table_action(which: str, central_bit: int, label: str,
     key = (central_bit, label)
     if key not in ACTION_TABLE:
         raise DomainError(f"no oracle entry for central={central_bit}, label={label!r}")
-    v = with_central(central_bit, named_state(label).vector)
+    v = with_central(central_bit, named_state(label))
     energies, u = _table_hamiltonian(which)
     result = u @ (energies * (u.T @ v))
     action = ACTION_TABLE[key][0 if which == "star" else 1]
@@ -117,7 +112,7 @@ def verify_table_action(which: str, central_bit: int, label: str,
         expected = np.zeros(32)
     else:
         coeff, out_bit, out_label = action
-        expected = coeff * with_central(out_bit, named_state(out_label).vector)
+        expected = coeff * with_central(out_bit, named_state(out_label))
     return result, bool(np.abs(result - expected).max() <= tol)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count
 from typing import Callable, Optional
 
@@ -39,17 +39,16 @@ class Spectrum:
     """
 
     eigenvalues: np.ndarray
-    _columns: Callable[[int, int], np.ndarray] = field(repr=False, compare=False)
+    _columns: Callable[[slice], np.ndarray] = field(repr=False, compare=False)
     blocks: np.ndarray = field(repr=False, compare=False)
     extremes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def vectors(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
-        return self._columns(start, self.eigenvalues.size if stop is None else stop)
+        return self._columns(slice(start, stop))
 
 
 def _dense_spectrum(vals: np.ndarray, vecs: np.ndarray) -> Spectrum:
-    return Spectrum(vals, lambda start, stop: vecs[:, start:stop],
-                    np.zeros(vals.size, dtype=np.intp))
+    return Spectrum(vals, lambda columns: vecs[:, columns], np.zeros(vals.size, dtype=np.intp))
 
 
 def _solve_blocks(blocks, sectors: list[np.ndarray], dim: int) -> Spectrum:
@@ -235,9 +234,11 @@ def _momentum_blocks(system: SpinSystem) -> _Blocks:
     return _Blocks(dim, stacks, maps, gather, entries, matrix, first)
 
 
-def _columns(blocks: _Blocks, vecs: list[np.ndarray], picks: np.ndarray) -> np.ndarray:
-    """The real computational-basis columns of the entries ``picks`` of the block
-    order, one gather each from the stacks' eigenvectors ``vecs``."""
+def _columns(blocks: _Blocks, vecs: list[np.ndarray], order: np.ndarray,
+             columns: slice) -> np.ndarray:
+    """The real computational-basis columns of the entries ``order[columns]`` of
+    the block order, one gather each from the stacks' eigenvectors ``vecs``."""
+    picks = order[columns]
     out = np.zeros((blocks.dim, picks.size))
     for i, (s, b, level, part) in enumerate(blocks.entries[picks].tolist()):
         states, rows, amps = blocks.maps[s][b]
@@ -255,12 +256,6 @@ def _checked_cs(J: float, cs) -> np.ndarray:
     return cs
 
 
-def _spectrum(blocks: _Blocks, ev: np.ndarray, vecs: list[np.ndarray],
-              order: np.ndarray, extremes: np.ndarray) -> Spectrum:
-    return Spectrum(ev, lambda start, stop: _columns(blocks, vecs, order[start:stop]),
-                    blocks.matrix[order], extremes)
-
-
 def _solve_chunk(blocks: _Blocks, J: float, c: np.ndarray) -> list[Spectrum]:
     """Spectra at the c values of ``c`` (shape (points, 1, 1, 1)): one batched
     ``eigh`` per stack, each stack's matrices built just before it, and one
@@ -276,7 +271,8 @@ def _solve_chunk(blocks: _Blocks, J: float, c: np.ndarray) -> list[Spectrum]:
     ev = np.concatenate(vals, axis=1)[:, blocks.gather]
     order = np.argsort(ev, axis=1, kind="stable")
     ev = np.take_along_axis(ev, order, axis=1)
-    return [_spectrum(blocks, ev[i], [u[i] for u in vecs], order[i], extremes[i])
+    return [Spectrum(ev[i], partial(_columns, blocks, [u[i] for u in vecs], order[i]),
+                     blocks.matrix[order[i]], extremes[i])
             for i in range(c.shape[0])]
 
 
@@ -576,11 +572,10 @@ def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4) -> Lev
     ground level's continuation label changes is bisected to a width of 1e-6 in
     c on the set of ground (Sz, k) blocks, reading only block eigenvalues; it is
     a crossing only if that set changes in it.  The minimum gap seen between the
-    two blocks' lowest levels is reported with each crossing.
+    two blocks' lowest levels is reported with each crossing (none on a grid of
+    one point or none).
     """
     c_grid = _check_grid(c_grid)
-    if c_grid.size < 2:
-        raise DomainError("c_grid must have >= 2 points")
     if n_levels < 2:
         raise DomainError("n_levels must be >= 2")
     return _track(system, J, c_grid, n_levels, solve_grid(system, J, c_grid))

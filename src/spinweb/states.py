@@ -136,6 +136,7 @@ class TwoQubitRDM:
         m = np.asarray(self.matrix)
         if m.shape != (4, 4):
             raise DomainError(f"two-qubit RDM must be 4x4, got {m.shape}")
+        object.__setattr__(self, "matrix", m)
 
     @classmethod
     def from_state(cls, state: QuantumState) -> "TwoQubitRDM":

@@ -117,18 +117,17 @@ def singlet_coverings(n_outer: int) -> list[list[tuple[int, int]]]:
 
 def _covering_vector(system: SpinSystem, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     """State vector of a product of singlets over ``pairs``; unpaired sites |0>."""
-    q = system.n_qubits
     vec = np.zeros(system.dimension, dtype=complex)
-    positions = [(system.tensor_position(a), system.tensor_position(b)) for a, b in pairs]
+    masks = [(system.site_mask(a), system.site_mask(b)) for a, b in pairs]
     amp = (1.0 / np.sqrt(2.0)) ** len(pairs)
     for choice in product((0, 1), repeat=len(pairs)):
         idx = 0
         sign = 1.0
-        for (pa, pb), bit in zip(positions, choice):
+        for (ma, mb), bit in zip(masks, choice):
             if bit == 0:  # |0_a 1_b>
-                idx |= 1 << (q - 1 - pb)
+                idx |= mb
             else:  # -|1_a 0_b>
-                idx |= 1 << (q - 1 - pa)
+                idx |= ma
                 sign = -sign
         vec[idx] += sign * amp
     return vec
@@ -279,15 +278,13 @@ def ansatz_overlap(n_outer: int, state: QuantumState, system: SpinSystem) -> flo
     return float(min(scale * sigma ** 2, 1.0))
 
 
-def reference_overlaps(record_state: QuantumState, refs: ReferenceSet,
-                       system: Optional[SpinSystem] = None):
+def reference_overlaps(record_state: QuantumState, refs: ReferenceSet):
     """Fidelities (O_r, O_s, O_p) of a ground state with the references."""
     o_r = fidelity(record_state, refs.ring) if refs.ring is not None else None
     o_s = fidelity(record_state, refs.star) if refs.star is not None else None
     o_p = None
     if refs.ansatz_n_outer is not None:
-        if system is None:
-            system = SpinSystem(refs.ansatz_n_outer, has_central=True)
+        system = SpinSystem(refs.ansatz_n_outer, has_central=True)
         o_p = ansatz_overlap(refs.ansatz_n_outer, record_state, system)
     return o_r, o_s, o_p
 

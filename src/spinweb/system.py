@@ -78,8 +78,7 @@ class SpinSystem:
 
     def bit_of(self, basis_index: int, site: int) -> int:
         """Bit value of a site in a computational-basis index."""
-        pos = self.tensor_position(site)
-        return (basis_index >> (self.n_qubits - 1 - pos)) & 1
+        return int(basis_index & self.site_mask(site) != 0)
 
     def magnetization(self, basis_index: int) -> int:
         """Total sigma_z eigenvalue of a basis state (n_qubits - 2*popcount)."""

@@ -11,13 +11,13 @@ reference of the one-pass ``spectral._momentum_blocks``.
 bisection and the level matching with nothing pruned; ``bracket_ends`` gives a
 bisection that has no grid pass its ends.  ``record`` builds one sweep record from the
 public per-state functions, the reference of the batched record builder.
-``free_fermion_ring_energy`` and ``star_energy`` are the closed-form ground energies
-of the c = 0 and c = 1 endpoints.
+``free_fermion_ring`` is the exact c = 0 ground level (energy, degeneracy and
+pair observables) at any N, and ``star_energy`` the closed-form c = 1 ground energy.
 """
 
 from dataclasses import replace
 from functools import lru_cache
-from itertools import count
+from itertools import combinations, count
 
 import numpy as np
 
@@ -234,7 +234,7 @@ def record(config, system, refs, c, spec):
         gs = spectral.ground_subspace(spec)
         rho = gs.density
         nn, nnn = config.nn_pair, config.resolved_nnn_pair
-        o_r, o_s, o_p = sweep.reference_overlaps(rho, refs, system)
+        o_r, o_s, o_p = sweep.reference_overlaps(rho, refs)
         return sweep.SweepRecord(
             c=c,
             ground_energy=gs.energy,
@@ -252,16 +252,51 @@ def record(config, system, refs, c, spec):
         raise DomainError(f"sweep failed at c={c}: {exc}") from exc
 
 
-def free_fermion_ring_energy(n_outer, J):
-    """Ring ground energy (Lieb, Schultz and Mattis): the least, over fermion
-    number n_f, sum of the n_f lowest 4J cos q, with q = 2 pi (j + 1/2) / N for
-    even n_f and q = 2 pi j / N for odd n_f."""
-    j = np.arange(n_outer)
-    best = 0.0
-    for n_f in range(1, n_outer + 1):
-        q = 2.0 * np.pi * (j + 0.5 * (n_f % 2 == 0)) / n_outer
-        best = min(best, float(np.sort(4.0 * J * np.cos(q))[:n_f].sum()))
-    return best
+def free_fermion_ring(n_outer, J):
+    """The c = 0 ground level from free fermions (Lieb, Schultz and Mattis, Ann.
+    Phys. 16, 407 (1961)): (E0, degeneracy, {pair: (C, XX, ZZ)}) of the ground
+    projector mixture, for the pairs (1, 2) and (1, 3).
+
+    Jordan-Wigner along sites 1..N, a particle being bit 1, turns J H_ring into
+    hopping with modes eps = 4J cos q, q = 2 pi (j + 1/2 [M even]) / N for M
+    particles (boundary sign (-1)^(M+1)).  The ground level holds every lowest
+    filling over all M, with every choice from a partly filled shell: one Slater
+    determinant each, twice over for the free central spin.  Per determinant,
+    with G_ij = <c_i^dagger c_j> and Wick's theorem, the pair RDM has
+    v = 1 - G_ii - G_jj + <n_i n_j>, y = <n_i n_j> and z = G_ij, less
+    2 (G_ij G_ss - G_is G_sj) with a site s between; the mixture averages them.
+    """
+    n, sites, tol = n_outer, np.arange(n_outer), 1e-9
+    fillings = []  # (energy, momenta of the occupied modes)
+    for m in range(n + 1):
+        q = 2.0 * np.pi * (sites + 0.5 * (m % 2 == 0)) / n
+        eps = 4.0 * J * np.cos(q)
+        fermi = np.sort(eps)[m - 1] if m else -np.inf
+        below, shell = eps < fermi - tol, np.flatnonzero(np.abs(eps - fermi) <= tol)
+        for pick in combinations(shell.tolist(), m - int(below.sum())):
+            occupied = np.flatnonzero(below).tolist() + list(pick)
+            fillings.append((float(eps[occupied].sum()), q[occupied]))
+    e0 = min(e for e, _ in fillings)
+    ground = [q for e, q in fillings if e <= e0 + tol]
+    entries = {pair: np.zeros(4, dtype=complex) for pair in ((1, 2), (1, 3))}  # v, y, z, ZZ
+    for q in ground:
+        phi = np.exp(1j * np.outer(sites, q)) / np.sqrt(n)
+        G = phi.conj() @ phi.T
+        for (a, b), sums in entries.items():
+            i, j = a - 1, b - 1
+            nn = G[i, i] * G[j, j] - G[i, j] * G[j, i]
+            z = G[i, j]
+            if j - i == 2:
+                s = i + 1
+                z -= 2.0 * (G[i, j] * G[s, s] - G[i, s] * G[s, j])
+            sums += (1.0 - G[i, i] - G[j, j] + nn, nn, z,
+                     1.0 - 2.0 * G[i, i] - 2.0 * G[j, j] + 4.0 * nn)
+    observables = {}
+    for pair, sums in entries.items():
+        v, y, z, zz = sums / len(ground)
+        conc = 2.0 * max(0.0, abs(z) - np.sqrt(max(v.real, 0.0) * max(y.real, 0.0)))
+        observables[pair] = (conc, 2.0 * z.real, zz.real)
+    return e0, 2 * len(ground), observables
 
 
 def star_energy(n_outer, J):

@@ -6,6 +6,7 @@ tests.
 """
 
 import time
+from math import comb
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from spinweb import (
     star_concurrence_closed_form,
     track_levels,
 )
+from spinweb.operators import popcounts
 from spinweb.spectral import solve
 from spinweb.sweep import ansatz_overlap, ansatz_terms, pair_concurrence
 
@@ -154,6 +156,26 @@ def test_06_star_region_protocol():
            abs(p - 0.49) <= 0.03, f"P={p:.4f}")
 
 
+@pytest.mark.parametrize("c, min_fidelity, p_tol", [(1.0, 1 - 1e-10, 1e-10),
+                                                     (0.9, 0.985, 0.01)])
+def test_06b_central_measurement_leaves_dicke_states(c, min_fidelity, p_tol):
+    # each ground column is a|0>|x> + b|1>|y> with x, y close to Dicke states
+    worst_f, worst_p = 1.0, 0.0
+    for n in range(4, 13, 2):
+        _, gs = _ground(n, c)
+        ones = popcounts(1 << n)
+        for column in gs.basis.T:
+            for half in column.reshape(2, -1):  # central bit 0, then 1
+                p = float(np.vdot(half, half).real)
+                k = ones[np.argmax(np.abs(half))]
+                dicke = (ones == k) / np.sqrt(comb(n, k))
+                worst_f = min(worst_f, abs(np.vdot(dicke, half)) ** 2 / p)
+                worst_p = max(worst_p, abs(p - 0.5))
+    report(6, f"even N = 4..12, c = {c}: measuring the central spin leaves a Dicke state",
+           worst_f >= min_fidelity and worst_p <= p_tol,
+           f"1 - min F={1 - worst_f:.1e}, max |p - 1/2|={worst_p:.1e}")
+
+
 def test_07_wootters_equals_symmetric(sweep_data):
     worst = max(d["method_diff"] for d in sweep_data.values())
     rng = np.random.default_rng(12345)
@@ -196,6 +218,18 @@ def test_10_nnn_maximum_interior(sweep_data):
         details.append(f"N={n}: argmax c={GRID[k]:.3f}")
     report(10, "next-to-nearest concurrence peaks strictly inside (0,1)",
            ok, "; ".join(details))
+
+
+def test_10b_nnn_maximum_interior_n8_to_12():
+    # C_nnn(0) = 0 and C_nnn(0.75) > C_nnn(1): the maximum lies strictly inside
+    ok = True
+    details = []
+    for n in range(8, 13):
+        ring, inside, star = run_sweep(SweepConfig(n_outer=n, c_grid=[0.0, 0.75, 1.0],
+                                                   references=()))
+        ok = ok and ring.C_nnn < 1e-10 and inside.C_nnn > star.C_nnn
+        details.append(f"N={n}: {inside.C_nnn:.3f} > {star.C_nnn:.3f}")
+    report(10, "N = 8..12: C_nnn(0.75) exceeds both endpoints", ok, "; ".join(details))
 
 
 def test_11_coefficient_endpoints_and_closed_forms():

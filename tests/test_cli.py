@@ -254,6 +254,18 @@ def test_domain_error_exits_3(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "sweep"])
+@pytest.mark.parametrize("levels", [[], ["--levels", "1"]])
+def test_grid_that_linspace_collapses_exits_3(command, levels, capsys):
+    # one ulp between --c-min and --c-max: linspace repeats values, and on the
+    # spectrum --levels 1 path the flags' grid check is the only one to see it
+    assert run_cli(command, "--n", "3", "--c-min", "0.5", "--c-max", "0.5000000000000001",
+                   "--c-steps", "10", *levels) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: c_grid must be strictly increasing\n"
+
+
 def test_unknown_reference_exits_3():
     assert run_cli("sweep", "--n", "4", "--c-steps", "2",
                    "--refs", "bogus") == 3

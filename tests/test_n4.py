@@ -13,7 +13,7 @@ from spinweb import DomainError, n4, spectral
 
 def test_named_states_are_normalized():
     for label in n4.STATE_LABELS:
-        v = n4.named_state(label).vector
+        v = n4.named_state(label)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
@@ -22,14 +22,14 @@ def test_named_states_orthogonality():
     labels = ["A", "B", "C1", "C3", "C1p", "C3p", "D"]
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
-            ip = n4.named_state(a).vector @ n4.named_state(b).vector
+            ip = n4.named_state(a) @ n4.named_state(b)
             assert abs(ip) < 1e-12
 
 
 def test_j2m0_composition():
-    v = n4.named_state("j2m0").vector
-    expected = (np.sqrt(2) * n4.named_state("A").vector
-                + 2.0 * n4.named_state("B").vector) / np.sqrt(6)
+    v = n4.named_state("j2m0")
+    expected = (np.sqrt(2) * n4.named_state("A")
+                + 2.0 * n4.named_state("B")) / np.sqrt(6)
     np.testing.assert_allclose(v, expected, atol=1e-12)
 
 
@@ -39,7 +39,7 @@ def test_unknown_label_rejected():
 
 
 def test_with_central_places_most_significant_bit():
-    v = n4.with_central(1, n4.named_state("ZERO4").vector)
+    v = n4.with_central(1, n4.named_state("ZERO4"))
     assert v[16] == pytest.approx(1.0)
     assert np.abs(v[:16]).max() == 0.0
 

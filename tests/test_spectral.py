@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import tracemalloc
 import warnings
 import weakref
@@ -118,10 +119,21 @@ def test_track_levels_no_crossing_for_pure_star_window():
     assert track.crossings == []
 
 
+def test_one_point_track_is_what_spectrum_writes(capsys):
+    s = SpinSystem(4, has_central=True)
+    track = track_levels(s, 1.0, [0.0])
+    assert track.crossings == [] and track.flagged_intervals == []
+    assert main(["spectrum", "--n", "4", "--c-steps", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["crossings"] == []
+    assert payload["records"] == {str(label): [{"c": c, "energy": e} for c, e in points]
+                                  for label, points in track.tracked_levels.items()}
+    empty = track_levels(s, 1.0, [])
+    assert (empty.c_grid.size, empty.tracked_levels, empty.crossings) == (0, {}, [])
+
+
 def test_track_levels_validates_grid(monkeypatch):
     s = SpinSystem(4, has_central=True)
-    with pytest.raises(DomainError):
-        track_levels(s, 1.0, [0.5])
     with pytest.raises(DomainError):
         track_levels(s, 1.0, [0.3, 0.2])
     with pytest.raises(DomainError):
@@ -596,7 +608,7 @@ def test_solve_columns_are_real_orthonormal_sector_eigenvectors(n_outer, cs):
 @pytest.mark.parametrize("J", [1.0, 0.7])
 def test_solve_meets_ring_and_star_closed_forms(n_outer, J):
     s = SpinSystem(n_outer, has_central=True)
-    ring, star = oracle.free_fermion_ring_energy(n_outer, J), oracle.star_energy(n_outer, J)
+    ring, star = oracle.free_fermion_ring(n_outer, J)[0], oracle.star_energy(n_outer, J)
     assert abs(solve(s, J, 0.0).eigenvalues[0] - ring) <= 1e-10
     assert abs(solve(s, J, 1.0).eigenvalues[0] - star) <= 1e-10
 

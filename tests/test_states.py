@@ -13,6 +13,7 @@ from spinweb import (
     QuantumState,
     SpinSystem,
     TwoQubitRDM,
+    concurrence_symmetric,
     fidelity,
     mix,
     partial_trace,
@@ -178,6 +179,14 @@ def test_sz_blocks_detected(rng):
     v, w, x, y, z = blocks
     assert abs(v + w + x + y - 1.0) < 1e-12
     assert z == rho[1, 2]
+
+
+@pytest.mark.parametrize("container", [list, tuple])
+def test_rdm_given_as_nested_sequences_reads_its_blocks(container):
+    m = container(container(row) for row in np.diag([0.25] * 4).tolist())
+    rdm = TwoQubitRDM(m)
+    assert rdm.sz_blocks is not None
+    assert concurrence_symmetric(rdm).value == 0.0
 
 
 def test_sz_blocks_none_for_generic_matrix():

@@ -205,7 +205,7 @@ def test_overlap_kernel_equals_the_public_functions(rng, n_outer, references):
         f /= np.linalg.norm(f)
     columns = sweep._overlaps(refs, factors, ranks)
     for i, (f, rank) in enumerate(zip(factors, ranks.tolist())):
-        want = sweep.reference_overlaps(QuantumState("mixed", f[:, :rank]), refs, system)
+        want = sweep.reference_overlaps(QuantumState("mixed", f[:, :rank]), refs)
         for got, value in zip(columns, want):
             assert (got is None) == (value is None)
             assert got is None or abs(got[i] - value) <= 1e-12, (i, got[i], value)
@@ -218,6 +218,18 @@ def test_star_endpoint_records_meet_the_closed_forms(n_outer):
     assert abs(r.C_nn - conc) <= 1e-12 and abs(r.C_nnn - conc) <= 1e-12
     assert r.ground_degeneracy == (2 if n_outer % 2 == 0 else 1)
     assert abs(r.ground_energy - oracle.star_energy(n_outer, 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("n_outer", range(3, 13))
+@pytest.mark.parametrize("J", [1.0, -1.0, 0.7])
+def test_ring_endpoint_records_meet_the_free_fermion_model(n_outer, J):
+    (r,) = run_sweep(SweepConfig(n_outer=n_outer, J=J, c_grid=[0.0], references=()))
+    energy, degeneracy, pairs = oracle.free_fermion_ring(n_outer, J)
+    assert abs(r.ground_energy - energy) <= 1e-10
+    assert r.ground_degeneracy == degeneracy
+    for got, pair in (((r.C_nn, r.XX_nn, r.ZZ_nn), (1, 2)),
+                      ((r.C_nnn, r.XX_nnn, r.ZZ_nnn), (1, 3))):
+        np.testing.assert_allclose(got, pairs[pair], rtol=0, atol=1e-10, err_msg=str(pair))
 
 
 def test_ring_eps_reference_replaces_plain_ring():
