@@ -32,7 +32,7 @@ for n, c_values in ((4, [0.02, 0.05, 0.2]), (6, [0.0, 0.05, 0.2]),
     print(f"\nN = {n}: best ansatz overlap with the ground state")
     for c in c_values:
         gs = ground_subspace(solve(system, 1.0, c))
-        f = ansatz_overlap(n, gs.density, system)
+        f = ansatz_overlap(n, gs.density)
         print(f"  c = {c:<5} F = {f:.6f}")
 
 # For N = 5 the overlap climbs steadily and peaks just below the ground-level

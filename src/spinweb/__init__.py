@@ -27,7 +27,6 @@ if _threads and _is_thread_count(_threads):
         _os.environ.setdefault(_var, _threads)
 
 from .entanglement import (
-    ConcurrenceResult,
     concurrence_symmetric,
     concurrence_wootters,
     correlation,
@@ -72,7 +71,7 @@ from . import n4
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConcurrenceResult", "concurrence_symmetric", "concurrence_wootters",
+    "concurrence_symmetric", "concurrence_wootters",
     "correlation", "entanglement_of_formation", "star_concurrence_closed_form",
     "DomainError", "ResourceLimitError", "SpinwebError",
     "CouplingConfig", "build_combined", "build_ring", "build_star",

@@ -23,8 +23,7 @@ import numpy as np
 from . import __version__, _is_thread_count, n4
 from .errors import DomainError, ResourceLimitError
 from .spectral import _check_grid, _track, ground_subspace, solve_grid, track_levels
-from .sweep import (ReferenceSet, SweepConfig, _chunk_records, _recorded_points,
-                    make_references)
+from .sweep import ReferenceSet, SweepConfig, _chunk_records, _recorded_points
 from .system import SpinSystem
 
 # Everything alive now (stdlib, numpy, spinweb) lives until exit: freezing it
@@ -208,7 +207,7 @@ def cmd_sweep(args) -> int:
     )
     records = []
     # one grid pass feeds the records, a chunk at a time, and the tracker
-    points = _recorded_points(config, system, make_references(config), records)
+    points = _recorded_points(config, records)
     crossings = _track(system, config.J, config.c_grid, max(2, args.levels), points).crossings
     rows = [_record_row(r) for r in records]
     cols = [c for c in SWEEP_COLUMNS if c != "O_p" or any(r.O_p is not None for r in records)]
@@ -281,8 +280,8 @@ def cmd_verify_n4(args) -> int:
 
     for (bit, label) in n4.ACTION_TABLE:
         for which in ("star", "ring"):
-            _, ok = n4.verify_table_action(which, bit, label)
-            checks.append((f"action_table[{which}, |{bit}>|{label}>]", ok))
+            checks.append((f"action_table[{which}, |{bit}>|{label}>]",
+                           n4.verify_table_action(which, bit, label)))
 
     cs = (0.0, 0.2, 0.4, 0.9, 1.0)
     spectra = list(solve_grid(n4.FULL, 1.0, cs))
@@ -295,8 +294,7 @@ def cmd_verify_n4(args) -> int:
         checks.append((f"coefficients at c={c:g}", err < 1e-8))
 
     # the concurrences of the (1, 2) and (1, 3) pairs as ``sweep`` reports them
-    records = _chunk_records(SweepConfig(n_outer=4, c_grid=cs), n4.FULL, ReferenceSet(),
-                             list(cs), spectra)
+    records = _chunk_records(SweepConfig(n_outer=4, c_grid=cs), ReferenceSet(), list(cs), spectra)
     for c, r in zip(cs, records):
         c_nn, c_nnn = n4.level_I_concurrences(coeffs[c])
         ok = abs(c_nn - r.C_nn) < 1e-8 and abs(c_nnn - r.C_nnn) < 1e-8

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -14,13 +12,7 @@ from .system import SpinSystem
 _SY_SY = np.kron(PAULI["y"], PAULI["y"])
 
 
-@dataclass(frozen=True)
-class ConcurrenceResult:
-    value: float
-    method: str  # "wootters" or "symmetric_blocks"
-
-
-def concurrence_wootters(rho: TwoQubitRDM) -> ConcurrenceResult:
+def concurrence_wootters(rho: TwoQubitRDM) -> float:
     """Wootters concurrence C = max{0, l1 - l2 - l3 - l4}.
 
     The l_i are the descending square roots of the eigenvalues of
@@ -36,11 +28,10 @@ def concurrence_wootters(rho: TwoQubitRDM) -> ConcurrenceResult:
     sqrt_m = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
     a = sqrt_m @ _SY_SY @ sqrt_m.conj()
     lam = np.linalg.svd(a, compute_uv=False)
-    c = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
-    return ConcurrenceResult(min(c, 1.0), "wootters")
+    return float(min(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]), 1.0))
 
 
-def concurrence_symmetric(rho: TwoQubitRDM) -> ConcurrenceResult:
+def concurrence_symmetric(rho: TwoQubitRDM) -> float:
     """Concurrence shortcut C = 2 max{|z| - sqrt(v*y), 0} for Sz-block RDMs."""
     blocks = rho.sz_blocks
     if blocks is None:
@@ -48,8 +39,7 @@ def concurrence_symmetric(rho: TwoQubitRDM) -> ConcurrenceResult:
             "RDM is not Sz-block-diagonal; use concurrence_wootters"
         )
     v, _, _, y, z = blocks
-    c = 2.0 * max(abs(z) - np.sqrt(max(v, 0.0) * max(y, 0.0)), 0.0)
-    return ConcurrenceResult(min(float(c), 1.0), "symmetric_blocks")
+    return float(min(2.0 * max(abs(z) - np.sqrt(max(v, 0.0) * max(y, 0.0)), 0.0), 1.0))
 
 
 def star_concurrence_closed_form(n_outer: int) -> float:
@@ -81,6 +71,7 @@ def correlation(state: QuantumState, system: SpinSystem, axis: str,
     the two sites' bits: XX = Re vdot(F, F[b ^ m]), YY that gather signed -1 where
     the bits agree, ZZ = sum(sign |F|^2) with sign -1 where the bits differ."""
     _check_pair(system, site_i, site_j, axis)
+    system.validate_state(state)
     m = system.site_mask(site_i) | system.site_mask(site_j)
     b = np.arange(system.dimension)
     f = state.factor

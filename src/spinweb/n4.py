@@ -92,12 +92,11 @@ ACTION_TABLE = {
 }
 
 
-def verify_table_action(which: str, central_bit: int, label: str,
-                        tol: float = 1e-12):
+def verify_table_action(which: str, central_bit: int, label: str) -> bool:
     """Apply H_star or H_ring (J=1) to |central>|label> and check the oracle.
 
     H is U diag(E) U^T from ``solve`` at c = 1 (star) or 0 (ring), as sweeps use
-    it; each of the two is solved once per process.  Returns (result_vector, match).
+    it; each is solved once per process.  True if the result matches the table to 1e-12.
     """
     if which not in ("star", "ring"):
         raise DomainError(f"which must be 'star' or 'ring', got {which!r}")
@@ -113,7 +112,7 @@ def verify_table_action(which: str, central_bit: int, label: str,
     else:
         coeff, out_bit, out_label = action
         expected = coeff * with_central(out_bit, named_state(out_label))
-    return result, bool(np.abs(result - expected).max() <= tol)
+    return bool(np.abs(result - expected).max() <= 1e-12)
 
 
 @lru_cache(maxsize=None)

@@ -374,7 +374,6 @@ class Crossing:
 
 @dataclass
 class LevelTrack:
-    c_grid: np.ndarray
     tracked_levels: dict[int, list[tuple[float, float]]]  # label -> [(c, energy)]
     crossings: list[Crossing]
     flagged_intervals: list[tuple[float, float]] = field(default_factory=list)
@@ -613,4 +612,4 @@ def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
         prev_ground = ground
         prev_c, prev_extremes = c, extremes
 
-    return LevelTrack(c_grid, tracked, crossings, flagged)
+    return LevelTrack(tracked, crossings, flagged)

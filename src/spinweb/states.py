@@ -113,6 +113,7 @@ def partial_trace(state: QuantumState, system: SpinSystem, keep: Sequence[int]) 
         raise DomainError(f"duplicate site labels in keep: {keep}")
     for s in keep:
         system.validate_site(s)
+    system.validate_state(state)
 
     q = system.n_qubits
     f = state.factor.reshape((2,) * q + (-1,))

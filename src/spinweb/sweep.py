@@ -262,7 +262,7 @@ def _span_basis(n_outer: int) -> np.ndarray:
     return q
 
 
-def ansatz_overlap(n_outer: int, state: QuantumState, system: SpinSystem) -> float:
+def ansatz_overlap(n_outer: int, state: QuantumState) -> float:
     """Best overlap of the singlet-covering span with a ground state.
 
     It is scale * sigma_max(Q^dagger F)^2 for an orthonormal basis Q of the
@@ -271,8 +271,8 @@ def ansatz_overlap(n_outer: int, state: QuantumState, system: SpinSystem) -> flo
     Even N: the central spin is unpaired in the ansatz and traced out of F.
     """
     odd = n_outer % 2 == 1
-    factor = state.factor if odd else \
-        partial_trace(state, system, list(range(1, n_outer + 1))).factor
+    factor = partial_trace(state, SpinSystem(n_outer, has_central=True),
+                           range(0 if odd else 1, n_outer + 1)).factor
     scale = factor.shape[1] if odd else 1
     sigma = np.linalg.norm(_span_basis(n_outer).conj().T @ factor, 2)
     return float(min(scale * sigma ** 2, 1.0))
@@ -284,8 +284,7 @@ def reference_overlaps(record_state: QuantumState, refs: ReferenceSet):
     o_s = fidelity(record_state, refs.star) if refs.star is not None else None
     o_p = None
     if refs.ansatz_n_outer is not None:
-        system = SpinSystem(refs.ansatz_n_outer, has_central=True)
-        o_p = ansatz_overlap(refs.ansatz_n_outer, record_state, system)
+        o_p = ansatz_overlap(refs.ansatz_n_outer, record_state)
     return o_r, o_s, o_p
 
 
@@ -302,8 +301,8 @@ def pair_concurrence(density: QuantumState, system: SpinSystem,
     """
     rdm = TwoQubitRDM.from_state(partial_trace(density, system, list(pair)))
     if rdm.sz_blocks is not None:
-        return concurrence_symmetric(rdm).value
-    return concurrence_wootters(rdm).value
+        return concurrence_symmetric(rdm)
+    return concurrence_wootters(rdm)
 
 
 def _pair_rows(system: SpinSystem, pair: tuple[int, int]) -> np.ndarray:
@@ -336,7 +335,7 @@ def _rdm_observables(rdms: np.ndarray):
     conc = np.minimum(2.0 * np.maximum(
         np.abs(rdms[:, 1, 2]) - np.sqrt(np.maximum(v, 0.0) * np.maximum(y, 0.0)), 0.0), 1.0)
     for i in np.flatnonzero(~sz_blocked(rdms)).tolist():
-        conc[i] = concurrence_wootters(TwoQubitRDM(rdms[i])).value
+        conc[i] = concurrence_wootters(TwoQubitRDM(rdms[i]))
     return conc, xx, zz
 
 
@@ -365,12 +364,13 @@ def _overlaps(refs: ReferenceSet, factors: np.ndarray, deg: np.ndarray):
     return o_r, o_s, o_p
 
 
-def _chunk_records(config: SweepConfig, system: SpinSystem, refs: ReferenceSet,
-                   cs: list, spectra: list) -> list[SweepRecord]:
+def _chunk_records(config: SweepConfig, refs: ReferenceSet, cs: list,
+                   spectra: list) -> list[SweepRecord]:
     """The SweepRecords of the grid points ``cs`` from their spectra ``spectra``,
     all at once: ``ground_subspace``'s degeneracy from the eigenvalue rows, one
     zero-padded (points x dim x max-degeneracy) array of the ground factors
     B / sqrt(deg), one batched RDM product per pair and ``_overlaps``."""
+    system = SpinSystem(config.n_outer, has_central=True)
     ev = np.stack([spec.eigenvalues for spec in spectra])
     deg = np.count_nonzero(ev <= _ground_bound(ev[..., :1], ev[..., -1:]), axis=1)
     bases = [spec.vectors(0, d) for spec, d in zip(spectra, deg.tolist())]
@@ -394,24 +394,23 @@ def _chunk_records(config: SweepConfig, system: SpinSystem, refs: ReferenceSet,
             for i, (c, e, d) in enumerate(zip(cs, low, deg.tolist()))]
 
 
-def _recorded_points(config: SweepConfig, system: SpinSystem, refs: ReferenceSet,
-                     records: list):
+def _recorded_points(config: SweepConfig, records: list):
     """Yield the spectrum of each grid point of ``config``, in order, from one
     ``_grid_chunks`` pass.  The records of each solve chunk are built together by
     ``_chunk_records`` and appended to ``records`` before the chunk's first
     spectrum is yielded; the chunk's spectra are handed out and none is kept, so
     a chunk and its ground factors are dropped before the next one is solved."""
-    cs = iter(config.c_grid.tolist())
+    refs, cs = make_references(config), iter(config.c_grid.tolist())
+    system = SpinSystem(config.n_outer, has_central=True)
     for chunk in _grid_chunks(system, config.J, config.c_grid):
-        records += _chunk_records(config, system, refs, list(islice(cs, len(chunk))), chunk)
+        records += _chunk_records(config, refs, list(islice(cs, len(chunk))), chunk)
         yield from _hand_out(chunk)
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Compute one SweepRecord per grid point, in grid order, from one
     ``_grid_chunks`` pass, a solve chunk at a time."""
-    system = SpinSystem(config.n_outer, has_central=True)
     records: list[SweepRecord] = []
     # consumed without binding a spectrum, which would pin its chunk while the next is solved
-    deque(_recorded_points(config, system, make_references(config), records), maxlen=0)
+    deque(_recorded_points(config, records), maxlen=0)
     return records

@@ -65,6 +65,11 @@ class SpinSystem:
                 f"has_central={self.has_central}"
             )
 
+    def validate_state(self, state) -> None:
+        if state.dimension != self.dimension:
+            raise DomainError(f"state dimension {state.dimension} does not match the "
+                              f"system's {self.dimension} ({self.n_qubits} qubits)")
+
     def tensor_position(self, site: int) -> int:
         """Position of a site in the tensor-product factor order (0 = MSB)."""
         self.validate_site(site)

@@ -29,7 +29,7 @@ from spinweb import (
     track_levels,
 )
 from spinweb.operators import popcounts
-from spinweb.spectral import solve
+from spinweb.spectral import _grid_ground_blocks, _refine_crossing, solve
 from spinweb.sweep import ansatz_overlap, ansatz_terms, pair_concurrence
 
 from conftest import random_sz_block_rdm
@@ -67,8 +67,8 @@ def sweep_data():
             for pair, acc in (((1, 2), c_nn), ((1, 3), c_nnn)):
                 rdm = TwoQubitRDM.from_state(
                     partial_trace(gs.density, system, list(pair)))
-                w = concurrence_wootters(rdm).value
-                s = concurrence_symmetric(rdm).value
+                w = concurrence_wootters(rdm)
+                s = concurrence_symmetric(rdm)
                 max_method_diff = max(max_method_diff, abs(w - s))
                 acc.append(s)
         data[n] = {"C_nn": np.array(c_nn), "C_nnn": np.array(c_nnn),
@@ -106,8 +106,7 @@ def test_03_operator_action_oracle():
     bad = []
     for bit, label in sorted(n4.ACTION_TABLE):
         for which in ("star", "ring"):
-            _, ok = n4.verify_table_action(which, bit, label, tol=1e-12)
-            if not ok:
+            if not n4.verify_table_action(which, bit, label):
                 bad.append((which, bit, label))
     report(3, "all 28 tabulated operator actions reproduced to 1e-12",
            not bad, f"failures={bad}" if bad else "28/28")
@@ -132,6 +131,29 @@ def test_04_intermediate_region():
             ok = ok and c_nn < 1e-10 and c_nnn < 1e-10 and zz > 0.05
     report(4, "N=4: two crossings; zero concurrence but finite ZZ between them",
            ok, detail)
+
+
+@pytest.mark.parametrize("n_outer, jumps, returns", [(8, (0.400219, 0.746338), True),
+                                                     (10, (0.360075,), False),
+                                                     (12, (0.328624, 0.742683), True)])
+def test_04b_ground_level_jumps_n8_to_12(n_outer, jumps, returns):
+    # the set of ground (Sz, k) blocks on a 21-point scan, each change bisected
+    # as the tracker does; a jump is a change to a set that shares no block with
+    # the one before it, and for N = 8 and 12 the ring's ground set returns at c = 1
+    system = SpinSystem(n_outer, has_central=True)
+    grid = np.linspace(0.0, 1.0, 21)
+    extremes, grounds = _grid_ground_blocks(system, 1.0, grid)
+    found, disjoint = [], True
+    for i in np.flatnonzero([a != b for a, b in zip(grounds, grounds[1:])]).tolist():
+        c_lo, c_hi, _ = _refine_crossing(system, 1.0, grid[i], grid[i + 1], extremes[i:i + 2])
+        found.append(0.5 * (c_lo + c_hi))
+        _, (below, above) = _grid_ground_blocks(system, 1.0, [c_lo, c_hi])
+        disjoint = disjoint and not below & above
+    ok = (len(found) == len(jumps) and disjoint and (grounds[0] == grounds[-1]) == returns
+          and all(abs(c - want) <= 1e-5 for c, want in zip(found, jumps)))
+    report(4, f"N={n_outer}: ground-level jumps at {jumps}, "
+           f"{'back to' if returns else 'not back to'} the ring's ground at c=1",
+           ok, "found " + ", ".join(f"{c:.6f}" for c in found))
 
 
 def test_05_ghz_protocol_at_midpoint():
@@ -181,8 +203,7 @@ def test_07_wootters_equals_symmetric(sweep_data):
     rng = np.random.default_rng(12345)
     for _ in range(1000):
         rdm = TwoQubitRDM(random_sz_block_rdm(rng))
-        diff = abs(concurrence_wootters(rdm).value
-                   - concurrence_symmetric(rdm).value)
+        diff = abs(concurrence_wootters(rdm) - concurrence_symmetric(rdm))
         worst = max(worst, diff)
     report(7, "Wootters and block-shortcut concurrences agree to 1e-9",
            worst <= 1e-9, f"max diff={worst:.2e}")
@@ -262,7 +283,7 @@ def _best_overlap(n_outer, c_values):
     best_c = None
     for c in c_values:
         gs = ground_subspace(solve(system, 1.0, float(c)))
-        f = ansatz_overlap(n_outer, gs.density, system)
+        f = ansatz_overlap(n_outer, gs.density)
         if f > best:
             best, best_c = f, float(c)
     return best, best_c
@@ -271,7 +292,7 @@ def _best_overlap(n_outer, c_values):
 def test_12a_ansatz_fidelity_n4():
     system = SpinSystem(4, has_central=True)
     gs = ground_subspace(solve(system, 1.0, 0.05))
-    f = ansatz_overlap(4, gs.density, system)
+    f = ansatz_overlap(4, gs.density)
     report(12, "N=4 singlet-ansatz fidelity at c=0.05 exceeds 0.97",
            f > 0.97, f"F={f:.5f}")
 
@@ -325,7 +346,7 @@ def test_12c_covering_span_bounds_n5_fidelity():
         gs = ground_subspace(solve(system, 1.0, float(c)))
         overlap = t.conj().T @ gs.basis @ gs.basis.conj().T @ t
         lam_max = scipy.linalg.eigh(overlap, gram, eigvals_only=True)[-1]
-        f = ansatz_overlap(5, gs.density, system)
+        f = ansatz_overlap(5, gs.density)
         worst = max(worst, abs(f - lam_max))
     report(12, "N=5 covering span is the S_tot=0 subspace and "
            "ansatz_overlap is the exact maximum over it",

@@ -28,17 +28,17 @@ def _rdm(rho):
 def test_bell_state_concurrence_is_one():
     psi = np.array([0, 1, -1, 0]) / np.sqrt(2)
     rho = np.outer(psi, psi)
-    assert concurrence_wootters(_rdm(rho)).value == pytest.approx(1.0, abs=1e-12)
-    assert concurrence_symmetric(_rdm(rho)).value == pytest.approx(1.0, abs=1e-12)
+    assert concurrence_wootters(_rdm(rho)) == pytest.approx(1.0, abs=1e-12)
+    assert concurrence_symmetric(_rdm(rho)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_product_state_concurrence_is_zero():
     rho = np.diag([1.0, 0.0, 0.0, 0.0])
-    assert concurrence_wootters(_rdm(rho)).value == 0.0
+    assert concurrence_wootters(_rdm(rho)) == 0.0
 
 
 def test_maximally_mixed_concurrence_is_zero():
-    assert concurrence_wootters(_rdm(np.eye(4) / 4)).value == 0.0
+    assert concurrence_wootters(_rdm(np.eye(4) / 4)) == 0.0
 
 
 def test_werner_state_concurrence():
@@ -47,7 +47,7 @@ def test_werner_state_concurrence():
     singlet = np.outer(psi, psi)
     for p, expected in ((0.8, 0.7), (0.5, 0.25), (1 / 3, 0.0), (0.2, 0.0)):
         rho = p * singlet + (1 - p) * np.eye(4) / 4
-        got = concurrence_wootters(_rdm(rho)).value
+        got = concurrence_wootters(_rdm(rho))
         assert got == pytest.approx(expected, abs=1e-10)
 
 
@@ -55,7 +55,7 @@ def test_partially_entangled_pure_state():
     # |psi> = a|01> + b|10> has C = 2|ab|
     a, b = 0.6, 0.8
     psi = np.array([0, a, b, 0])
-    c = concurrence_wootters(_rdm(np.outer(psi, psi))).value
+    c = concurrence_wootters(_rdm(np.outer(psi, psi)))
     assert c == pytest.approx(2 * a * b, abs=1e-12)
 
 
@@ -64,8 +64,8 @@ def test_partially_entangled_pure_state():
 def test_symmetric_shortcut_equals_wootters_on_block_states(seed):
     rho = random_sz_block_rdm(np.random.default_rng(seed))
     rdm = _rdm(rho)
-    w = concurrence_wootters(rdm).value
-    s = concurrence_symmetric(rdm).value
+    w = concurrence_wootters(rdm)
+    s = concurrence_symmetric(rdm)
     assert abs(w - s) < 1e-9
 
 

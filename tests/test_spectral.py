@@ -129,7 +129,7 @@ def test_one_point_track_is_what_spectrum_writes(capsys):
     assert payload["records"] == {str(label): [{"c": c, "energy": e} for c, e in points]
                                   for label, points in track.tracked_levels.items()}
     empty = track_levels(s, 1.0, [])
-    assert (empty.c_grid.size, empty.tracked_levels, empty.crossings) == (0, {}, [])
+    assert (empty.tracked_levels, empty.crossings) == ({}, [])
 
 
 def test_track_levels_validates_grid(monkeypatch):
@@ -543,8 +543,7 @@ def test_n12_sweep_holds_no_more_than_one_point(tmp_path):
 def test_grid_generators_keep_no_spectrum_they_handed_out():
     system, grid = SpinSystem(3, has_central=True), np.linspace(0.0, 1.0, 5)
     config = SweepConfig(n_outer=3, c_grid=grid)
-    for points in (spectral.solve_grid(system, 1.0, grid),
-                   sweep._recorded_points(config, system, sweep.make_references(config), [])):
+    for points in (spectral.solve_grid(system, 1.0, grid), sweep._recorded_points(config, [])):
         spectra = [next(points) for _ in grid]
         first = spectra[0].eigenvalues.base
         assert all(spec.eigenvalues.base is first for spec in spectra)  # one chunk
@@ -560,7 +559,7 @@ def _grid_run(n_outer):
     config = SweepConfig(n_outer=n_outer, references=("ring", "star", "singlet_ansatz"))
     system = SpinSystem(n_outer, has_central=True)
     records = []
-    points = sweep._recorded_points(config, system, sweep.make_references(config), records)
+    points = sweep._recorded_points(config, records)
     track = spectral._track(system, config.J, config.c_grid, config.n_levels, points)
     return records, track.crossings
 

@@ -14,10 +14,13 @@ from spinweb import (
     SpinSystem,
     TwoQubitRDM,
     concurrence_symmetric,
+    correlation,
     fidelity,
     mix,
+    n4,
     partial_trace,
 )
+from spinweb.sweep import ansatz_overlap, pair_concurrence
 
 from conftest import random_sz_block_rdm
 
@@ -168,6 +171,22 @@ def test_partial_trace_rejects_bad_keep():
         partial_trace(state, s, [7])
 
 
+@pytest.mark.parametrize("state_dim, system_dim, call", [
+    (16, 8, lambda rho: partial_trace(rho, SpinSystem(2), [1, 2])),
+    (16, 8, lambda rho: pair_concurrence(rho, SpinSystem(2), (1, 2))),
+    (16, 8, lambda rho: correlation(rho, SpinSystem(2), "x", 1, 2)),
+    (32, 16, n4.bipartition_entropies),
+    (64, 32, lambda rho: ansatz_overlap(4, rho)),
+    (32, 64, lambda rho: ansatz_overlap(5, rho)),
+], ids=["partial_trace", "pair_concurrence", "correlation", "bipartition_entropies",
+        "ansatz_overlap_even", "ansatz_overlap_odd"])
+def test_state_of_another_size_is_rejected(rng, state_dim, system_dim, call):
+    # a reshape to the system's qubits would read a larger state's extra qubits as
+    # rank columns, and a smaller one's would fail inside numpy
+    with pytest.raises(DomainError, match=f"state dimension {state_dim} .* {system_dim} "):
+        call(_random_pure(rng, state_dim))
+
+
 # ---------------------------------------------------------------------------
 # TwoQubitRDM block structure
 # ---------------------------------------------------------------------------
@@ -186,7 +205,7 @@ def test_rdm_given_as_nested_sequences_reads_its_blocks(container):
     m = container(container(row) for row in np.diag([0.25] * 4).tolist())
     rdm = TwoQubitRDM(m)
     assert rdm.sz_blocks is not None
-    assert concurrence_symmetric(rdm).value == 0.0
+    assert concurrence_symmetric(rdm) == 0.0
 
 
 def test_sz_blocks_none_for_generic_matrix():

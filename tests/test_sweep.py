@@ -172,11 +172,11 @@ def test_batched_concurrence_equals_both_public_forms(rng):
     conc = sweep._rdm_observables(np.concatenate([blocks, generic]))[0]
     for rho, got in zip(blocks, conc[:20]):
         # numpy's complex abs may differ from Python's in the last bit
-        assert abs(got - concurrence_symmetric(TwoQubitRDM(rho)).value) <= 1e-15
-        assert abs(got - concurrence_wootters(TwoQubitRDM(rho)).value) <= 1e-10
+        assert abs(got - concurrence_symmetric(TwoQubitRDM(rho))) <= 1e-15
+        assert abs(got - concurrence_wootters(TwoQubitRDM(rho))) <= 1e-10
     for rho, got in zip(generic, conc[20:]):
         assert TwoQubitRDM(rho).sz_blocks is None
-        assert got == concurrence_wootters(TwoQubitRDM(rho)).value
+        assert got == concurrence_wootters(TwoQubitRDM(rho))
 
 
 def test_every_reader_refuses_a_nan_rdm():
@@ -270,12 +270,12 @@ def test_odd_n_ansatz_overlap_rises_toward_level_change():
 # ---------------------------------------------------------------------------
 
 def _ansatz_target(n_outer, c):
-    """System, ground density, and the (target, scale) the span is compared with."""
+    """Ground density, and the (target, scale) the span is compared with."""
     system = SpinSystem(n_outer, has_central=True)
     rho = ground_subspace(solve(system, 1.0, float(c))).density
     if n_outer % 2 == 1:
-        return system, rho, rho, rho.factor.shape[1]
-    return system, rho, partial_trace(rho, system, list(range(1, n_outer + 1))), 1
+        return rho, rho, rho.factor.shape[1]
+    return rho, partial_trace(rho, system, list(range(1, n_outer + 1))), 1
 
 
 @pytest.mark.parametrize("n_outer", [4, 5, 6])
@@ -285,10 +285,9 @@ def test_closed_form_equals_phase_optimum(n_outer):
     terms = ansatz_terms(n_outer, include_central=n_outer % 2 == 1)
     worst = 0.0
     for c in np.linspace(0.0, 1.0, 101):
-        system, rho, target, scale = _ansatz_target(n_outer, c)
+        rho, target, scale = _ansatz_target(n_outer, c)
         _, fid = optimize_ansatz_phases(n_outer, target, phase_steps=24, terms=terms)
-        worst = max(worst, abs(ansatz_overlap(n_outer, rho, system)
-                               - min(scale * fid, 1.0)))
+        worst = max(worst, abs(ansatz_overlap(n_outer, rho) - min(scale * fid, 1.0)))
     assert worst <= 1e-10
 
 
@@ -300,10 +299,10 @@ def test_closed_form_equals_projector_oracle(n_outer):
     span = t @ np.linalg.pinv(t)
     worst = 0.0
     for c in np.linspace(0.0, 1.0, 41):
-        system, rho, target, scale = _ansatz_target(n_outer, c)
+        rho, target, scale = _ansatz_target(n_outer, c)
         f = target.factor
         oracle = scale * np.linalg.eigvalsh(f.conj().T @ span @ f)[-1]
-        worst = max(worst, abs(ansatz_overlap(n_outer, rho, system) - min(oracle, 1.0)))
+        worst = max(worst, abs(ansatz_overlap(n_outer, rho) - min(oracle, 1.0)))
     assert worst <= 1e-10
 
 
