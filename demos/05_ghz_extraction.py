@@ -21,7 +21,7 @@ coeffs = n4.extract_coefficients(ground_subspace(solve(n4.FULL, 1.0, c)))
 print(f"level {coeffs.level} coefficients: alpha' = {coeffs.alpha_p:+.5f}, "
       f"gamma' = {coeffs.gamma_p:+.5f}")
 
-for o in n4.ghz_protocol(c, region=(lo, hi)):
+for o in n4.ghz_protocol(c):
     print(f"\ncentral spin measured as |{o.central_result}>  ->  {o.outcome}"
           f"  (probability {o.probability:.5f})")
     print("  bipartition entropies:",
@@ -35,5 +35,5 @@ for o in n4.ghz_protocol(c, region=(lo, hi)):
 # with probability gamma^2, about 0.49 near c = 1:
 
 print("\nstar region, c = 0.95:")
-for o in n4.star_region_protocol(0.95, region=(hi, 1.0)):
+for o in n4.star_region_protocol(0.95):
     print(f"  |{o.central_result}> -> {o.outcome}  (probability {o.probability:.5f})")

@@ -12,8 +12,8 @@ import gc
 import hashlib
 import json
 import os
+import re
 import sys
-import tempfile
 from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import chain
@@ -33,8 +33,14 @@ from .system import SpinSystem
 # module late, as a test runner does, never collects the cyclic garbage it holds.
 gc.freeze()
 
-SWEEP_COLUMNS = ["c", "E0", "deg", "C_nn", "C_nnn", "XX_nn", "XX_nnn",
-                 "ZZ_nn", "ZZ_nnn", "O_r", "O_s", "O_p"]
+#: ``SweepRecord`` fields written under a short name; the rest keep their own.
+SHORT_NAMES = {"ground_energy": "E0", "ground_degeneracy": "deg"}
+#: A crossing's JSON keys, which are also the crossings CSV header.
+CROSSING_COLUMNS = ("c_lo", "c_hi", "label_from", "label_to", "min_gap")
+#: What a subcommand reads as a negative number, not an option.  argparse's own
+#: pattern takes only plain decimals, so ``--j -1e-3`` or ``--j -inf`` would end
+#: in "expected one argument"; the flag's type checks the rest of the value.
+NEGATIVE_NUMBER = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
 
 #: Memory a ``sweep`` or ``spectrum`` keeps per grid point until it writes its
 #: output (the record or tracked levels and the output text), charged once per
@@ -60,18 +66,15 @@ def _manifest(command: str, config: dict) -> dict:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write through a temp file beside ``path``.  A path that cannot be written
-    exits 2, as argparse does for a file argument it cannot open."""
+    """Write through a new temp file beside ``path``, made 0666 less the umask as
+    ``open`` would.  A path that cannot be written exits 2, as argparse does for a
+    file argument it cannot open."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".spinweb-{os.urandom(8).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".spinweb-")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", newline="\n") as fh:
                 fh.write(text)
-            # mkstemp creates the file 0600; give it the mode open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -97,7 +100,9 @@ def _system_and_grid(args):
     if args.c_steps > 0 and not args.c_min < args.c_max:
         raise DomainError("--c-min must be below --c-max when --c-steps > 0, "
                           f"got {args.c_min} and {args.c_max}")
-    kept = min(max(args.levels, 1), system.dimension)
+    if args.levels < 1:
+        raise DomainError(f"--levels must be >= 1, got {args.levels}")
+    kept = min(args.levels, system.dimension)
     per_point = GRID_POINT_BYTES * -(-kept // 8)
     if args.c_steps + 1 > MAX_GRID_BYTES // per_point:
         raise ResourceLimitError(
@@ -158,15 +163,9 @@ def _steps(text: str) -> int:
     return int(text)
 
 
-def _record_row(r) -> dict:
-    return {
-        "c": r.c, "E0": r.ground_energy, "deg": r.ground_degeneracy,
-        "low_energies": list(r.low_energies),
-        "C_nn": r.C_nn, "C_nnn": r.C_nnn,
-        "XX_nn": r.XX_nn, "XX_nnn": r.XX_nnn,
-        "ZZ_nn": r.ZZ_nn, "ZZ_nnn": r.ZZ_nnn,
-        "O_r": r.O_r, "O_s": r.O_s, "O_p": r.O_p,
-    }
+def _emit_json(out, manifest: dict, records, crossings, reports: dict) -> None:
+    _emit(out, json.dumps({"manifest": manifest, "records": records,
+                           "crossings": crossings, "reports": reports}, indent=2) + "\n")
 
 
 def _write_grid(args, command: str, keys: dict, records, crossings, reports: dict,
@@ -180,18 +179,16 @@ def _write_grid(args, command: str, keys: dict, records, crossings, reports: dic
         "n": args.n, "j": args.j, "c_min": args.c_min, "c_max": args.c_max,
         "c_steps": args.c_steps, **keys, "levels": args.levels, "format": args.format,
     })
-    crossings = [{"c_lo": x.c_lo, "c_hi": x.c_hi, "label_from": x.labels[0],
-                  "label_to": x.labels[1], "min_gap": x.min_gap} for x in crossings]
+    crossings = [dict(zip(CROSSING_COLUMNS, (x.c_lo, x.c_hi, *x.labels, x.min_gap)))
+                 for x in crossings]
     if args.format == "json":
-        _emit(args.out, json.dumps({"manifest": manifest, "records": records,
-                                    "crossings": crossings, "reports": reports},
-                                   indent=2) + "\n")
+        _emit_json(args.out, manifest, records, crossings, reports)
         return 0
     _emit(args.out, "\n".join(csv_lines) + "\n")
     if args.out:
         rows = [",".join(map(_fmt, x.values())) for x in crossings]
         _atomic_write(args.out + ".crossings.csv",
-                      "\n".join(["c_lo,c_hi,label_from,label_to,min_gap", *rows]) + "\n")
+                      "\n".join([",".join(CROSSING_COLUMNS), *rows]) + "\n")
         _atomic_write(args.out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
     return 0
 
@@ -209,8 +206,10 @@ def cmd_sweep(args) -> int:
     # one grid pass feeds the records, a chunk at a time, and the tracker
     points = _recorded_points(config, records)
     crossings = _track(system, config.J, config.c_grid, max(2, args.levels), points).crossings
-    rows = [_record_row(r) for r in records]
-    cols = [c for c in SWEEP_COLUMNS if c != "O_p" or any(r.O_p is not None for r in records)]
+    rows = [{SHORT_NAMES.get(k, k): v for k, v in vars(r).items()} for r in records]
+    # O_r and O_s stay as empty columns; O_p is left out when no record has it
+    cols = [k for k in rows[0] if k != "low_energies"
+            and (k != "O_p" or any(r.O_p is not None for r in records))]
     lines = chain([",".join(cols)], (",".join(_fmt(row[c]) for c in cols) for row in rows))
     keys = {"pairs": ",".join(t if isinstance(t, str) else "%d:%d" % t for t in args.pairs),
             "refs": args.refs}
@@ -219,8 +218,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_spectrum(args) -> int:
     system, grid = _system_and_grid(args)
-    if args.levels < 1:
-        raise DomainError(f"--levels must be >= 1, got {args.levels}")
     if args.levels < 2:
         # energies only; no continuation, hence no crossing analysis
         points = solve_grid(system, args.j, grid)
@@ -238,16 +235,6 @@ def cmd_spectrum(args) -> int:
     return _write_grid(args, "spectrum", {}, records, crossings, reports, lines)
 
 
-def _outcome_report(o) -> dict:
-    return {
-        "outcome": o.outcome,
-        "central_result": o.central_result,
-        "probability": o.probability,
-        "bipartition_entropies": list(o.bipartition_entropies),
-        "pairwise_concurrences": list(o.pairwise_concurrences),
-    }
-
-
 def cmd_ghz(args) -> int:
     intermediate = n4.intermediate_region()
     if args.region == "intermediate":
@@ -256,22 +243,14 @@ def cmd_ghz(args) -> int:
     else:
         protocol, region, default_c = n4.star_region_protocol, n4._star_region(), 0.95
     c = args.c if args.c is not None else default_c
-    outcomes = protocol(c, args.field_h, J=args.j, region=region)
+    outcomes = protocol(c, args.field_h, J=args.j)
     manifest = _manifest("ghz", {
         "c": c, "j": args.j, "field_h": args.field_h, "region": args.region,
     })
-    payload = {
-        "manifest": manifest,
-        "records": [],
-        "crossings": [],
-        "reports": {
-            "region": args.region,
-            "region_bounds": list(region),
-            "intermediate_region": list(intermediate),
-            "outcomes": [_outcome_report(o) for o in outcomes],
-        },
-    }
-    _emit(args.out, json.dumps(payload, indent=2) + "\n")
+    _emit_json(args.out, manifest, [], [], {
+        "region": args.region, "region_bounds": region, "intermediate_region": intermediate,
+        "outcomes": [{k: v for k, v in vars(o).items() if k != "post_state"} for o in outcomes],
+    })
     return 0
 
 
@@ -369,6 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify_n4)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 

@@ -321,8 +321,7 @@ def _classify(outer_vec: np.ndarray) -> str:
     return "symmetric_state"
 
 
-def _protocol(level: str, c: float, field_h: float, J: float,
-              region: Optional[tuple[float, float]]):
+def _protocol(level: str, c: float, field_h: float, J: float):
     """The protocol body: check the input, make one solve at (J, c), check that
     its ground is ``level``, split it with h*sum(sigma_z), measure the central spin."""
     if not J > 0:
@@ -331,7 +330,7 @@ def _protocol(level: str, c: float, field_h: float, J: float,
     if not 0 < field_h <= 1e100:
         raise DomainError(f"field_h must be > 0 and <= 1e100, got {field_h}")
     star = level == "I"
-    lo, hi = region or (_star_region() if star else intermediate_region())
+    lo, hi = _star_region() if star else intermediate_region()
     if not (lo < c <= hi if star else lo < c < hi):
         name, close = ("star", "]") if star else ("intermediate", ")")
         raise DomainError(
@@ -379,27 +378,24 @@ def _protocol(level: str, c: float, field_h: float, J: float,
     return outcomes
 
 
-def ghz_protocol(c: float, field_h: float = 1e-3, *, J: float = 1.0,
-                 region: Optional[tuple[float, float]] = None):
+def ghz_protocol(c: float, field_h: float = 1e-3, *, J: float = 1.0):
     """GHZ extraction in the intermediate region.
 
     A uniform field h * sum_i sigma_z^i splits the two degenerate level-II
     states by magnetization; measuring the central spin of the now-unique
     ground state projects the outer spins onto |D> (the GHZ state, with
     probability alpha'^2) or onto |C3'> (probability gamma'^2).  The ground
-    state comes from one ``solve`` at (J, c); ``region`` defaults to
-    ``intermediate_region()``.
+    state comes from one ``solve`` at (J, c), inside ``intermediate_region()``.
     """
-    return _protocol("II", c, field_h, J, region)
+    return _protocol("II", c, field_h, J)
 
 
-def star_region_protocol(c: float, field_h: float = 1e-3, *, J: float = 1.0,
-                         region: Optional[tuple[float, float]] = None):
+def star_region_protocol(c: float, field_h: float = 1e-3, *, J: float = 1.0):
     """The same field-plus-measurement procedure in the star region.
 
     Here the ground level is level I; the central-spin measurement projects
     the outer spins onto |C3> (probability gamma^2, about 0.49 near c=1) or
-    onto the symmetric combination alpha |A> + beta |B>.  ``region`` defaults
-    to the star region (c2_hi, 1] of ``detect_regions``.
+    onto the symmetric combination alpha |A> + beta |B>, inside the star region
+    (c2_hi, 1] of ``detect_regions``.
     """
-    return _protocol("I", c, field_h, J, region)
+    return _protocol("I", c, field_h, J)

@@ -159,7 +159,7 @@ def test_04b_ground_level_jumps_n8_to_12(n_outer, jumps, returns):
 def test_05_ghz_protocol_at_midpoint():
     lo, hi = n4.intermediate_region()
     c = 0.5 * (lo + hi)
-    outcomes = {o.outcome: o for o in n4.ghz_protocol(c, region=(lo, hi))}
+    outcomes = {o.outcome: o for o in n4.ghz_protocol(c)}
     d, c_out = outcomes["D_state"], outcomes["C_state"]
     p_ok = 0.25 <= d.probability <= 0.36
     s_err = max(abs(s - 1.0) for s in d.bipartition_entropies)
@@ -171,8 +171,7 @@ def test_05_ghz_protocol_at_midpoint():
 
 
 def test_06_star_region_protocol():
-    outcomes = {o.outcome: o for o in
-                n4.star_region_protocol(0.95, region=(0.77, 1.0))}
+    outcomes = {o.outcome: o for o in n4.star_region_protocol(0.95)}
     p = outcomes["C_state"].probability
     report(6, "star-region protocol at c=0.95: P(C-outcome) near 0.49",
            abs(p - 0.49) <= 0.03, f"P={p:.4f}")

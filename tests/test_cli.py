@@ -115,6 +115,8 @@ def test_bad_sweep_input_exits_with_code_not_traceback(extra, code):
     (["--c-steps", "2", "--refs", "ring-eps=2"], "ring_eps must lie in [0, 1], got 2.0"),
     (["--c-steps", "2", "--refs", "ring-eps=nan"], "ring_eps must lie in [0, 1], got nan"),
     (["--c-steps", "2", "--refs", "ring-eps=-0.1"], "ring_eps must lie in [0, 1], got -0.1"),
+    (["--c-steps", "2", "--levels", "0"], "--levels must be >= 1, got 0"),
+    (["--c-min", "-1e-3"], "--c-min and --c-max must lie in [0, 1], got -0.001 and 1.0"),
 ])
 def test_bad_sweep_input_names_what_the_user_typed(extra, message):
     proc = subprocess.run([sys.executable, "-m", "spinweb.cli", "sweep", "--n", "4", *extra],
@@ -134,7 +136,8 @@ def test_bad_sweep_input_names_what_the_user_typed(extra, message):
     ["ghz", "--field-h", "1e308"],
     ["ghz", "--field-h", "1e-300"],  # a split below float resolution at E0
     ["sweep", "--n", "4", "--c-steps", "4", "--j", "5e-324"],  # subnormal J
-    ["spectrum", "--n", "3", "--c-steps", "2", "--j=-1e-310"],
+    ["spectrum", "--n", "3", "--c-steps", "2", "--j", "-1e-310"],
+    ["sweep", "--n", "3", "--c-steps", "1", "--j", "-inf"],
 ])
 def test_non_finite_coupling_exits_3(argv):
     proc = subprocess.run([sys.executable, "-m", "spinweb.cli", *argv],
@@ -271,6 +274,26 @@ def test_unknown_reference_exits_3():
                    "--refs", "bogus") == 3
 
 
+def test_negative_value_with_an_exponent_follows_its_flag(tmp_path):
+    # argparse's own pattern reads only plain decimals like -0.5 as numbers
+    outs = []
+    for name, j in (("spaced.csv", ["--j", "-1e-3"]), ("joined.csv", ["--j=-1e-3"])):
+        out = tmp_path / name
+        assert run_cli("sweep", "--n", "3", "--c-steps", "1", *j, "--out", str(out)) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_writing_a_file_leaves_the_umask_alone(tmp_path, monkeypatch):
+    def refuse(mask):
+        raise AssertionError("the process umask was changed")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    out = tmp_path / "report.txt"
+    assert run_cli("verify-n4", "--out", str(out)) == 0
+    assert out.read_text().startswith("PASS")
+
+
 def test_output_files_follow_umask(tmp_path):
     out = tmp_path / "report.txt"
     for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
@@ -362,6 +385,27 @@ def test_sweep_json_payload(tmp_path):
     assert len(payload["records"]) == 5
     assert payload["records"][0]["O_p"] is None
     assert payload["manifest"]["config"]["format"] == "json"
+
+
+def test_sweep_and_crossing_layouts_are_their_types_fields(sweep_csv, tmp_path):
+    from dataclasses import fields
+    from spinweb.sweep import SweepRecord
+    short = {"ground_energy": "E0", "ground_degeneracy": "deg"}
+    keys = [short.get(f.name, f.name) for f in fields(SweepRecord)]
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--n", "4", "--c-steps", "10", "--format", "json",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert [list(r) for r in payload["records"]] == [keys] * 11
+    columns = [k for k in keys if k != "low_energies"]
+    assert sweep_csv.read_text().splitlines()[0].split(",") == columns[:-1]  # no O_p
+    with_p = tmp_path / "ansatz.csv"
+    assert main(["sweep", "--n", "4", "--c-steps", "2", "--refs", "ansatz",
+                 "--out", str(with_p)]) == 0
+    assert with_p.read_text().splitlines()[0].split(",") == columns  # O_r, O_s empty
+    header = sweep_csv.with_name(sweep_csv.name + ".crossings.csv").read_text().splitlines()[0]
+    assert header == "c_lo,c_hi,label_from,label_to,min_gap"
+    assert [list(x) for x in payload["crossings"]] == [header.split(",")] * 2
 
 
 def test_sweep_deterministic_across_runs(tmp_path):
@@ -592,6 +636,10 @@ def test_ghz_report(tmp_path):
     assert reports["region"] == "intermediate"
     lo, hi = reports["intermediate_region"]
     assert lo < 0.7 < hi
+    from dataclasses import fields
+    from spinweb.n4 import GhzOutcome
+    keys = [f.name for f in fields(GhzOutcome) if f.name != "post_state"]
+    assert [list(o) for o in reports["outcomes"]] == [keys] * 2
     outcomes = {o["outcome"]: o for o in reports["outcomes"]}
     assert 0.25 <= outcomes["D_state"]["probability"] <= 0.36
     for s in outcomes["D_state"]["bipartition_entropies"]:

@@ -148,7 +148,7 @@ def test_detect_regions_are_pinned_and_need_no_solve(monkeypatch):
 def test_ghz_protocol_outcomes():
     lo, hi = n4.intermediate_region()
     c = 0.5 * (lo + hi)
-    outcomes = n4.ghz_protocol(c, region=(lo, hi))
+    outcomes = n4.ghz_protocol(c)
     by_name = {o.outcome: o for o in outcomes}
     assert set(by_name) == {"D_state", "C_state"}
 
@@ -167,13 +167,15 @@ def test_ghz_protocol_outcomes():
 
 def test_ghz_protocol_rejects_out_of_region():
     with pytest.raises(DomainError):
-        n4.ghz_protocol(0.1, region=(0.53, 0.76))
+        n4.ghz_protocol(0.1)
 
 
-def test_protocol_solves_its_own_ground_and_checks_coupling():
-    # c = 0.9 lies inside the given region but its ground is level I
-    with pytest.raises(DomainError, match="not level II"):
-        n4.ghz_protocol(0.9, region=(0.53, 0.95))
+def test_protocol_solves_its_own_ground_and_checks_coupling(monkeypatch):
+    # c = 0.9 lies inside this stand-in region but its ground is level I
+    with monkeypatch.context() as m:
+        m.setattr(n4, "intermediate_region", lambda: (0.53, 0.95))
+        with pytest.raises(DomainError, match="not level II"):
+            n4.ghz_protocol(0.9)
     c = sum(n4.intermediate_region()) / 2
     for protocol in (n4.ghz_protocol, n4.star_region_protocol):
         with pytest.raises(DomainError,
@@ -193,7 +195,7 @@ def test_protocol_refuses_a_field_that_leaves_the_ground_level():
 
 
 def test_star_region_protocol():
-    outcomes = n4.star_region_protocol(0.95, region=(0.77, 1.0))
+    outcomes = n4.star_region_protocol(0.95)
     by_name = {o.outcome: o for o in outcomes}
     assert set(by_name) == {"C_state", "symmetric_state"}
     assert by_name["C_state"].probability == pytest.approx(0.49, abs=0.03)
@@ -206,7 +208,7 @@ def test_protocol_probability_equals_level_coefficient(ground):
     c = 0.5 * (lo + hi)
     gs = ground(4, c)
     coeffs = n4.extract_coefficients(gs)
-    outcomes = n4.ghz_protocol(c, region=(lo, hi))
+    outcomes = n4.ghz_protocol(c)
     by_name = {o.outcome: o for o in outcomes}
     assert by_name["D_state"].probability == pytest.approx(
         coeffs.alpha_p ** 2, abs=1e-6)
