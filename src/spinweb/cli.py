@@ -295,11 +295,18 @@ def _emit(out, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _add_grid_flags(p):
+def _add_grid_flags(p, levels: int, fmt: str):
+    """The flags ``sweep`` and ``spectrum`` share, with the command's defaults of
+    ``--levels`` and ``--format``."""
+    p.add_argument("--n", type=int, required=True, help="number of outer spins")
+    p.add_argument("--j", type=float, default=1.0)
     p.add_argument("--c-min", type=float, default=0.0)
     p.add_argument("--c-max", type=float, default=1.0)
     p.add_argument("--c-steps", type=_steps, default=400,
                    help="number of grid intervals (points = steps + 1)")
+    p.add_argument("--levels", type=int, default=levels)
+    p.add_argument("--format", choices=("csv", "json"), default=fmt)
+    p.add_argument("--out", default=None)
 
 
 @lru_cache(maxsize=None)
@@ -313,25 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="concurrence / correlation / overlap sweep over c")
-    p.add_argument("--n", type=int, required=True, help="number of outer spins")
-    p.add_argument("--j", type=float, default=1.0)
-    _add_grid_flags(p)
+    _add_grid_flags(p, levels=6, fmt="csv")
     p.add_argument("--pairs", type=_pair_tokens, default="nn,nnn",
                    help="'nn,nnn' or explicit pairs like '1:2,1:3'")
     p.add_argument("--refs", default="ring,star",
                    help="comma list of ring, star, ring-eps[=eps], ansatz")
-    p.add_argument("--levels", type=int, default=6)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("spectrum", help="tracked energy levels and crossings")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=float, default=1.0)
-    _add_grid_flags(p)
-    p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--out", default=None)
+    _add_grid_flags(p, levels=4, fmt="json")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("ghz", help="field-plus-measurement protocol report (N=4)")

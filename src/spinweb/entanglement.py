@@ -16,18 +16,15 @@ def concurrence_wootters(rho: TwoQubitRDM) -> float:
     """Wootters concurrence C = max{0, l1 - l2 - l3 - l4}.
 
     The l_i are the descending square roots of the eigenvalues of
-    rho (sy x sy) rho* (sy x sy).  With A = sqrt(rho) (sy x sy) sqrt(rho)*
-    that product is similar to A A-dagger, so the l_i are the singular values
-    of A; computing them that way avoids the square-root amplification of
-    eigenvalue noise near zero and keeps the four l_i accurate to machine
-    precision.
+    rho (sy x sy) rho* (sy x sy), i.e. the singular values of A = sqrt(rho)
+    (sy x sy) sqrt(rho)*, which avoids the square-root amplification of eigenvalue
+    noise near zero.  The validated factor F of rho = F F-dagger gives sqrt(rho) =
+    F V-dagger, V-dagger an isometry, so A has the singular values of
+    F^T (sy x sy) F, padded with zeros to four.
     """
-    m = np.asarray(rho.matrix, dtype=complex)
-    QuantumState.mixed(m)  # validates trace/Hermiticity/positivity
-    evals, vecs = np.linalg.eigh(m)
-    sqrt_m = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
-    a = sqrt_m @ _SY_SY @ sqrt_m.conj()
-    lam = np.linalg.svd(a, compute_uv=False)
+    f = QuantumState.mixed(rho.matrix).factor
+    lam = np.zeros(4)
+    lam[:f.shape[1]] = np.linalg.svd(f.T @ _SY_SY @ f, compute_uv=False)
     return float(min(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]), 1.0))
 
 

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
+from .operators import popcounts
 from .spectral import (GroundSubspace, _grid_ground_blocks, _refine_crossing,
                        ground_subspace, solve)
 from .states import QuantumState, partial_trace
@@ -26,7 +27,7 @@ from .system import SpinSystem
 N_OUTER = 4
 OUTER = SpinSystem(N_OUTER, has_central=False)
 FULL = SpinSystem(N_OUTER, has_central=True)
-_MAGS = np.array([FULL.magnetization(b) for b in range(FULL.dimension)])
+_MAGS = FULL.n_qubits - 2 * popcounts(FULL.dimension)  # <sum(sigma_z)> of each basis state
 
 _SQ2 = np.sqrt(2.0)
 _SQ6 = np.sqrt(6.0)
@@ -156,21 +157,14 @@ class LevelCoefficients:
 
 
 def _sector_member(basis: np.ndarray, magnetization: int) -> np.ndarray:
-    """Unit vector in span(basis) supported on one Sz sector, or raise."""
-    outside = basis[_MAGS != magnetization, :]
-    _, s, vh = np.linalg.svd(outside)
-    smin = s[-1] if s.size >= vh.shape[0] else 0.0
-    if smin > 1e-8:
+    """The one column of the real, sector-resolved ``basis`` whose <sum(sigma_z)>
+    is ``magnetization``, or raise."""
+    hits = np.flatnonzero(np.abs(_MAGS @ basis ** 2 - magnetization) < 1e-8)
+    if hits.size != 1:
         raise DomainError(
             f"ground subspace has no member confined to the m={magnetization} sector"
         )
-    u = basis @ vh[-1].conj()
-    u = u / np.linalg.norm(u)
-    if np.abs(u.imag).max() > 1e-10:
-        # eigenvectors of the real Hamiltonian carry at most a global phase
-        phase = u[np.argmax(np.abs(u))]
-        u = u * (phase.conj() / abs(phase))
-    return u.real
+    return basis[:, hits[0]]
 
 
 # level -> (m of the fitted member, its templates (central bit, label) by
@@ -196,12 +190,12 @@ def _project(u: np.ndarray, templates) -> tuple[np.ndarray, float]:
 def extract_coefficients(ground: GroundSubspace) -> LevelCoefficients:
     """Fit the N=4 ground subspace to the level-I or level-II form.
 
-    The two degenerate partners live in the m=+1 and m=-1 Sz sectors; the
-    sector-resolved members are projected onto the named-state templates.  A
-    residual above 1e-8 outside the template span means the state is not of
-    the postulated form, which is reported as an error rather than silently
-    truncated.  Sign gauge: gamma >= 0 (level I) and gamma' >= 0 (level II);
-    when the gamma coefficient vanishes the alpha coefficient is made >= 0.
+    The basis must be real with one column in each of the m=+1 and m=-1 Sz
+    sectors, as the solvers give it; a basis rotated inside the level is refused.
+    Those columns are projected onto the named-state templates; a residual above
+    1e-8 outside their span means the state is not of the postulated form, which
+    is an error rather than a silent truncation.  Sign gauge: gamma >= 0 (level
+    I) and gamma' >= 0 (level II); when gamma vanishes alpha is made >= 0.
     """
     if ground.basis.shape[0] != FULL.dimension:
         raise DomainError("extract_coefficients requires the N=4 system (dim 32)")

@@ -26,8 +26,8 @@ CHORD_MARGIN = 1e-11  # round-off allowance of the bisection's chord bounds, rel
 class Spectrum:
     """Every eigenvalue, ascending, with eigenvector columns formed on request.
 
-    ``vectors(start, stop)`` returns the orthonormal columns start..stop-1 as a
-    dim x (stop - start) array; its column i pairs with ``eigenvalues[start + i]``.
+    ``vectors(stop)`` returns the leading orthonormal columns 0..stop-1, all of
+    them without ``stop``, as a dim x stop array paired with ``eigenvalues[:stop]``.
     ``blocks[i]`` labels the invariant subspace that holds column i: columns with
     different labels are orthogonal, whatever c.  ``solve`` labels each level by
     the number of its (Sz, k) block's stored matrix (a complex matrix standing
@@ -43,8 +43,8 @@ class Spectrum:
     blocks: np.ndarray = field(repr=False, compare=False)
     extremes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
-    def vectors(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
-        return self._columns(slice(start, stop))
+    def vectors(self, stop: Optional[int] = None) -> np.ndarray:
+        return self._columns(slice(stop))
 
 
 def _dense_spectrum(vals: np.ndarray, vecs: np.ndarray) -> Spectrum:
@@ -353,7 +353,7 @@ def ground_subspace(spec: Spectrum) -> GroundSubspace:
     if ev.size == 0:
         raise DomainError("empty spectrum")
     deg = int(np.count_nonzero(ev <= _ground_bound(ev[0], ev[-1])))
-    basis = spec.vectors(0, deg)
+    basis = spec.vectors(deg)
     return GroundSubspace(float(ev[0]), deg, basis,
                           QuantumState("mixed", basis / np.sqrt(deg)))
 
@@ -394,7 +394,7 @@ def _low_groups(spec: Spectrum, n_levels: int):
     bounds = [0]
     while bounds[-1] < min(n_levels, ev.size):
         bounds.append(int(np.searchsorted(ev, ev[bounds[-1]] + thr, side="right")))
-    vecs = spec.vectors(0, bounds[-1])
+    vecs = spec.vectors(bounds[-1])
     return [(float(ev[start:stop].mean()), vecs[:, start:stop].copy(),
              frozenset(spec.blocks[start:stop].tolist()))
             for start, stop in zip(bounds, bounds[1:])]

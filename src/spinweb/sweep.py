@@ -373,7 +373,7 @@ def _chunk_records(config: SweepConfig, refs: ReferenceSet, cs: list,
     system = SpinSystem(config.n_outer, has_central=True)
     ev = np.stack([spec.eigenvalues for spec in spectra])
     deg = np.count_nonzero(ev <= _ground_bound(ev[..., :1], ev[..., -1:]), axis=1)
-    bases = [spec.vectors(0, d) for spec, d in zip(spectra, deg.tolist())]
+    bases = [spec.vectors(d) for spec, d in zip(spectra, deg.tolist())]
     factors = np.zeros((len(spectra), system.dimension, deg.max()),
                        dtype=np.result_type(*bases))
     for f, basis in zip(factors, bases):

@@ -2,6 +2,8 @@
 
 import contextlib
 import csv
+import dataclasses
+import inspect
 import io
 import json
 import os
@@ -71,6 +73,29 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
     # the failed parses left no state behind: the same run gives the same file
     assert main(["sweep", "--n", "3", "--c-steps", "2", "--out", str(tmp_path / "b.csv")]) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_cli_defaults_are_the_library_defaults():
+    from spinweb import n4
+    from spinweb.cli import _parse_refs, _system_and_grid, build_parser
+    from spinweb.spectral import track_levels
+    from spinweb.sweep import SweepConfig, default_c_grid
+
+    def default(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    library = {f.name: f.default for f in dataclasses.fields(SweepConfig)}
+    sweep = build_parser().parse_args(["sweep", "--n", "4"])
+    spectrum = build_parser().parse_args(["spectrum", "--n", "4"])
+    ghz = build_parser().parse_args(["ghz"])
+    assert sweep.levels == library["n_levels"]
+    assert spectrum.levels == default(track_levels, "n_levels")
+    assert _parse_refs("ring-eps")[1] == library["ring_eps"]
+    assert _parse_refs(sweep.refs) == (library["references"], library["ring_eps"])
+    for protocol in (n4.ghz_protocol, n4.star_region_protocol):
+        assert ghz.field_h == default(protocol, "field_h")
+    for args in (sweep, spectrum):
+        np.testing.assert_array_equal(_system_and_grid(args)[1], default_c_grid())
 
 
 @pytest.mark.parametrize("extra, code", [

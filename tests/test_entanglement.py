@@ -69,6 +69,37 @@ def test_symmetric_shortcut_equals_wootters_on_block_states(seed):
     assert abs(w - s) < 1e-9
 
 
+SY_SY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def _wootters_by_definition(rho):
+    """max{0, l1 - l2 - l3 - l4}, the l_i the singular values of
+    sqrt(rho) (sy x sy) sqrt(rho)*, with sqrt(rho) from an eigendecomposition."""
+    evals, vecs = np.linalg.eigh(rho)
+    root = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
+    lam = np.linalg.svd(root @ SY_SY @ root.conj(), compute_uv=False)
+    return max(0.0, lam[0] - lam[1:].sum())
+
+
+def test_wootters_on_random_pure_states_is_the_spin_flip_overlap(rng):
+    for _ in range(50):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        rdm = TwoQubitRDM(np.outer(psi, psi.conj()))
+        assert rdm.sz_blocks is None
+        assert abs(concurrence_wootters(rdm) - abs(psi @ SY_SY @ psi)) <= 1e-12
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_wootters_on_random_mixed_states_matches_its_definition(rng, rank):
+    for _ in range(50):
+        f = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho = f @ f.conj().T
+        rho /= np.trace(rho).real
+        assert TwoQubitRDM(rho).sz_blocks is None
+        assert abs(concurrence_wootters(TwoQubitRDM(rho)) - _wootters_by_definition(rho)) <= 1e-12
+
+
 def test_symmetric_shortcut_rejects_generic_rdm():
     rho = np.full((4, 4), 0.25)
     with pytest.raises(DomainError):

@@ -1,6 +1,8 @@
 """Analytic layer for four outer spins: named states, operator-action oracle,
 level coefficients and the measurement protocol."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,15 @@ def test_level_mismatch_raises(ground):
     coeffs = n4.extract_coefficients(gs_ring)
     with pytest.raises(DomainError):
         n4.level_II_concurrences(coeffs)
+
+
+def test_extract_rejects_a_basis_rotated_inside_the_ground_level():
+    # solve gives one column per Sz sector; a rotation mixes the m = +1 and -1 columns
+    gs = spectral.ground_subspace(spectral.solve(n4.FULL, 1.0, 1.0))
+    t = 0.3
+    rotated = gs.basis @ np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    with pytest.raises(DomainError, match="no member confined"):
+        n4.extract_coefficients(dataclasses.replace(gs, basis=rotated))
 
 
 def test_extract_rejects_wrong_degeneracy(ground):

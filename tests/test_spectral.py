@@ -521,7 +521,7 @@ def test_solve_grid_equals_one_point_solve(n_outer, steps):
         for c in grid.tolist():
             spec, one = next(points), solve(s, J, c)
             np.testing.assert_array_equal(spec.eigenvalues, one.eigenvalues)
-            np.testing.assert_array_equal(spec.vectors(0, 8), one.vectors(0, 8))
+            np.testing.assert_array_equal(spec.vectors(8), one.vectors(8))
         assert next(points, None) is None
 
 

@@ -70,6 +70,7 @@ def _cases():
         ("ghz-c", ["ghz", "--c", "0.6", "--field-h", "0.002"]),
         ("ghz-j", ["ghz", "--j", "3", "--region", "star", "--c", "0.9"]),
         ("ghz-out", ["ghz", "--out", "ghz.json"]),
+        ("ghz-star-c-1", ["ghz", "--region", "star", "--c", "1"]),
         ("verify-n4", ["verify-n4"]),
         ("verify-n4-out", ["verify-n4", "--out", "report.txt"]),
         # error exits
@@ -96,6 +97,8 @@ def _cases():
         ("err-ghz-region", ["ghz", "--c", "0.1"]),
         ("err-ghz-field", ["ghz", "--field-h", "0"]),
         ("err-ghz-j", ["ghz", "--j", "-1"]),
+        ("err-ghz-field-resolution", ["ghz", "--field-h", "1e-300"]),
+        ("err-ghz-field-pushed-out", ["ghz", "--region", "star", "--c", "0.9", "--field-h", "10"]),
         # negative values written with an exponent, inf or nan
         ("neg-j-exponent", ["sweep", "--n", "3", "--c-steps", "1", "--j", "-1e-3"]),
         ("neg-j-exponent-equals", ["sweep", "--n", "3", "--c-steps", "1", "--j=-1e-3"]),
