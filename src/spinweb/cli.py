@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, _is_thread_count, n4
 from .errors import DomainError, ResourceLimitError
 from .spectral import _check_grid, _track, ground_subspace, solve_grid, track_levels
-from .sweep import ReferenceSet, SweepConfig, _chunk_records, _recorded_points
+from .sweep import SweepConfig, _recorded_chunks
 from .system import SpinSystem
 
 # Everything alive now (stdlib, numpy, spinweb) lives until exit: freezing it
@@ -204,8 +204,8 @@ def cmd_sweep(args) -> int:
     )
     records = []
     # one grid pass feeds the records, a chunk at a time, and the tracker
-    points = _recorded_points(config, records)
-    crossings = _track(system, config.J, config.c_grid, max(2, args.levels), points).crossings
+    chunks = _recorded_chunks(config, records)
+    crossings = _track(system, config.J, config.c_grid, max(2, args.levels), chunks).crossings
     rows = [{SHORT_NAMES.get(k, k): v for k, v in vars(r).items()} for r in records]
     # O_r and O_s stay as empty columns; O_p is left out when no record has it
     cols = [k for k in rows[0] if k != "low_energies"
@@ -262,9 +262,11 @@ def cmd_verify_n4(args) -> int:
             checks.append((f"action_table[{which}, |{bit}>|{label}>]",
                            n4.verify_table_action(which, bit, label)))
 
-    cs = (0.0, 0.2, 0.4, 0.9, 1.0)
-    spectra = list(solve_grid(n4.FULL, 1.0, cs))
-    coeffs = {c: n4.extract_coefficients(ground_subspace(spec)) for c, spec in zip(cs, spectra)}
+    cs, records = (0.0, 0.2, 0.4, 0.9, 1.0), []
+    # one solve chunk holds every point: the records ``sweep`` writes, and the grounds
+    chunk = next(_recorded_chunks(SweepConfig(n_outer=4, c_grid=cs, references=()), records))
+    coeffs = {c: n4.extract_coefficients(ground_subspace(spec))
+              for c, spec in zip(cs, chunk.spectra)}
 
     for c, expected in ((0.0, (1 / np.sqrt(2), -1 / np.sqrt(2), 0.0)),
                         (1.0, (-np.sqrt(1 / 6), -np.sqrt(2 / 6), 1 / np.sqrt(2)))):
@@ -273,7 +275,6 @@ def cmd_verify_n4(args) -> int:
         checks.append((f"coefficients at c={c:g}", err < 1e-8))
 
     # the concurrences of the (1, 2) and (1, 3) pairs as ``sweep`` reports them
-    records = _chunk_records(SweepConfig(n_outer=4, c_grid=cs), ReferenceSet(), list(cs), spectra)
     for c, r in zip(cs, records):
         c_nn, c_nnn = n4.level_I_concurrences(coeffs[c])
         ok = abs(c_nn - r.C_nn) < 1e-8 and abs(c_nnn - r.C_nnn) < 1e-8

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import count
+from itertools import count, groupby
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,24 +31,46 @@ class Spectrum:
     ``blocks[i]`` labels the invariant subspace that holds column i: columns with
     different labels are orthogonal, whatever c.  ``solve`` labels each level by
     the number of its (Sz, k) block's stored matrix (a complex matrix standing
-    for the k, -k pair); the dense and Sz-block
-    oracles label the whole space as one block.  ``extremes[0, m]`` and
-    ``extremes[1, m]`` are the lowest and highest eigenvalue of label m, its first
-    and last occurrence in ``eigenvalues``; ``solve`` sets them, the oracles leave
-    them None.
+    for the k, -k pair); the dense and Sz-block oracles label the whole space as
+    one matrix.  ``levels[i]`` is column i's level in that matrix, 0 its lowest:
+    the two columns of a complex matrix's level share it, and column i of a
+    dense spectrum is its level i.  ``extremes[0, m]`` and ``extremes[1, m]`` are
+    the lowest and highest eigenvalue of label m, its first and last occurrence
+    in ``eigenvalues``; ``solve`` sets them, the oracles leave them None.
     """
 
     eigenvalues: np.ndarray
     _columns: Callable[[slice], np.ndarray] = field(repr=False, compare=False)
     blocks: np.ndarray = field(repr=False, compare=False)
+    levels: np.ndarray = field(repr=False, compare=False)
     extremes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def vectors(self, stop: Optional[int] = None) -> np.ndarray:
         return self._columns(slice(stop))
 
 
+@dataclass(frozen=True)
+class _Chunk:
+    """The spectra of consecutive grid points solved together, and the block
+    eigenvectors their columns are formed from: ``vectors[s][i, b]`` holds the
+    eigenvectors of matrix ``first[s] + b`` at point i as columns, ascending, so
+    level l of a matrix is its column l.  A dense spectrum is one stack of one
+    matrix, its eigenvector matrix.  ``columns(counts)`` gives every point's
+    leading ``counts[i]`` columns of ``Spectrum.vectors`` at once, zero-padded
+    to (points, dim, max count)."""
+
+    spectra: list
+    vectors: list
+    first: np.ndarray
+    columns: Callable[[list], np.ndarray] = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.spectra)
+
+
 def _dense_spectrum(vals: np.ndarray, vecs: np.ndarray) -> Spectrum:
-    return Spectrum(vals, lambda columns: vecs[:, columns], np.zeros(vals.size, dtype=np.intp))
+    return Spectrum(vals, lambda columns: vecs[:, columns], np.zeros(vals.size, dtype=np.intp),
+                    np.arange(vals.size))
 
 
 def _solve_blocks(blocks, sectors: list[np.ndarray], dim: int) -> Spectrum:
@@ -235,16 +257,32 @@ def _momentum_blocks(system: SpinSystem) -> _Blocks:
 
 
 def _columns(blocks: _Blocks, vecs: list[np.ndarray], order: np.ndarray,
-             columns: slice) -> np.ndarray:
-    """The real computational-basis columns of the entries ``order[columns]`` of
-    the block order, one gather each from the stacks' eigenvectors ``vecs``."""
-    picks = order[columns]
-    out = np.zeros((blocks.dim, picks.size))
-    for i, (s, b, level, part) in enumerate(blocks.entries[picks].tolist()):
-        states, rows, amps = blocks.maps[s][b]
-        v = amps * vecs[s][b, rows, level]
-        out[states, i] = v.imag if part == 2 else v.real
+             counts) -> np.ndarray:
+    """The real computational-basis columns of the first ``counts[i]`` entries of
+    row i of the block order ``order`` (points x dim), from the stacks'
+    eigenvectors ``vecs`` (points first), as a zero-padded (points, dim, max
+    count) array: one ``amps * v[rows]`` gather per stack touched, each value the
+    product, and the real or imaginary part, that its column alone would take."""
+    counts = np.asarray(counts)
+    point = np.repeat(np.arange(counts.size), counts)
+    column = np.arange(point.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    out = np.zeros((counts.size, blocks.dim, int(counts.max(initial=0))))
+    entries = blocks.entries[order[point, column]]
+    for s in set(entries[:, 0].tolist()):
+        at = np.flatnonzero(entries[:, 0] == s)
+        maps = [blocks.maps[s][b] for b in entries[at, 1].tolist()]
+        states, rows, amps = (np.concatenate(x) for x in zip(*maps))
+        pick = np.repeat(at, [m[0].size for m in maps])
+        _, b, level, part = entries[pick].T
+        v = amps * vecs[s][point[pick], b, rows, level]
+        out[point[pick], states, column[pick]] = np.where(part == 2, v.imag, v.real)
     return out
+
+
+def _spectrum_columns(blocks: _Blocks, vecs: list[np.ndarray], order: np.ndarray,
+                      columns: slice) -> np.ndarray:
+    """``Spectrum.vectors`` of one point of a chunk: ``_columns`` of its row."""
+    return _columns(blocks, vecs, order, [len(range(blocks.dim)[columns])])[0]
 
 
 def _checked_cs(J: float, cs) -> np.ndarray:
@@ -256,8 +294,8 @@ def _checked_cs(J: float, cs) -> np.ndarray:
     return cs
 
 
-def _solve_chunk(blocks: _Blocks, J: float, c: np.ndarray) -> list[Spectrum]:
-    """Spectra at the c values of ``c`` (shape (points, 1, 1, 1)): one batched
+def _solve_chunk(blocks: _Blocks, J: float, c: np.ndarray) -> _Chunk:
+    """The chunk of the c values of ``c`` (shape (points, 1, 1, 1)): one batched
     ``eigh`` per stack, each stack's matrices built just before it, and one
     stable argsort per point along axis 1."""
     vals, vecs, low, top = [], [], [], []
@@ -271,29 +309,23 @@ def _solve_chunk(blocks: _Blocks, J: float, c: np.ndarray) -> list[Spectrum]:
     ev = np.concatenate(vals, axis=1)[:, blocks.gather]
     order = np.argsort(ev, axis=1, kind="stable")
     ev = np.take_along_axis(ev, order, axis=1)
-    return [Spectrum(ev[i], partial(_columns, blocks, [u[i] for u in vecs], order[i]),
-                     blocks.matrix[order[i]], extremes[i])
-            for i in range(c.shape[0])]
+    matrix, levels = blocks.matrix[order], blocks.entries[order, 2]
+    return _Chunk([Spectrum(ev[i], partial(_spectrum_columns, blocks, [u[i:i + 1] for u in vecs],
+                                           order[i:i + 1]), matrix[i], levels[i], extremes[i])
+                   for i in range(c.shape[0])], vecs, blocks.first,
+                  partial(_columns, blocks, vecs, order))
 
 
 def _grid_chunks(system: SpinSystem, J: float, cs):
-    """Yield the spectra of the c values of ``cs``, in order, as one list per
-    solve chunk: as many points as ``GRID_CHUNK_BYTES`` of eigenvectors hold, at
-    least one.  Every c is checked, at the first ``next``, before any is solved."""
+    """Yield the ``_Chunk`` of each run of consecutive c values of ``cs``, in
+    order: as many points as ``GRID_CHUNK_BYTES`` of eigenvectors hold, at least
+    one.  Every c is checked, at the first ``next``, before any is solved.  A
+    consumer that unbinds each chunk before its next ``next`` holds one at a time."""
     cs = _checked_cs(J, cs)
     blocks = _momentum_blocks(system)
     step = max(1, GRID_CHUNK_BYTES // sum(ring.nbytes for ring, _ in blocks.stacks))
     for start in range(0, cs.size, step):
         yield _solve_chunk(blocks, J, cs[start:start + step, None, None, None])
-
-
-def _hand_out(spectra: list):
-    """Yield a chunk's spectra in order, popping each: the caller becomes its only
-    owner, so the chunk's arrays go with the last one it drops, while a kept list
-    (``yield from``) would pin every point through the tracker's bisection."""
-    spectra.reverse()
-    while spectra:
-        yield spectra.pop()
 
 
 def solve_grid(system: SpinSystem, J: float, cs):
@@ -306,10 +338,14 @@ def solve_grid(system: SpinSystem, J: float, cs):
     spectrum is bit for bit that of ``solve`` at its c.  A chunk's arrays live
     until its last spectrum is handed out and dropped; pull points with ``next()``
     rather than keep the previous one bound while the next is made, or two chunks
-    are alive at once.
+    are alive at once.  Each spectrum is popped as it is handed out, so the
+    caller becomes its only owner.
     """
-    for spectra in _grid_chunks(system, J, cs):
-        yield from _hand_out(spectra)
+    for chunk in _grid_chunks(system, J, cs):
+        spectra = chunk.spectra[::-1]
+        del chunk  # what the spectra need, they pin themselves
+        while spectra:
+            yield spectra.pop()
 
 
 def solve(system: SpinSystem, J: float, c: float) -> Spectrum:
@@ -379,55 +415,151 @@ class LevelTrack:
     flagged_intervals: list[tuple[float, float]] = field(default_factory=list)
 
 
-def _low_groups(spec: Spectrum, n_levels: int):
-    """Cluster the lowest eigenvalues into degenerate groups.
+def _low_groups(ev: np.ndarray, n_levels: int):
+    """Cluster the lowest eigenvalues of each row of ``ev`` (points x levels,
+    rows ascending) into degenerate groups, the rows of a solve chunk at once.
 
     Each group is the lowest ungrouped level and every level at most
     ``_degeneracy_tol(span)`` above it, so the ground group is the one that
-    ``_ground_bound`` counts.  Returns [(energy, basis, blocks)] covering at
-    least n_levels eigenstates, ground group first, ``blocks`` being the set of
-    the group's block labels; the bases are copies, so they do not pin the
-    spectrum.
+    ``_ground_bound`` counts; a row's groups cover at least n_levels levels.
+    Returns ``group``, the group of each level (-1 past a row's last group), and
+    the groups' mean energies in one list, row by row and ground group first.
+    Each mean is bit for bit ``ev[i, start:stop].mean()``: numpy sums fewer than
+    8 terms one by one from -0.0, which is done here for every group at once.
     """
-    ev = spec.eigenvalues
-    thr = _degeneracy_tol(float(ev[-1] - ev[0]))
-    bounds = [0]
-    while bounds[-1] < min(n_levels, ev.size):
-        bounds.append(int(np.searchsorted(ev, ev[bounds[-1]] + thr, side="right")))
-    vecs = spec.vectors(bounds[-1])
-    return [(float(ev[start:stop].mean()), vecs[:, start:stop].copy(),
-             frozenset(spec.blocks[start:stop].tolist()))
-            for start, stop in zip(bounds, bounds[1:])]
+    points, dim = ev.shape
+    thr = _degeneracy_tol(ev[:, -1] - ev[:, 0])
+    starts = np.zeros((points, dim + 1), dtype=bool)  # [i, j]: level j starts a group
+    starts[:, 0] = True
+    end = np.empty(points, dtype=np.intp)
+    rows, start = np.arange(points), np.zeros(points, dtype=np.intp)
+    while rows.size:
+        start = np.count_nonzero(ev[rows] <= (ev[rows, start] + thr[rows])[:, None], axis=1)
+        starts[rows, start] = True
+        done = start >= min(n_levels, dim)
+        end[rows[done]] = start[done]
+        rows, start = rows[~done], start[~done]
+    inside = np.arange(dim) < end[:, None]
+    group = np.where(inside, np.cumsum(starts[:, :dim], axis=1) - 1, -1)
+    flat = ev[inside]
+    begin = np.flatnonzero(starts[:, :dim][inside])
+    size = np.diff(begin, append=flat.size)
+    total = np.full(begin.size, -0.0)
+    for j in range(min(int(size.max()), 7)):
+        more = size > j
+        total[more] += flat[begin[more] + j]
+    mean = total / size
+    for k in np.flatnonzero(size >= 8).tolist():  # numpy's pairwise sum
+        mean[k] = flat[begin[k]:begin[k] + size[k]].mean()
+    return group, mean.tolist()
 
 
-def _match_groups(prev_labeled: dict[int, tuple], groups) -> list[int]:
-    """Greedy assignment of new groups to previous labels by subspace overlap.
+def _scores(chunk: _Chunk, group: np.ndarray, last):
+    """Score every pair of groups at consecutive points of ``chunk`` that share a
+    matrix; the first point is paired with ``last``, the previous chunk's last
+    point as this function returns it (None for the first chunk).
 
-    ``prev_labeled`` maps each previous label to its group's (basis, blocks).
-    The score is the largest principal-angle cosine between subspaces, one SVD
-    of the dim-space overlap per pair of groups that share a block label.  A
-    pair that shares none lies in orthogonal blocks: its overlap is 0, or
-    round-off far below ``OVERLAP_THRESHOLD``, so it is not scored and can be
-    assigned no more than before.  A group left unmatched is a level entering
-    the tracked window from above; it gets a fresh label, larger than every
-    previous one.
+    A group is the set of its (matrix, level) pairs, read off ``Spectrum.blocks``
+    and ``levels``; a complex matrix's level, two columns, counts once.  For each
+    stack, one batched product U[i-1][..., :L]^H U[i][..., :L] over the chunk's
+    points, L the deepest level of the stack in any group, and one with ``last``'s
+    columns give every overlap read.  A pair's score is the largest principal-
+    angle cosine of the two groups' subspaces: columns of different matrices are
+    orthogonal and a block's expansion is an isometry (for a complex matrix, the
+    k and -k parts give each singular value twice), so it is the largest
+    sigma_max of the overlap sub-blocks of the matrices both groups hold.  That
+    is a table entry when each group holds one level of the matrix, else one SVD.
+
+    Returns ``(scores, last)``: ``scores[i]`` lists (score, group, previous group)
+    of point i for each pair that scores above ``OVERLAP_THRESHOLD``, and ``last``
+    holds the chunk's last point, its entries and the low columns they use.
     """
-    scores = []
-    for gi, (_, v, blocks) in enumerate(groups):
-        for label, (v_prev, blocks_prev) in prev_labeled.items():
-            if blocks.isdisjoint(blocks_prev):
-                continue
-            s = np.linalg.svd(v_prev.conj().T @ v, compute_uv=False)
-            scores.append((float(s.max(initial=0.0)), gi, label))
-    scores.sort(reverse=True)
+    point, col = np.nonzero(group >= 0)
+    matrix = np.stack([spec.blocks for spec in chunk.spectra])[point, col]
+    level = np.stack([spec.levels for spec in chunk.spectra])[point, col]
+    n_matrices, first, dim = int(chunk.first[-1]), chunk.first, group.shape[1]
+    key = (point * n_matrices + matrix) * dim + level
+    order = np.argsort(key, kind="stable")
+    one = order[np.diff(key[order], prepend=-1) != 0]
+    skip = int(last is not None)  # the point of an entry: 0 is ``last``'s, if any
+    entries = point[one] + skip, matrix[one], level[one], group[point[one], col[one]]
+    if last is not None:
+        entries = tuple(np.concatenate(x) for x in zip(last[0], entries))
+    at, matrix, level, group = entries  # in (point, matrix, level) order
+    points = len(chunk) + skip
+    stack = np.searchsorted(first, matrix, side="right") - 1
+    depth = np.zeros(len(first) - 1, dtype=np.intp)
+    np.maximum.at(depth, stack, level + 1)
+    tables, columns = {}, {}  # tables[s][i]: the overlaps of points i and i + 1
+    for s in np.flatnonzero(depth).tolist():
+        u = chunk.vectors[s][..., :depth[s]]
+        table = np.empty((points - 1, *u.shape[1:2], depth[s], depth[s]), dtype=u.dtype)
+        np.matmul(u[:-1].conj().swapaxes(-1, -2), u[1:], out=table[skip:])
+        if skip and s in last[1]:
+            prev = last[1][s][..., :depth[s]]
+            table[0, :, :prev.shape[-1]] = prev.conj().swapaxes(-1, -2) @ u[0]
+        tables[s], columns[s] = table, u[-1].copy()
+    # every (a, b) of an entry a and an entry b of the same matrix at the next point
+    key = at * n_matrices + matrix
+    lo = np.searchsorted(key, key + n_matrices)
+    n = np.searchsorted(key, key + n_matrices, side="right") - lo
+    a = np.repeat(np.arange(key.size), n)
+    b = lo[a] + np.arange(a.size) - np.repeat(np.cumsum(n) - n, n)
+    score = np.empty(a.size)
+    for s, table in tables.items():
+        sel = np.flatnonzero(stack[a] == s)
+        i, j = a[sel], b[sel]
+        score[sel] = np.abs(table[at[i], matrix[i] - first[s], level[i], level[j]])
+    # a run is the levels one group holds of one matrix
+    new = np.ones(at.size, dtype=bool)
+    new[1:] = (np.diff(at) != 0) | (np.diff(matrix) != 0) | (np.diff(group) != 0)
+    run = np.cumsum(new) - 1
+    begin = np.flatnonzero(new)
+    size = np.diff(begin, append=at.size)
+    sigma = {}  # (run, run) -> the largest singular value of its overlap sub-block
+    for k in np.flatnonzero(size[run[a]] * size[run[b]] > 1).tolist():
+        ra, rb = run[a[k]], run[b[k]]
+        if (ra, rb) not in sigma:
+            i, j = begin[ra], begin[rb]
+            block = tables[stack[i]][at[i], matrix[i] - first[stack[i]]]
+            sub = block[np.ix_(level[i:i + size[ra]], level[j:j + size[rb]])]
+            sigma[ra, rb] = np.linalg.svd(sub, compute_uv=False)[0]
+        score[k] = sigma[ra, rb]
+    # each pair of groups: the best of its matrices, if above the threshold
+    pair = (at[b] * dim + group[b]) * dim + group[a]
+    order = np.argsort(pair, kind="stable")
+    pair = pair[order]
+    head = np.flatnonzero(np.diff(pair, prepend=-1))
+    best, pair = np.maximum.reduceat(score[order], head), pair[head]
+    keep = best > OVERLAP_THRESHOLD
+    best, pair = best[keep].tolist(), pair[keep]
+    to, cur, prev = pair // (dim * dim), pair // dim % dim, pair % dim
+    cut = np.searchsorted(to, np.arange(skip, points + 1)).tolist()
+    cur, prev = cur.tolist(), prev.tolist()
+    scores = [list(zip(best[p:q], cur[p:q], prev[p:q])) for p, q in zip(cut, cut[1:])]
+    tail = at == points - 1
+    return scores, ((np.zeros_like(at[tail]), matrix[tail], level[tail], group[tail]), columns)
+
+
+def _match_groups(scores: list, n_groups: int, prev_labels: list[int]) -> list[int]:
+    """Greedy assignment of a point's ``n_groups`` groups to the previous point's
+    labels (``prev_labels[g]`` that of its group g) by subspace overlap.
+
+    ``scores`` holds (score, group, previous group) for each pair of groups whose
+    score, from ``_scores``, is above ``OVERLAP_THRESHOLD``; pairs that share no
+    matrix lie in orthogonal blocks and are not scored.  The highest score is
+    assigned first, ties going to the higher group, then the higher label.  A
+    group left unmatched is a level entering the tracked window from above; it
+    gets a fresh label, larger than every previous one.
+    """
     assigned: dict[int, int] = {}
-    for s, gi, label in scores:
-        if s <= OVERLAP_THRESHOLD:
-            break
-        if gi not in assigned and label not in assigned.values():
+    used = set()
+    for _, gi, label in sorted(((s, gi, prev_labels[g]) for s, gi, g in scores), reverse=True):
+        if gi not in assigned and label not in used:
             assigned[gi] = label
-    fresh = count(max(prev_labeled, default=-1) + 1)
-    return [assigned[gi] if gi in assigned else next(fresh) for gi in range(len(groups))]
+            used.add(label)
+    fresh = count(max(prev_labels, default=-1) + 1)
+    return [assigned[gi] if gi in assigned else next(fresh) for gi in range(n_groups)]
 
 
 def _extremes(blocks: _Blocks, J: float, c, picks: np.ndarray, low: np.ndarray,
@@ -437,13 +569,14 @@ def _extremes(blocks: _Blocks, J: float, c, picks: np.ndarray, low: np.ndarray,
     one batched ``eigvalsh`` per stack touched.  ``c`` is a float, or an array of
     shape (points, 1, 1, 1) with ``low`` and ``top`` of shape (points, matrices).
     This is the one place that reads block eigenvalues without vectors."""
-    cut = np.searchsorted(picks, blocks.first)
-    for s, (ring, star) in enumerate(blocks.stacks):
-        part = picks[cut[s]:cut[s + 1]]
-        if part.size:
-            at = part - blocks.first[s]
-            vals = np.linalg.eigvalsh(J * (c * star[at] + (1.0 - c) * ring[at]))
-            low[..., part], top[..., part] = vals[..., 0], vals[..., -1]
+    start = 0
+    for s, run in groupby((np.searchsorted(blocks.first, picks, side="right") - 1).tolist()):
+        part = picks[start:start + len(list(run))]
+        start += part.size
+        ring, star = blocks.stacks[s]
+        at = part - blocks.first[s]
+        vals = np.linalg.eigvalsh(J * (c * star[at] + (1.0 - c) * ring[at]))
+        low[..., part], top[..., part] = vals[..., 0], vals[..., -1]
 
 
 def _ground_bound(e0: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -513,11 +646,12 @@ def _refine_crossing(system, J, c_lo, c_hi, ends):
     (low0, top0), (low1, top1) = ends
     c0, width = c_lo, c_hi - c_lo  # the chords stay anchored at the bracket's ends
     margin = CHORD_MARGIN * max(1.0, float(np.abs(ends).max()))
+    rise_low, rise_top = low1 - low0, top1 - top0  # each chord's rise over the bracket
 
     def midpoint(c: float, seed: frozenset):  # lowest eigenvalue by matrix, ground set
         t = (c - c0) / width
-        floor = low0 + t * (low1 - low0) - margin
-        ceiling = top0 + t * (top1 - top0) + margin
+        floor = low0 + t * rise_low - margin
+        ceiling = top0 + t * rise_top + margin
         low, top = np.full(floor.size, np.inf), np.full(floor.size, -np.inf)
         picks = np.array(sorted(seed | {int(ceiling.argmax())}))
         while picks.size:
@@ -567,7 +701,9 @@ def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4) -> Lev
 
     Levels are continued between adjacent grid points by maximal
     eigenvector-subspace overlap rather than by energy order, so that a level
-    keeps its identity through a crossing.  Every grid interval where the
+    keeps its identity through a crossing.  The overlaps come from the (Sz, k)
+    block eigenvectors of each solve chunk, one batched product per stack (see
+    ``_scores``); no dense column is formed.  Every grid interval where the
     ground level's continuation label changes is bisected to a width of 1e-6 in
     c on the set of ground (Sz, k) blocks, reading only block eigenvalues; it is
     a crossing only if that set changes in it.  The minimum gap seen between the
@@ -577,39 +713,43 @@ def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4) -> Lev
     c_grid = _check_grid(c_grid)
     if n_levels < 2:
         raise DomainError("n_levels must be >= 2")
-    return _track(system, J, c_grid, n_levels, solve_grid(system, J, c_grid))
+    return _track(system, J, c_grid, n_levels, _grid_chunks(system, J, c_grid))
 
 
 def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
-           spectra) -> LevelTrack:
-    """The loop of ``track_levels``.  ``spectra`` is an iterator with one spectrum
-    per grid point, in grid order; the tracker makes no other solve.  A bisection
-    takes its two ends' block eigenvalues from the ``extremes`` of those spectra."""
+           chunks) -> LevelTrack:
+    """The loop of ``track_levels``.  ``chunks`` yields ``_Chunk``s with one
+    spectrum per grid point, in grid order; the tracker makes no other solve, and
+    keeps of a chunk only its last point's low block columns.  A bisection takes
+    its two ends' block eigenvalues from the ``extremes`` of those spectra."""
     tracked: dict[int, list] = {}
     crossings: list[Crossing] = []
     flagged: list[tuple[float, float]] = []
 
-    prev_labeled: dict[int, tuple] = {}
-    prev_ground = None
+    cs, last, labels = iter(c_grid.tolist()), None, []
     prev_c = prev_extremes = None
-    for c in c_grid.tolist():
-        spec = next(spectra)  # not zip: its reused tuple would pin the previous chunk
-        groups, extremes = _low_groups(spec, n_levels), spec.extremes
-        del spec  # a spectrum pins its whole solve chunk
-        labels = _match_groups(prev_labeled, groups)
-        for lab, (energy, _, _) in zip(labels, groups):
-            tracked.setdefault(lab, []).append((c, energy))
-        ground = labels[0]
-        if prev_labeled and ground not in prev_labeled:
-            # the new ground matched nothing from the previous point
-            flagged.append((prev_c, c))
-        if prev_ground is not None and ground != prev_ground:
-            refined = _refine_crossing(system, J, prev_c, c, np.stack((prev_extremes, extremes)))
-            if refined is not None:
-                lo, hi, gap = refined
-                crossings.append(Crossing(lo, hi, (prev_ground, ground), gap))
-        prev_labeled = {lab: (v, blocks) for lab, (_, v, blocks) in zip(labels, groups)}
-        prev_ground = ground
-        prev_c, prev_extremes = c, extremes
+    for chunk in chunks:
+        group, energies = _low_groups(np.stack([spec.eigenvalues for spec in chunk.spectra]),
+                                      n_levels)
+        scores, last = _scores(chunk, group, last)
+        extremes = [spec.extremes for spec in chunk.spectra]
+        del chunk  # the tracker's bisections run while the next chunk is unsolved
+        energies = iter(energies)
+        for point_scores, n_groups, point_extremes in zip(scores, (group.max(axis=1) + 1).tolist(),
+                                                          extremes):
+            c = next(cs)
+            prev_labels, labels = labels, _match_groups(point_scores, n_groups, labels)
+            for label in labels:
+                tracked.setdefault(label, []).append((c, next(energies)))
+            if prev_labels and labels[0] not in prev_labels:
+                # the new ground matched nothing from the previous point
+                flagged.append((prev_c, c))
+            if prev_labels and labels[0] != prev_labels[0]:
+                refined = _refine_crossing(system, J, prev_c, c,
+                                           np.stack((prev_extremes, point_extremes)))
+                if refined is not None:
+                    lo, hi, gap = refined
+                    crossings.append(Crossing(lo, hi, (prev_labels[0], labels[0]), gap))
+            prev_c, prev_extremes = c, point_extremes
 
     return LevelTrack(tracked, crossings, flagged)

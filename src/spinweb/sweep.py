@@ -12,8 +12,7 @@ import numpy as np
 
 from .entanglement import concurrence_symmetric, concurrence_wootters
 from .errors import DomainError
-from .spectral import (_check_grid, _grid_chunks, _ground_bound, _hand_out,
-                       ground_subspace, solve_grid)
+from .spectral import _check_grid, _grid_chunks, _ground_bound, ground_subspace, solve_grid
 from .states import QuantumState, TwoQubitRDM, fidelity, partial_trace, sz_blocked
 from .system import SpinSystem
 
@@ -365,19 +364,16 @@ def _overlaps(refs: ReferenceSet, factors: np.ndarray, deg: np.ndarray):
 
 
 def _chunk_records(config: SweepConfig, refs: ReferenceSet, cs: list,
-                   spectra: list) -> list[SweepRecord]:
-    """The SweepRecords of the grid points ``cs`` from their spectra ``spectra``,
-    all at once: ``ground_subspace``'s degeneracy from the eigenvalue rows, one
+                   chunk) -> list[SweepRecord]:
+    """The SweepRecords of the grid points ``cs`` from their solve chunk, all at
+    once: ``ground_subspace``'s degeneracy from the eigenvalue rows, one
     zero-padded (points x dim x max-degeneracy) array of the ground factors
-    B / sqrt(deg), one batched RDM product per pair and ``_overlaps``."""
+    B / sqrt(deg) from ``_Chunk.columns``, one batched RDM product per pair and
+    ``_overlaps``."""
     system = SpinSystem(config.n_outer, has_central=True)
-    ev = np.stack([spec.eigenvalues for spec in spectra])
+    ev = np.stack([spec.eigenvalues for spec in chunk.spectra])
     deg = np.count_nonzero(ev <= _ground_bound(ev[..., :1], ev[..., -1:]), axis=1)
-    bases = [spec.vectors(d) for spec, d in zip(spectra, deg.tolist())]
-    factors = np.zeros((len(spectra), system.dimension, deg.max()),
-                       dtype=np.result_type(*bases))
-    for f, basis in zip(factors, bases):
-        f[:, :basis.shape[1]] = basis / np.sqrt(basis.shape[1])
+    factors = chunk.columns(deg) / np.sqrt(deg)[:, None, None]
     try:
         nn, nnn = (_rdm_observables(_pair_rdms(system, factors, pair))
                    for pair in (config.nn_pair, config.resolved_nnn_pair))
@@ -394,23 +390,26 @@ def _chunk_records(config: SweepConfig, refs: ReferenceSet, cs: list,
             for i, (c, e, d) in enumerate(zip(cs, low, deg.tolist()))]
 
 
-def _recorded_points(config: SweepConfig, records: list):
-    """Yield the spectrum of each grid point of ``config``, in order, from one
-    ``_grid_chunks`` pass.  The records of each solve chunk are built together by
-    ``_chunk_records`` and appended to ``records`` before the chunk's first
-    spectrum is yielded; the chunk's spectra are handed out and none is kept, so
-    a chunk and its ground factors are dropped before the next one is solved."""
+def _recorded_chunks(config: SweepConfig, records: list):
+    """An iterator of the ``_Chunk`` of each solve chunk of the grid of ``config``,
+    in order, from one ``_grid_chunks`` pass.  The records of each chunk are built
+    together by ``_chunk_records`` and appended to ``records`` before the chunk is
+    handed out; the iterator keeps no chunk it handed out, so a consumer that
+    unbinds each one holds one chunk and its ground factors at a time."""
     refs, cs = make_references(config), iter(config.c_grid.tolist())
+
+    def recorded(chunk):
+        records.extend(_chunk_records(config, refs, list(islice(cs, len(chunk))), chunk))
+        return chunk
+
     system = SpinSystem(config.n_outer, has_central=True)
-    for chunk in _grid_chunks(system, config.J, config.c_grid):
-        records += _chunk_records(config, refs, list(islice(cs, len(chunk))), chunk)
-        yield from _hand_out(chunk)
+    return map(recorded, _grid_chunks(system, config.J, config.c_grid))
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Compute one SweepRecord per grid point, in grid order, from one
     ``_grid_chunks`` pass, a solve chunk at a time."""
     records: list[SweepRecord] = []
-    # consumed without binding a spectrum, which would pin its chunk while the next is solved
-    deque(_recorded_points(config, records), maxlen=0)
+    # consumed without binding a chunk, which would stay alive while the next is solved
+    deque(_recorded_chunks(config, records), maxlen=0)
     return records

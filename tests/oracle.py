@@ -7,8 +7,9 @@ into one dense dim x dim matrix; the result equals
 ``eigendecompose(build_combined(...))`` bit for bit.  ``momentum_blocks``
 builds the (Sz, k) blocks sector by sector and momentum by momentum, the
 reference of the one-pass ``spectral._momentum_blocks``.
-``full_refine_crossing`` and ``all_pairs_match_groups`` are the crossing
-bisection and the level matching with nothing pruned; ``bracket_ends`` gives a
+``full_refine_crossing`` is the crossing bisection with nothing pruned, and
+``dense_track`` the level tracker with dense group bases and an SVD score for
+every pair of groups (``all_pairs_match_groups``); ``bracket_ends`` gives a
 bisection that has no grid pass its ends.  ``record`` builds one sweep record from the
 public per-state functions, the reference of the batched record builder.
 ``free_fermion_ring`` is the exact c = 0 ground level (energy, degeneracy and
@@ -161,12 +162,15 @@ def bracket_ends(system: SpinSystem, J: float, c_lo: float, c_hi: float) -> np.n
 
 def sz_block_grid_chunks(system: SpinSystem, J: float, cs):
     """``sz_block_solve`` at each c of ``cs`` in turn, in the form of
-    ``spectral._grid_chunks`` with one point per chunk.  Each spectrum carries the
-    (Sz, k) blocks' extremes from ``eigvalsh``, which the tracker's bisection
-    reads and the Sz-block solve does not give."""
+    ``spectral._grid_chunks`` with one point per chunk: the dense spectrum is one
+    stack of one matrix.  Each spectrum carries the (Sz, k) blocks' extremes from
+    ``eigvalsh``, which the tracker's bisection reads and the Sz-block solve does
+    not give."""
     for c in np.asarray(cs, dtype=float).ravel().tolist():
         extremes = spectral._grid_ground_blocks(system, J, [c])[0][0]
-        yield [replace(sz_block_solve(system, J, c), extremes=extremes)]
+        spec = replace(sz_block_solve(system, J, c), extremes=extremes)
+        yield spectral._Chunk([spec], [spec.vectors()[None, None]], np.array([0, 1]),
+                              lambda counts, spec=spec: spec.vectors(counts[0])[None])
 
 
 def ground_blocks(system: SpinSystem, J: float, c: float):
@@ -207,23 +211,81 @@ def full_refine_crossing(system: SpinSystem, J: float, c_lo: float, c_hi: float)
     return c_lo, c_hi, float(min(abs(lowest[a] - lowest[b]) for lowest in lowests))
 
 
+def group_bounds(spec: spectral.Spectrum, n_levels: int) -> list[int]:
+    """Reference for ``spectral._low_groups`` at one point: the column bounds of
+    the groups, each the lowest ungrouped level and every level within the
+    degeneracy tolerance above it, until n_levels levels are covered."""
+    ev = spec.eigenvalues
+    thr = spectral._degeneracy_tol(float(ev[-1] - ev[0]))
+    bounds = [0]
+    while bounds[-1] < min(n_levels, ev.size):
+        bounds.append(int(np.searchsorted(ev, ev[bounds[-1]] + thr, side="right")))
+    return bounds
+
+
+def dense_groups(spec: spectral.Spectrum, n_levels: int):
+    """The groups of ``group_bounds`` as [(mean energy, dense basis, matrices)],
+    the bases formed by ``Spectrum.vectors``."""
+    bounds = group_bounds(spec, n_levels)
+    vecs = spec.vectors(bounds[-1])
+    return [(float(spec.eigenvalues[start:stop].mean()), vecs[:, start:stop],
+             frozenset(spec.blocks[start:stop].tolist()))
+            for start, stop in zip(bounds, bounds[1:])]
+
+
+TIE = 1e-12  # two scores this close are a tie that round-off may decide either way
+
+
 def all_pairs_match_groups(prev_labeled, groups):
     """Reference for ``spectral._match_groups``: the same greedy assignment, with
-    an SVD score for every pair of groups, whatever their block labels."""
+    an SVD of the dense overlap for every pair of groups, whatever their
+    matrices.  ``prev_labeled`` maps each previous label to its group's (basis,
+    matrices).  Returns the labels, and whether two scores above the threshold
+    that compete for a group or a label lie within ``TIE``."""
     scores = []
     for gi, (_, v, _) in enumerate(groups):
         for label, (v_prev, _) in prev_labeled.items():
             s = np.linalg.svd(v_prev.conj().T @ v, compute_uv=False)
             scores.append((float(s.max(initial=0.0)), gi, label))
     scores.sort(reverse=True)
+    above = [x for x in scores if x[0] > spectral.OVERLAP_THRESHOLD]
+    tied = any(s - t <= TIE and (g == h or k == m)
+               for i, (s, g, k) in enumerate(above) for t, h, m in above[i + 1:])
     assigned = {}
-    for s, gi, label in scores:
-        if s <= spectral.OVERLAP_THRESHOLD:
-            break
+    for _, gi, label in above:
         if gi not in assigned and label not in assigned.values():
             assigned[gi] = label
     fresh = count(max(prev_labeled, default=-1) + 1)
-    return [assigned[gi] if gi in assigned else next(fresh) for gi in range(len(groups))]
+    return [assigned[gi] if gi in assigned else next(fresh) for gi in range(len(groups))], tied
+
+
+def dense_track(system: SpinSystem, J: float, c_grid, n_levels: int):
+    """Reference for ``spectral.track_levels``: the same loop one grid point at a
+    time, on ``dense_groups`` matched by ``all_pairs_match_groups``, with the
+    tracker's bisection.  Returns the ``LevelTrack`` and the c values at which
+    the matching met a tie."""
+    tracked, crossings, flagged, ties = {}, [], [], []
+    prev_labeled, prev_ground, prev_c, prev_extremes = {}, None, None, None
+    grid = np.asarray(c_grid, dtype=float)
+    for c, spec in zip(grid.tolist(), spectral.solve_grid(system, J, grid)):
+        groups = dense_groups(spec, n_levels)
+        labels, tied = all_pairs_match_groups(prev_labeled, groups)
+        if tied:
+            ties.append(c)
+        for label, (energy, _, _) in zip(labels, groups):
+            tracked.setdefault(label, []).append((c, energy))
+        ground = labels[0]
+        if prev_labeled and ground not in prev_labeled:
+            flagged.append((prev_c, c))
+        if prev_ground is not None and ground != prev_ground:
+            refined = spectral._refine_crossing(system, J, prev_c, c,
+                                                np.stack((prev_extremes, spec.extremes)))
+            if refined is not None:
+                lo, hi, gap = refined
+                crossings.append(spectral.Crossing(lo, hi, (prev_ground, ground), gap))
+        prev_labeled = {label: (v, blocks) for label, (_, v, blocks) in zip(labels, groups)}
+        prev_ground, prev_c, prev_extremes = ground, c, spec.extremes
+    return spectral.LevelTrack(tracked, crossings, flagged), ties
 
 
 def record(config, system, refs, c, spec):

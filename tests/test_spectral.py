@@ -98,8 +98,34 @@ def test_tracker_ground_group_is_the_ground_subspace():
     # levels 0.6 t apart: a chain of gaps within t would join the third
     t = spectral.DEGENERACY_TOL
     spec = spectral._dense_spectrum(np.array([0.0, 0.6 * t, 1.2 * t, 1.0]), np.eye(4))
-    _, basis, _ = spectral._low_groups(spec, 2)[0]
-    assert basis.shape[1] == ground_subspace(spec).degeneracy == 2
+    group, energies = spectral._low_groups(spec.eigenvalues[None], 2)
+    assert np.count_nonzero(group[0] == 0) == ground_subspace(spec).degeneracy == 2
+    assert group[0].tolist() == [0, 0, -1, -1] and len(energies) == 1
+
+
+def test_chunk_groups_equal_the_per_point_groups_bit_for_bit():
+    # groups of 1 to 12 levels spread within the tolerance, so numpy's mean sums
+    # them one by one (fewer than 8) or pairwise (8 or more)
+    rng = np.random.default_rng(5)
+    rows = []
+    for _ in range(40):
+        row, level = [], 0.0
+        while len(row) < 40:
+            level += rng.uniform(1.0, 2.0)
+            spread = 1e-9 if rng.random() < 0.5 else 0.0  # exact or near degeneracy
+            row.extend(level + rng.uniform(0.0, spread, size=int(rng.integers(1, 13))))
+        rows.append(np.sort(row)[:40] * rng.choice([1e-3, 1.0, 7.3]))
+    ev = np.stack(rows)
+    for n_levels in (2, 5, 40):
+        group, energies = spectral._low_groups(ev, n_levels)
+        want = []
+        for i, row in enumerate(ev):
+            spec = spectral._dense_spectrum(row, np.eye(row.size))
+            bounds = oracle.group_bounds(spec, n_levels)
+            assert group[i].tolist() == [g for g, (a, b) in enumerate(zip(bounds, bounds[1:]))
+                                         for _ in range(a, b)] + [-1] * (row.size - bounds[-1])
+            want += [row[a:b].mean() for a, b in zip(bounds, bounds[1:])]
+        assert np.array(energies).tobytes() == np.array(want).tobytes()
 
 
 def test_track_levels_finds_both_ground_changes():
@@ -220,19 +246,19 @@ def _refine_by_overlap(system, J, c_lo, c_hi, n_levels):
     """Oracle of ``_refine_crossing``: bisect until the ground level's overlap
     continuation label changes, with a full solve at every step."""
     def groups_at(c):
-        return spectral._low_groups(solve(system, J, c), n_levels)
+        return oracle.dense_groups(solve(system, J, c), n_levels)
 
     def labeled(labels, groups):
         return {lab: (v, blocks) for lab, (_, v, blocks) in zip(labels, groups)}
 
     groups = groups_at(c_lo)
     labeled_lo = labeled(range(len(groups)), groups)
-    ground_lo, ground_hi = 0, spectral._match_groups(labeled_lo, groups_at(c_hi))[0]
+    ground_lo, ground_hi = 0, oracle.all_pairs_match_groups(labeled_lo, groups_at(c_hi))[0][0]
     min_gap = np.inf
     while c_hi - c_lo > spectral.CROSSING_WIDTH:
         c_mid = 0.5 * (c_lo + c_hi)
         groups = groups_at(c_mid)
-        labels = spectral._match_groups(labeled_lo, groups)
+        labels = oracle.all_pairs_match_groups(labeled_lo, groups)[0]
         energies = {lab: e for lab, (e, _, _) in zip(labels, groups)}
         if ground_lo in energies and ground_hi in energies:
             min_gap = min(min_gap, abs(energies[ground_lo] - energies[ground_hi]))
@@ -285,12 +311,32 @@ def _tracks_agree(a, b):
             == (b.crossings, b.tracked_levels, b.flagged_intervals))
 
 
+def _by_point(track):
+    """c -> {label: energy} of a ``LevelTrack``."""
+    points = {}
+    for label, levels in track.tracked_levels.items():
+        for c, energy in levels:
+            points.setdefault(c, {})[label] = energy
+    return points
+
+
+def _before(track, c):
+    """The part of a ``LevelTrack`` that lies below c."""
+    return ([x for x in track.crossings if x.c_hi < c],
+            {c_: levels for c_, levels in _by_point(track).items() if c_ < c},
+            [x for x in track.flagged_intervals if x[1] < c])
+
+
 @pytest.mark.parametrize("J", [1.0, 0.7, -1.0])
 @pytest.mark.parametrize("n_outer", range(2, 9))
 def test_pruned_bisection_and_matching_equal_their_references(monkeypatch, n_outer, J):
     """On every interval where the ground label or the ground-block set changes,
     ``_refine_crossing`` returns the full-evaluation tuple (or None), and the
-    tracker's output equals that of scoring every pair of level groups."""
+    tracker's output equals that of the dense tracker, which scores every pair
+    of level groups with an SVD of their dense bases.  At N <= 3 the overlaps meet
+    exact ties, which round-off decides on either path: there the labels may
+    first differ only at a grid point where the dense matching met a tie, and
+    everything below it agrees."""
     s = SpinSystem(n_outer, has_central=True)
     grid = np.linspace(0.0, 1.0, 401 if n_outer <= 7 else 41)
     refine = spectral._refine_crossing
@@ -303,13 +349,17 @@ def test_pruned_bisection_and_matching_equal_their_references(monkeypatch, n_out
         return got
 
     for n_levels in (2, 4, 6):
-        with monkeypatch.context() as patch:
-            patch.setattr(spectral, "_match_groups", oracle.all_pairs_match_groups)
-            all_pairs = track_levels(s, J, grid, n_levels)
+        dense, ties = oracle.dense_track(s, J, grid, n_levels)
         with monkeypatch.context() as patch:
             patch.setattr(spectral, "_refine_crossing", checked)
-            pruned = track_levels(s, J, grid, n_levels)
-        assert _tracks_agree(pruned, all_pairs)
+            blocked = track_levels(s, J, grid, n_levels)
+        if n_outer >= 4 or _tracks_agree(blocked, dense):
+            assert _tracks_agree(blocked, dense)
+        else:
+            got, want = _by_point(blocked), _by_point(dense)
+            first = min(c for c in want if got.get(c) != want[c])
+            assert first in ties
+            assert _before(blocked, first) == _before(dense, first)
     extremes, grounds = spectral._grid_ground_blocks(s, J, grid)
     for i, (a, b) in enumerate(zip(grounds, grounds[1:])):
         if a != b:
@@ -418,25 +468,56 @@ def test_extremes_kernel_agrees_on_a_grid_and_per_point(n_outer, J):
         assert np.isnan(part_low[rest]).all() and np.isnan(part_top[rest]).all()
 
 
-def test_level_matching_takes_no_svd_across_blocks(monkeypatch):
-    svd, match = np.linalg.svd, spectral._match_groups
-    taken, shared, disjoint = [], [], []
+def _held_levels(spec, n_levels):
+    """For each group of ``oracle.group_bounds``: matrix -> the levels it holds."""
+    bounds = oracle.group_bounds(spec, n_levels)
+    held = []
+    for start, stop in zip(bounds, bounds[1:]):
+        levels = {}
+        for m, level in zip(spec.blocks[start:stop].tolist(), spec.levels[start:stop].tolist()):
+            levels.setdefault(m, set()).add(level)
+        held.append(levels)
+    return held
 
-    def counted_match(prev_labeled, groups):
-        for _, _, blocks in groups:
-            for _, blocks_prev in prev_labeled.values():
-                (disjoint if blocks.isdisjoint(blocks_prev) else shared).append(1)
-        return match(prev_labeled, groups)
 
-    def counted_svd(*args, **kwargs):
-        taken.append(1)
-        return svd(*args, **kwargs)
+def _counted_svds(monkeypatch):
+    svd, shapes = np.linalg.svd, []
 
-    monkeypatch.setattr(spectral, "_match_groups", counted_match)
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    track_levels(SpinSystem(5, has_central=True), 1.0, np.linspace(0.0, 1.0, 51), 4)
-    assert len(disjoint) > len(shared) > 0
-    assert len(taken) == len(shared)
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return shapes
+
+
+def test_level_matching_takes_an_svd_only_for_levels_degenerate_in_a_matrix(monkeypatch):
+    s, grid, n_levels = SpinSystem(5, has_central=True), np.linspace(0.0, 1.0, 51), 4
+    shapes = _counted_svds(monkeypatch)
+    track_levels(s, 1.0, grid, n_levels)
+    monkeypatch.undo()
+    # one SVD per (pair of consecutive points, group pair, matrix both groups
+    # hold) where a group holds two or more levels of that matrix
+    expected, single, prev = [], 0, None
+    for spec in spectral.solve_grid(s, 1.0, grid):
+        held = _held_levels(spec, n_levels)
+        for now in held:
+            for before in prev or []:
+                for m in now.keys() & before.keys():
+                    if len(now[m]) * len(before[m]) > 1:
+                        expected.append((len(before[m]), len(now[m])))
+                    else:
+                        single += 1
+        prev = held
+    assert single > len(expected) > 0
+    assert sorted(shapes) == sorted(expected)
+
+
+def test_256_level_spectrum_takes_no_svd_for_single_levels(monkeypatch, capsys):
+    shapes = _counted_svds(monkeypatch)
+    assert main(["spectrum", "--n", "7", "--c-steps", "100", "--levels", "256"]) == 0
+    capsys.readouterr()
+    assert shapes and (1, 1) not in shapes
 
 
 def test_solve_labels_each_level_by_its_block():
@@ -543,13 +624,15 @@ def test_n12_sweep_holds_no_more_than_one_point(tmp_path):
 def test_grid_generators_keep_no_spectrum_they_handed_out():
     system, grid = SpinSystem(3, has_central=True), np.linspace(0.0, 1.0, 5)
     config = SweepConfig(n_outer=3, c_grid=grid)
-    for points in (spectral.solve_grid(system, 1.0, grid), sweep._recorded_points(config, [])):
-        spectra = [next(points) for _ in grid]
+    for points, take in ((spectral.solve_grid(system, 1.0, grid), lambda p: [next(p) for _ in grid]),
+                         (sweep._recorded_chunks(config, []), lambda p: next(p).spectra)):
+        spectra = take(points)
         first = spectra[0].eigenvalues.base
+        assert len(spectra) == grid.size
         assert all(spec.eigenvalues.base is first for spec in spectra)  # one chunk
         chunk = weakref.ref(first)
         del spectra, first
-        # the suspended generator holds none of them, so no point outlives its consumer
+        # the suspended iterator holds none of them, so no point outlives its consumer
         assert chunk() is None
         assert next(points, None) is None
 
@@ -559,8 +642,8 @@ def _grid_run(n_outer):
     config = SweepConfig(n_outer=n_outer, references=("ring", "star", "singlet_ansatz"))
     system = SpinSystem(n_outer, has_central=True)
     records = []
-    points = sweep._recorded_points(config, records)
-    track = spectral._track(system, config.J, config.c_grid, config.n_levels, points)
+    chunks = sweep._recorded_chunks(config, records)
+    track = spectral._track(system, config.J, config.c_grid, config.n_levels, chunks)
     return records, track.crossings
 
 

@@ -1,6 +1,7 @@
-"""Write what a fixed list of ``spinweb`` commands output, for a byte comparison.
+"""Write what a fixed list of ``spinweb`` commands output, and compare two such runs.
 
     python tools/output_matrix.py OUTDIR
+    python tools/output_matrix.py --compare A B
 
 Each case runs ``python -m spinweb.cli`` from this checkout's ``src`` in a child
 process, with ``SPINWEB_THREADS=1``, ``COLUMNS=80``, no bytecode written and
@@ -11,8 +12,22 @@ files and their sidecars.  Every line holding a manifest ``timestamp`` is
 removed from each file, so two runs of one tree give the same bytes.  To compare two trees, run this
 script in each (copy it into a checkout that lacks it) and ``diff -r`` the two
 output directories.
+
+``--compare A B`` compares two output directories within the tolerances of
+``perfbench/check.py`` (read from it): ``status``, ``stderr`` and every file
+that is neither CSV nor JSON (help text, the ``verify-n4`` report) byte for
+byte; in CSV and JSON files, labels, degeneracies, counts and strings exactly
+and every other number within its column's tolerance.  ``spectrum`` levels
+are compared point by point in energy order, so a level that changes its label
+is named.  It prints the largest deviation of each column and every
+difference, and exits 0 when there is none, else 1.
 """
 
+import csv
+import importlib.util
+import io
+import json
+import math
 import os
 import re
 import subprocess
@@ -20,6 +35,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+CHECK = Path(__file__).resolve().parent.parent / "perfbench" / "check.py"
 TIMESTAMP = re.compile(rb'^\s*"timestamp": .*\n', re.MULTILINE)
 CAPTURED = ("stdout", "stderr", "status")
 
@@ -132,8 +148,166 @@ def run_case(outdir: Path, name: str, argv: list, extra: dict) -> None:
         path.write_bytes(TIMESTAMP.sub(b"", path.read_bytes()))
 
 
+#: Columns compared exactly: labels and degeneracies.
+EXACT = ("label", "label_from", "label_to", "deg")
+CSV_HEADER = re.compile(r"[A-Za-z_]\w*(,[A-Za-z_]\w*)+")
+
+
+def _tolerances() -> dict:
+    """Column -> absolute tolerance, from ``perfbench/check.py``; a column not
+    named is an observable."""
+    spec = importlib.util.spec_from_file_location("perfbench_check", CHECK)
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    tolerances = {"": check.OBSERVABLE_TOL}
+    for tol, columns in ((check.GRID_TOL, ("c", "flagged_intervals")),
+                         (check.ENERGY_TOL, ("E0", "energy", "low_energies", "min_gap")),
+                         (check.CROSSING_TOL, ("c_lo", "c_hi", "region_bounds",
+                                               "intermediate_region"))):
+        tolerances.update(dict.fromkeys(columns, tol))
+    return tolerances
+
+
+class Comparison:
+    """The differences between two output directories and the largest
+    deviation of each column."""
+
+    def __init__(self):
+        self.tolerances = _tolerances()
+        self.largest: dict[str, tuple[float, str]] = {}
+        self.differences: list[str] = []
+
+    def value(self, where: str, column: str, a, b) -> None:
+        """Compare two leaves: numbers within the column's tolerance (labels and
+        degeneracies exactly), anything else exactly."""
+        if column in EXACT or isinstance(a, (str, bool)) or a is None \
+                or isinstance(b, (str, bool)) or b is None:
+            if a != b:
+                self.differences.append(f"{where}: {a!r} != {b!r}")
+            return
+        a, b = float(a), float(b)
+        deviation = 0.0 if a == b or (math.isnan(a) and math.isnan(b)) else abs(a - b)
+        if deviation >= self.largest.get(column, (-1.0, ""))[0]:
+            self.largest[column] = (deviation, where)
+        tol = self.tolerances.get(column, self.tolerances[""])
+        if not deviation <= tol:
+            self.differences.append(f"{where}: {a!r} != {b!r} (tolerance {tol:g})")
+
+    def tree(self, where: str, column: str, a, b) -> None:
+        """Compare two JSON values: keys and lengths exactly, leaves by ``value``;
+        a leaf's column is the nearest key above it."""
+        if isinstance(a, dict) and isinstance(b, dict):
+            if a.keys() != b.keys():
+                self.differences.append(f"{where}: keys {sorted(a.keys() - b.keys())} only in "
+                                        f"the first, {sorted(b.keys() - a.keys())} only in the second")
+            for key in a.keys() & b.keys():
+                self.tree(f"{where}.{key}", key, a[key], b[key])
+        elif isinstance(a, list) and isinstance(b, list):
+            if len(a) != len(b):
+                self.differences.append(f"{where}: {len(a)} items != {len(b)}")
+            for i, (x, y) in enumerate(zip(a, b)):
+                self.tree(f"{where}[{i}]", column, x, y)
+        elif isinstance(a, (dict, list)) or isinstance(b, (dict, list)):
+            self.differences.append(f"{where}: {type(a).__name__} != {type(b).__name__}")
+        else:
+            self.value(where, column, a, b)
+
+    def levels(self, where: str, a: list, b: list) -> None:
+        """Compare two ``spectrum`` level lists of (label, c, energy) point by
+        point, each point's levels in energy order, so a moved label is named."""
+        def by_point(rows):
+            points = {}
+            for label, c, energy in rows:
+                points.setdefault(float(c), []).append((float(energy), str(label)))
+            return [(c, sorted(levels)) for c, levels in points.items()]
+
+        a, b = by_point(a), by_point(b)
+        if len(a) != len(b):
+            self.differences.append(f"{where}: {len(a)} grid points != {len(b)}")
+        for (c, x), (c_b, y) in zip(a, b):
+            self.value(f"{where} c={c}", "c", c, c_b)
+            if len(x) != len(y):
+                self.differences.append(f"{where} c={c}: {len(x)} levels != {len(y)}")
+            for (e, label), (e_b, label_b) in zip(x, y):
+                self.value(f"{where} c={c} energy", "energy", e, e_b)
+                if label != label_b:
+                    self.differences.append(f"{where} c={c}: the level at E={e!r} has "
+                                            f"label {label} != {label_b}")
+
+    def file(self, where: str, a: bytes, b: bytes) -> None:
+        """Compare two files by their kind: JSON, CSV, or bytes."""
+        kind = _kind(a)
+        if where.endswith(("/status", "/stderr")) or kind != _kind(b) or kind == "bytes":
+            if a != b:
+                self.differences.append(f"{where}: bytes differ")
+        elif kind == "json":
+            a, b = json.loads(a), json.loads(b)
+            if all(isinstance(x, dict) and isinstance(x.get("records"), dict) for x in (a, b)):
+                self.levels(f"{where} records", *([(label, p["c"], p["energy"])
+                                                    for label, points in x.pop("records").items()
+                                                    for p in points] for x in (a, b)))
+            self.tree(where, "", a, b)
+        else:
+            (head, *rows), (head_b, *rows_b) = (list(csv.reader(io.StringIO(x.decode())))
+                                                for x in (a, b))
+            if head != head_b:
+                self.differences.append(f"{where}: columns {head} != {head_b}")
+            elif head == ["label", "c", "energy"]:
+                self.levels(where, rows, rows_b)
+            else:
+                if len(rows) != len(rows_b):
+                    self.differences.append(f"{where}: {len(rows)} rows != {len(rows_b)}")
+                for i, (row, row_b) in enumerate(zip(rows, rows_b)):
+                    for column, x, y in zip(head, row, row_b):
+                        x, y = (_number(v) if column not in EXACT else v for v in (x, y))
+                        self.value(f"{where} row {i + 1} {column}", column, x, y)
+
+    def report(self) -> str:
+        lines = ["largest deviation per column:"]
+        lines += [f"  {column:<22} {deviation:.3g}  ({where})"
+                  for column, (deviation, where) in sorted(self.largest.items())]
+        lines.append(f"{len(self.differences)} differences" + (":" if self.differences else ""))
+        return "\n".join(lines + [f"  {x}" for x in self.differences]) + "\n"
+
+
+def _number(text: str):
+    """A CSV cell as a float, None when empty, else the text itself."""
+    try:
+        return float(text) if text else None
+    except ValueError:
+        return text
+
+
+def _kind(data: bytes) -> str:
+    """'json', 'csv' (a header of comma-separated names) or 'bytes'."""
+    if data.startswith(b"{"):
+        try:
+            json.loads(data)
+            return "json"
+        except ValueError:
+            return "bytes"
+    head = data.split(b"\n", 1)[0].decode(errors="replace")
+    return "csv" if CSV_HEADER.fullmatch(head) else "bytes"
+
+
+def compare(a: Path, b: Path) -> Comparison:
+    """Compare every file of the output directories ``a`` and ``b``."""
+    result = Comparison()
+    names = ({p.relative_to(a) for p in a.rglob("*") if p.is_file()},
+             {p.relative_to(b) for p in b.rglob("*") if p.is_file()})
+    for name in sorted(names[0] ^ names[1]):
+        result.differences.append(f"{name}: only in {a if name in names[0] else b}")
+    for name in sorted(names[0] & names[1]):
+        result.file(str(name), (a / name).read_bytes(), (b / name).read_bytes())
+    return result
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--compare":
+        result = compare(Path(args[1]), Path(args[2]))
+        sys.stdout.write(result.report())
+        return 1 if result.differences else 0
     if len(args) != 1:
         sys.stderr.write(__doc__)
         return 2
