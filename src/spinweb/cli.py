@@ -11,6 +11,9 @@ import argparse
 import gc
 import hashlib
 import json
+# argparse's gettext imports locale when the first parser is built; imported
+# here, before the freeze below, a command imports no module of its own
+import locale  # noqa: F401
 import os
 import re
 import sys

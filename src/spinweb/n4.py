@@ -68,9 +68,10 @@ def with_central(central_bit: int, outer_vector: np.ndarray) -> np.ndarray:
     """|central_bit> tensor |outer>, central as the most significant bit."""
     if central_bit not in (0, 1):
         raise DomainError(f"central bit must be 0 or 1, got {central_bit}")
-    e = np.zeros(2)
-    e[central_bit] = 1.0
-    return np.kron(e, outer_vector)
+    outer_vector = np.asarray(outer_vector)
+    v = np.zeros((2, outer_vector.size), dtype=np.result_type(outer_vector, float))
+    v[central_bit] = outer_vector
+    return v.ravel()
 
 
 # (central_bit, label) -> (star action, ring action); each action is either
@@ -247,16 +248,17 @@ def detect_regions():
     Returns ((c1_lo, c1_hi), (c2_lo, c2_hi)): the two refined crossing
     intervals separating ring, intermediate and star regions.  The sets of
     ground (Sz, k) blocks are scanned on a 201-point grid, from block
-    eigenvalues only, and each grid interval where the set changes is bisected
-    by ``_refine_crossing``, which takes its ends' block eigenvalues from the
-    scan; no eigenvector is formed.  The bounds hold for every J > 0: the
-    spectrum scales with J and the eigenvectors do not, so they are found at
-    J = 1 and cached, once per process.
+    eigenvalues only, and the grid intervals where the set changes are bisected
+    together by one ``_refine_crossing`` call, which takes their ends' block
+    eigenvalues from the scan; no eigenvector is formed.  The bounds hold for
+    every J > 0: the spectrum scales with J and the eigenvectors do not, so they
+    are found at J = 1 and cached, once per process.
     """
     grid = np.linspace(0.0, 1.0, 201).tolist()
     extremes, grounds = _grid_ground_blocks(FULL, 1.0, grid)
-    crossings = [_refine_crossing(FULL, 1.0, grid[i], grid[i + 1], extremes[i:i + 2])[:2]
-                 for i, (a, b) in enumerate(zip(grounds, grounds[1:])) if a != b]
+    crossings = [x[:2] for x in _refine_crossing(
+        FULL, 1.0, [(grid[i], grid[i + 1], extremes[i:i + 2])
+                    for i, (a, b) in enumerate(zip(grounds, grounds[1:])) if a != b])]
     if len(crossings) != 2:
         raise DomainError(f"expected 2 ground-level crossings for N=4, found {len(crossings)}")
     return tuple(crossings)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import count, groupby
+from itertools import count
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,6 +20,7 @@ OVERLAP_THRESHOLD = 0.5
 CROSSING_WIDTH = 1e-6  # bisection stops once a crossing lies in an interval this wide
 GRID_CHUNK_BYTES = 1 << 20  # eigenvectors one chunk of ``solve_grid`` holds (>= 1 point)
 CHORD_MARGIN = 1e-11  # round-off allowance of the bisection's chord bounds, relative to |H|
+FIRST_ROUND = 6  # midpoints a bracket predicts in its first bisection round
 
 
 @dataclass(frozen=True)
@@ -562,21 +563,30 @@ def _match_groups(scores: list, n_groups: int, prev_labels: list[int]) -> list[i
     return [assigned[gi] if gi in assigned else next(fresh) for gi in range(n_groups)]
 
 
-def _extremes(blocks: _Blocks, J: float, c, picks: np.ndarray, low: np.ndarray,
-              top: np.ndarray):
-    """Write the lowest and highest eigenvalue of the stacked matrices ``picks``
-    (ascending matrix numbers) into ``low[..., picks]`` and ``top[..., picks]``:
-    one batched ``eigvalsh`` per stack touched.  ``c`` is a float, or an array of
-    shape (points, 1, 1, 1) with ``low`` and ``top`` of shape (points, matrices).
-    This is the one place that reads block eigenvalues without vectors."""
-    start = 0
-    for s, run in groupby((np.searchsorted(blocks.first, picks, side="right") - 1).tolist()):
-        part = picks[start:start + len(list(run))]
-        start += part.size
+def _extremes(blocks: _Blocks, J: float, c: np.ndarray, picks: np.ndarray):
+    """The lowest and highest eigenvalue of stacked matrix ``picks[i]`` at
+    c = ``c[i]``, for every i, as two arrays shaped like ``picks``: one batched
+    ``eigvalsh`` per stack touched, split where its matrices would pass
+    ``GRID_CHUNK_BYTES``.  This is the one place that reads block eigenvalues
+    without vectors."""
+    order = np.argsort(picks, kind="stable")
+    cut = np.searchsorted(picks[order], blocks.first).tolist()
+    low, top = np.empty(picks.shape), np.empty(picks.shape)
+    for s in np.flatnonzero(np.diff(cut)).tolist():
         ring, star = blocks.stacks[s]
-        at = part - blocks.first[s]
-        vals = np.linalg.eigvalsh(J * (c * star[at] + (1.0 - c) * ring[at]))
-        low[..., part], top[..., part] = vals[..., 0], vals[..., -1]
+        step = max(1, GRID_CHUNK_BYTES // ring[0].nbytes)
+        for start in range(cut[s], cut[s + 1], step):
+            at = order[start:min(start + step, cut[s + 1])]
+            x, m = c[at, None, None], picks[at] - blocks.first[s]
+            h, r = star[m], ring[m]  # J (x S + (1 - x) R) in place: two copies, not four
+            h *= x
+            r *= 1.0 - x
+            h += r
+            del r
+            h *= J
+            vals = np.linalg.eigvalsh(h)
+            low[at], top[at] = vals[:, 0], vals[:, -1]
+    return low, top
 
 
 def _ground_bound(e0: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -587,33 +597,67 @@ def _ground_bound(e0: np.ndarray, top: np.ndarray) -> np.ndarray:
     return e0 + _degeneracy_tol(top - e0)
 
 
-def _ground_set(low: np.ndarray, top: np.ndarray) -> frozenset:
-    """The matrices whose lowest eigenvalue (``low``, by matrix number) is in the
-    ground level of a spectrum spanning [low.min(), top.max()]; a complex matrix
-    stands for k and -k together."""
-    return frozenset(np.flatnonzero(low <= _ground_bound(low.min(), top.max())).tolist())
+def _ground_mask(low: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Whether each matrix's lowest eigenvalue (``low``, by matrix number along
+    the last axis) is in the ground level of a spectrum spanning [low.min(),
+    top.max()] along that axis; a complex matrix stands for k and -k together."""
+    return low <= _ground_bound(low.min(axis=-1, keepdims=True), top.max(axis=-1, keepdims=True))
 
 
 def _grid_ground_blocks(system: SpinSystem, J: float, cs):
     """For each c of ``cs``: the lowest and highest eigenvalue of each stacked
     matrix, as a (points, 2, matrices) array in the form of ``Spectrum.extremes``,
-    and the set of ground matrices of ``_ground_set``, the range being that of
+    and the set of ground matrices of ``_ground_mask``, the range being that of
     the whole spectrum.  One ``_extremes`` call on every matrix at every c."""
     blocks, cs = _momentum_blocks(system), _checked_cs(J, cs)
-    extremes = np.empty((cs.size, 2, blocks.first[-1]))
-    _extremes(blocks, J, cs[:, None, None, None], np.arange(blocks.first[-1]),
-              extremes[:, 0], extremes[:, 1])
-    return extremes, [_ground_set(low, top) for low, top in extremes]
+    n = int(blocks.first[-1])
+    extremes = np.stack([x.reshape(cs.size, n) for x in _extremes(
+        blocks, J, np.repeat(cs, n), np.tile(np.arange(n), cs.size))], axis=1)
+    ground = _ground_mask(extremes[:, 0], extremes[:, 1])
+    matrices, cut = np.nonzero(ground)[1].tolist(), np.cumsum(ground.sum(axis=1)).tolist()
+    return extremes, [frozenset(matrices[start:stop]) for start, stop in zip([0, *cut], cut)]
 
 
-def _refine_crossing(system, J, c_lo, c_hi, ends):
-    """Bisect [c_lo, c_hi] on the set of ground (Sz, k) blocks until its change
-    lies within CROSSING_WIDTH.  Returns ``(c_lo, c_hi, min_gap)``, or None when
-    no change of that set is found.  ``ends`` holds ``Spectrum.extremes`` at c_lo
-    and at c_hi, as the tracker's grid pass or ``n4``'s region scan has them.  A
-    grid pass's extremes come from ``eigh`` and may differ from ``eigvalsh``'s in
-    the last bits, which changes an end's ground set only if a block's lowest
-    eigenvalue lies within round-off of the degeneracy bound.
+def _predicted_path(c_lo: float, c_hi: float, split: float, cap: float) -> list:
+    """The midpoints, at most ``cap``, that bisecting [c_lo, c_hi] visits if c_lo's
+    ground set holds below ``split`` and not above it, each paired with whether
+    it is predicted to keep that set."""
+    path = []
+    while c_hi - c_lo > CROSSING_WIDTH and len(path) < cap:
+        c_mid = 0.5 * (c_lo + c_hi)
+        path.append((c_mid, bool(c_mid < split)))
+        c_lo, c_hi = (c_mid, c_hi) if c_mid < split else (c_lo, c_mid)
+    return path
+
+
+def _midpoint_blocks(blocks: _Blocks, J: float, c: np.ndarray, seed: np.ndarray,
+                     floor: np.ndarray, ceiling: np.ndarray):
+    """The lowest eigenvalue of each matrix (inf where not evaluated) and the
+    ground mask at each midpoint ``c[i]`` of a bisection round, from its seed
+    matrices ``seed[i]`` and its chord bounds ``floor[i]`` and ``ceiling[i]`` (each
+    points x matrices), by ``_refine_crossing``'s closure rule; each step of the
+    closure is one ``_extremes`` call on what it adds at every midpoint."""
+    low, top = np.full(floor.shape, np.inf), np.full(floor.shape, -np.inf)
+    pick = seed.copy()
+    pick[np.arange(c.size), ceiling.argmax(axis=1)] = True
+    while pick.any():
+        point, matrix = np.nonzero(pick)
+        low[point, matrix], top[point, matrix] = _extremes(blocks, J, c[point], matrix)
+        e_top = top.max(axis=1, keepdims=True)
+        bound = _ground_bound(low.min(axis=1, keepdims=True), e_top)
+        pick = np.isinf(low) & ((floor <= bound) | (ceiling >= e_top))
+    return low, _ground_mask(low, top)
+
+
+def _refine_crossing(system, J, brackets) -> list:
+    """Bisect each bracket ``(c_lo, c_hi, ends)`` of ``brackets`` on the set of
+    ground (Sz, k) blocks until its change lies within CROSSING_WIDTH.  Returns,
+    bracket by bracket, ``(c_lo, c_hi, min_gap)``, or None when no change of that
+    set is found.  ``ends`` holds ``Spectrum.extremes`` at c_lo and at c_hi, as
+    the tracker's grid pass or ``n4``'s region scan has them.  A grid pass's
+    extremes come from ``eigh`` and may differ from ``eigvalsh``'s in the last
+    bits, which changes an end's ground set only if a block's lowest eigenvalue
+    lies within round-off of the degeneracy bound.
 
     Levels in different blocks cross without repelling, so a ground change is a
     change of the set of ground blocks, and each step reads only block
@@ -638,52 +682,96 @@ def _refine_crossing(system, J, c_lo, c_hi, ends):
     is within the ground bound of the evaluated minimum, or whose top chord, plus
     the margin, reaches the evaluated top, until none is: no other block holds
     the minimum, the top or a ground level.  Blocks a and b are added at the
-    midpoints that skipped them.  LAPACK factors each matrix of a batch as it
-    would factor it alone, so every eigenvalue read, and with it every set, c_lo,
-    c_hi and ``min_gap``, equals that of diagonalizing every block at every midpoint.
+    midpoints that skipped them, for all brackets in one ``_extremes`` call.
+
+    The brackets are bisected together, in rounds, each along its predicted
+    path.  A bracket whose ends share a set predicts that every midpoint keeps
+    it; else it predicts that c_lo's set holds up to the secant zero of E_a - E_b
+    through the points nearest its current ends that have both.  Its path is
+    the midpoints these predictions visit, at most ``FIRST_ROUND`` in the first
+    round, as a secant across a whole grid step is poor.  The midpoints of every
+    path are evaluated together (``_midpoint_blocks``), and each bracket reads
+    its decisions in path order up to the first that its prediction missed; the
+    midpoints after that one are dropped, and the next round predicts again.  A
+    prediction thus chooses only which midpoints are evaluated ahead.  LAPACK
+    factors each matrix of a batch as it would factor it alone, so every
+    midpoint, eigenvalue read, set, c_lo, c_hi and ``min_gap`` equals that of
+    bisecting each bracket alone with every block diagonalized at every midpoint.
     """
     blocks = _momentum_blocks(system)
-    (low0, top0), (low1, top1) = ends
-    c0, width = c_lo, c_hi - c_lo  # the chords stay anchored at the bracket's ends
-    margin = CHORD_MARGIN * max(1.0, float(np.abs(ends).max()))
-    rise_low, rise_top = low1 - low0, top1 - top0  # each chord's rise over the bracket
+    n_matrices = int(blocks.first[-1])
+    ends = np.array([e for _, _, e in brackets], dtype=float).reshape(-1, 2, 2, n_matrices)
+    lo, hi = [c for c, _, _ in brackets], [c for _, c, _ in brackets]
+    c0, c1 = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    width = c1 - c0  # the chords stay anchored at the brackets' original ends
+    (low0, top0), (low1, top1) = ends.transpose(1, 2, 0, 3)  # each (brackets, matrices)
+    margin = CHORD_MARGIN * np.maximum(1.0, np.abs(ends).max(axis=(1, 2, 3)))
+    rise_low, rise_top = low1 - low0, top1 - top0  # each chord's rise over its bracket
+    grounds = _ground_mask(ends[:, :, 0], ends[:, :, 1])
+    ground_lo, ground_hi = grounds[:, 0], grounds[:, 1].copy()
+    # per bracket: (midpoint, lowest eigenvalue of each matrix, inf if not evaluated)
+    visited = [[] for _ in brackets]
 
-    def midpoint(c: float, seed: frozenset):  # lowest eigenvalue by matrix, ground set
-        t = (c - c0) / width
-        floor = low0 + t * rise_low - margin
-        ceiling = top0 + t * rise_top + margin
-        low, top = np.full(floor.size, np.inf), np.full(floor.size, -np.inf)
-        picks = np.array(sorted(seed | {int(ceiling.argmax())}))
-        while picks.size:
-            _extremes(blocks, J, c, picks, low, top)
-            e_top = top.max()
-            bound = _ground_bound(low.min(), e_top)
-            picks = np.flatnonzero(np.isinf(low) & ((floor <= bound) | (ceiling >= e_top)))
-        return low, _ground_set(low, top)
+    def pair(i: int):  # matrices a and b of bracket i, whose ends' sets differ
+        leaves, enters = ground_lo[i] & ~ground_hi[i], ground_hi[i] & ~ground_lo[i]
+        return (int(np.flatnonzero(leaves if leaves.any() else ground_lo[i])[0]),
+                int(np.flatnonzero(enters if enters.any() else ground_hi[i])[0]))
 
-    ground_lo, ground_hi = (_ground_set(low, top) for low, top in ends)
-    visited = []  # (midpoint, lowest eigenvalue of each matrix, inf if not evaluated)
-    while c_hi - c_lo > CROSSING_WIDTH:
-        c_mid = 0.5 * (c_lo + c_hi)
-        lowest, ground = midpoint(c_mid, ground_lo | ground_hi)
-        visited.append((c_mid, lowest))
-        if ground == ground_lo:
-            c_lo = c_mid
-        else:
-            if ground_hi == ground_lo:
-                ground_hi = ground
-            c_hi = c_mid
-    if ground_hi == ground_lo:
-        return None
-    if not visited:
-        visited.append((0.5 * (c_lo + c_hi), np.full(low0.size, np.inf)))
-    a, b = min(ground_lo - ground_hi or ground_lo), min(ground_hi - ground_lo or ground_hi)
-    pair = np.array(sorted({a, b}))
-    for c_mid, lowest in visited:
-        missing = pair[np.isinf(lowest[pair])]
-        if missing.size:
-            _extremes(blocks, J, c_mid, missing, lowest, np.empty_like(lowest))
-    return c_lo, c_hi, float(min(abs(lowest[a] - lowest[b]) for _, lowest in visited))
+    pairs = {i: pair(i) for i in range(len(brackets)) if (ground_lo[i] != ground_hi[i]).any()}
+
+    def split(i: int) -> float:  # where bracket i's prediction leaves c_lo's set
+        if i not in pairs:
+            return np.inf
+        a, b = pairs[i]
+        known = [(c, low[a] - low[b]) for c, low in
+                 [(c0[i], low0[i]), *visited[i], (c1[i], low1[i])]
+                 if max(low[a], low[b]) < np.inf]
+        (cl, dl) = max(x for x in known if x[0] <= lo[i])
+        (ch, dh) = min(x for x in known if x[0] >= hi[i])
+        return cl + (ch - cl) * dl / (dl - dh) if dl != dh else 0.5 * (lo[i] + hi[i])
+
+    cap = FIRST_ROUND
+    while True:
+        paths = [_predicted_path(lo[i], hi[i], split(i), cap) for i in range(len(brackets))]
+        owner = np.repeat(np.arange(len(paths)), [len(path) for path in paths])
+        if not owner.size:
+            break
+        c = np.array([c_mid for path in paths for c_mid, _ in path])
+        t = ((c - c0[owner]) / width[owner])[:, None]
+        low, ground = _midpoint_blocks(
+            blocks, J, c, ground_lo[owner] | ground_hi[owner],
+            low0[owner] + t * rise_low[owner] - margin[owner, None],
+            top0[owner] + t * rise_top[owner] + margin[owner, None])
+        keeps = (ground == ground_lo[owner]).all(axis=1).tolist()
+        row = 0
+        for i, path in enumerate(paths):
+            for r, (c_mid, predicted) in enumerate(path, row):
+                visited[i].append((c_mid, low[r]))
+                if keeps[r]:
+                    lo[i] = c_mid
+                else:
+                    if i not in pairs:
+                        ground_hi[i] = ground[r]
+                        pairs[i] = pair(i)
+                    hi[i] = c_mid
+                if keeps[r] != predicted:
+                    break
+            row += len(path)
+        cap = np.inf
+
+    for i in pairs:
+        if not visited[i]:
+            visited[i].append((0.5 * (lo[i] + hi[i]), np.full(n_matrices, np.inf)))
+    missing = [(low, m, c_mid) for i, ab in pairs.items() for c_mid, low in visited[i]
+               for m in ab if low[m] == np.inf]
+    values = _extremes(blocks, J, np.array([c_mid for _, _, c_mid in missing]),
+                       np.array([m for _, m, _ in missing], dtype=np.intp))[0]
+    for (low, m, _), value in zip(missing, values.tolist()):
+        low[m] = value
+    results: list = [None] * len(brackets)
+    for i, (a, b) in pairs.items():
+        results[i] = lo[i], hi[i], float(min(abs(low[a] - low[b]) for _, low in visited[i]))
+    return results
 
 
 def _check_grid(c_grid) -> np.ndarray:
@@ -704,11 +792,11 @@ def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4) -> Lev
     keeps its identity through a crossing.  The overlaps come from the (Sz, k)
     block eigenvectors of each solve chunk, one batched product per stack (see
     ``_scores``); no dense column is formed.  Every grid interval where the
-    ground level's continuation label changes is bisected to a width of 1e-6 in
-    c on the set of ground (Sz, k) blocks, reading only block eigenvalues; it is
-    a crossing only if that set changes in it.  The minimum gap seen between the
-    two blocks' lowest levels is reported with each crossing (none on a grid of
-    one point or none).
+    ground level's continuation label changes is bisected, all of them together
+    after the grid pass, to a width of 1e-6 in c on the set of ground (Sz, k)
+    blocks, reading only block eigenvalues; it is a crossing only if that set
+    changes in it.  The minimum gap seen between the two blocks' lowest levels
+    is reported with each crossing (none on a grid of one point or none).
     """
     c_grid = _check_grid(c_grid)
     if n_levels < 2:
@@ -720,10 +808,12 @@ def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
            chunks) -> LevelTrack:
     """The loop of ``track_levels``.  ``chunks`` yields ``_Chunk``s with one
     spectrum per grid point, in grid order; the tracker makes no other solve, and
-    keeps of a chunk only its last point's low block columns.  A bisection takes
-    its two ends' block eigenvalues from the ``extremes`` of those spectra."""
+    keeps of a chunk only its last point's low block columns.  After the grid
+    pass, one ``_refine_crossing`` call bisects every interval where the ground
+    label changed, its ends' block eigenvalues taken from the ``extremes`` of
+    those spectra."""
     tracked: dict[int, list] = {}
-    crossings: list[Crossing] = []
+    brackets, changes = [], []  # per ground label change: (c_lo, c_hi, ends), (from, to)
     flagged: list[tuple[float, float]] = []
 
     cs, last, labels = iter(c_grid.tolist()), None, []
@@ -733,7 +823,7 @@ def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
                                       n_levels)
         scores, last = _scores(chunk, group, last)
         extremes = [spec.extremes for spec in chunk.spectra]
-        del chunk  # the tracker's bisections run while the next chunk is unsolved
+        del chunk  # unbound before the next chunk is solved
         energies = iter(energies)
         for point_scores, n_groups, point_extremes in zip(scores, (group.max(axis=1) + 1).tolist(),
                                                           extremes):
@@ -745,11 +835,10 @@ def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
                 # the new ground matched nothing from the previous point
                 flagged.append((prev_c, c))
             if prev_labels and labels[0] != prev_labels[0]:
-                refined = _refine_crossing(system, J, prev_c, c,
-                                           np.stack((prev_extremes, point_extremes)))
-                if refined is not None:
-                    lo, hi, gap = refined
-                    crossings.append(Crossing(lo, hi, (prev_labels[0], labels[0]), gap))
+                brackets.append((prev_c, c, np.stack((prev_extremes, point_extremes))))
+                changes.append((prev_labels[0], labels[0]))
             prev_c, prev_extremes = c, point_extremes
 
+    crossings = [Crossing(x[0], x[1], change, x[2])
+                 for change, x in zip(changes, _refine_crossing(system, J, brackets)) if x]
     return LevelTrack(tracked, crossings, flagged)

@@ -155,8 +155,8 @@ def sz_block_solve(system: SpinSystem, J: float, c: float) -> spectral.Spectrum:
 
 def bracket_ends(system: SpinSystem, J: float, c_lo: float, c_hi: float) -> np.ndarray:
     """Every (Sz, k) block's lowest and highest eigenvalue at c_lo and at c_hi, the
-    ``ends`` of ``spectral._refine_crossing``: one ``eigvalsh`` of every block at
-    both ends."""
+    ``ends`` of a bracket of ``spectral._refine_crossing``: one ``eigvalsh`` of
+    every block at both ends."""
     return spectral._grid_ground_blocks(system, J, [c_lo, c_hi])[0]
 
 
@@ -187,14 +187,19 @@ def ground_blocks(system: SpinSystem, J: float, c: float):
     return lowest, frozenset(np.flatnonzero(lowest <= e0 + thr).tolist())
 
 
-def full_refine_crossing(system: SpinSystem, J: float, c_lo: float, c_hi: float):
-    """Reference for ``spectral._refine_crossing``: the same bisection rule, with
-    every (Sz, k) block diagonalized at every midpoint."""
+def full_refine_crossing(system: SpinSystem, J: float, c_lo: float, c_hi: float,
+                         midpoints=None):
+    """Reference for one bracket of ``spectral._refine_crossing``: the same
+    bisection rule, one midpoint at a time, with every (Sz, k) block diagonalized
+    at every midpoint.  Each c between the ends at which it reads block
+    eigenvalues is appended to ``midpoints``, when given."""
+    midpoints = [] if midpoints is None else midpoints
     ground_lo = ground_blocks(system, J, c_lo)[1]
     ground_hi = ground_blocks(system, J, c_hi)[1]
     lowests = []
     while c_hi - c_lo > spectral.CROSSING_WIDTH:
         c_mid = 0.5 * (c_lo + c_hi)
+        midpoints.append(c_mid)
         lowest, ground = ground_blocks(system, J, c_mid)
         lowests.append(lowest)
         if ground == ground_lo:
@@ -206,7 +211,8 @@ def full_refine_crossing(system: SpinSystem, J: float, c_lo: float, c_hi: float)
     if ground_hi == ground_lo:
         return None
     if not lowests:
-        lowests.append(ground_blocks(system, J, 0.5 * (c_lo + c_hi))[0])
+        midpoints.append(0.5 * (c_lo + c_hi))
+        lowests.append(ground_blocks(system, J, midpoints[-1])[0])
     a, b = min(ground_lo - ground_hi or ground_lo), min(ground_hi - ground_lo or ground_hi)
     return c_lo, c_hi, float(min(abs(lowest[a] - lowest[b]) for lowest in lowests))
 
@@ -278,8 +284,8 @@ def dense_track(system: SpinSystem, J: float, c_grid, n_levels: int):
         if prev_labeled and ground not in prev_labeled:
             flagged.append((prev_c, c))
         if prev_ground is not None and ground != prev_ground:
-            refined = spectral._refine_crossing(system, J, prev_c, c,
-                                                np.stack((prev_extremes, spec.extremes)))
+            refined, = spectral._refine_crossing(
+                system, J, [(prev_c, c, np.stack((prev_extremes, spec.extremes)))])
             if refined is not None:
                 lo, hi, gap = refined
                 crossings.append(spectral.Crossing(lo, hi, (prev_ground, ground), gap))

@@ -144,8 +144,9 @@ def test_04b_ground_level_jumps_n8_to_12(n_outer, jumps, returns):
     grid = np.linspace(0.0, 1.0, 21)
     extremes, grounds = _grid_ground_blocks(system, 1.0, grid)
     found, disjoint = [], True
-    for i in np.flatnonzero([a != b for a, b in zip(grounds, grounds[1:])]).tolist():
-        c_lo, c_hi, _ = _refine_crossing(system, 1.0, grid[i], grid[i + 1], extremes[i:i + 2])
+    changes = np.flatnonzero([a != b for a, b in zip(grounds, grounds[1:])]).tolist()
+    for c_lo, c_hi, _ in _refine_crossing(system, 1.0, [(grid[i], grid[i + 1], extremes[i:i + 2])
+                                                        for i in changes]):
         found.append(0.5 * (c_lo + c_hi))
         _, (below, above) = _grid_ground_blocks(system, 1.0, [c_lo, c_hi])
         disjoint = disjoint and not below & above

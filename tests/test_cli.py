@@ -783,6 +783,22 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_commands_import_no_module_the_cli_import_did_not(tmp_path):
+    # a module first imported inside a command (numpy.ma behind np.unique, say)
+    # is paid for by every fresh process that runs one
+    code = ("import sys, spinweb.cli\n"
+            "before = set(sys.modules)\n"
+            "for argv in (['sweep', '--n', '4', '--c-steps', '10', '--out', 'sweep.csv'],\n"
+            "             ['spectrum', '--n', '5', '--c-steps', '10', '--out', 'spectrum.json'],\n"
+            "             ['ghz', '--out', 'ghz.json'], ['verify-n4', '--out', 'verify.txt']):\n"
+            "    assert spinweb.cli.main(argv) == 0, argv\n"
+            "print(sorted(set(sys.modules) - before))\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          capture_output=True, text=True, env=bare_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_cli_import_freezes_the_heap_and_the_library_does_not():
     # the CLI's import-time objects live until exit, so the collector need not
     # walk them again; a library user's collector is left alone

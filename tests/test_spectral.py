@@ -243,8 +243,8 @@ def test_n12_block_build_memory():
 
 
 def _refine_by_overlap(system, J, c_lo, c_hi, n_levels):
-    """Oracle of ``_refine_crossing``: bisect until the ground level's overlap
-    continuation label changes, with a full solve at every step."""
+    """Oracle of one bracket of ``_refine_crossing``: bisect until the ground
+    level's overlap continuation label changes, with a full solve at every step."""
     def groups_at(c):
         return oracle.dense_groups(solve(system, J, c), n_levels)
 
@@ -276,8 +276,9 @@ def test_block_bisection_matches_overlap_bisection(monkeypatch, n_outer, steps, 
     grid = np.linspace(0.0, 1.0, steps)
     by_blocks = track_levels(s, 1.0, grid, n_levels)
 
-    def by_overlap(system, J, c_lo, c_hi, ends):
-        return _refine_by_overlap(system, J, c_lo, c_hi, n_levels)
+    def by_overlap(system, J, brackets):
+        return [_refine_by_overlap(system, J, c_lo, c_hi, n_levels)
+                for c_lo, c_hi, _ in brackets]
 
     monkeypatch.setattr(spectral, "_refine_crossing", by_overlap)
     oracle = track_levels(s, 1.0, grid, n_levels)
@@ -295,14 +296,14 @@ def test_ends_with_the_same_ground_blocks_bisect_without_solving(monkeypatch):
     # N=4: the ground blocks at 0.5 and 1 agree, but change at c ~ 0.531 and back
     n4_system = SpinSystem(4, has_central=True)
     ends = oracle.bracket_ends(n4_system, 1.0, 0.5, 1.0)
-    lo, hi, gap = spectral._refine_crossing(n4_system, 1.0, 0.5, 1.0, ends)
+    [(lo, hi, gap)] = spectral._refine_crossing(n4_system, 1.0, [(0.5, 1.0, ends)])
     assert (lo, hi) == (0.5314207077026367, 0.5314216613769531)
     assert gap < 1e-5
     assert (lo, hi, gap) == oracle.full_refine_crossing(n4_system, 1.0, 0.5, 1.0)
     # N=6: no bisection midpoint in [0.5, 1] has other ground blocks than the ends
     n6_system = SpinSystem(6, has_central=True)
     ends = oracle.bracket_ends(n6_system, 1.0, 0.5, 1.0)
-    assert spectral._refine_crossing(n6_system, 1.0, 0.5, 1.0, ends) is None
+    assert spectral._refine_crossing(n6_system, 1.0, [(0.5, 1.0, ends)]) == [None]
     assert oracle.full_refine_crossing(n6_system, 1.0, 0.5, 1.0) is None
 
 
@@ -331,7 +332,8 @@ def _before(track, c):
 @pytest.mark.parametrize("n_outer", range(2, 9))
 def test_pruned_bisection_and_matching_equal_their_references(monkeypatch, n_outer, J):
     """On every interval where the ground label or the ground-block set changes,
-    ``_refine_crossing`` returns the full-evaluation tuple (or None), and the
+    ``_refine_crossing`` returns the full-evaluation tuple (or None), whether the
+    intervals are bisected together (the tracker's call) or alone, and the
     tracker's output equals that of the dense tracker, which scores every pair
     of level groups with an SVD of their dense bases.  At N <= 3 the overlaps meet
     exact ties, which round-off decides on either path: there the labels may
@@ -342,10 +344,11 @@ def test_pruned_bisection_and_matching_equal_their_references(monkeypatch, n_out
     refine = spectral._refine_crossing
     refined = []
 
-    def checked(system, J, c_lo, c_hi, ends):
-        got = refine(system, J, c_lo, c_hi, ends)
-        assert got == oracle.full_refine_crossing(system, J, c_lo, c_hi), (c_lo, c_hi)
-        refined.append(got)
+    def checked(system, J, brackets):
+        got = refine(system, J, brackets)
+        for (c_lo, c_hi, _), x in zip(brackets, got, strict=True):
+            assert x == oracle.full_refine_crossing(system, J, c_lo, c_hi), (c_lo, c_hi)
+        refined.extend(got)
         return got
 
     for n_levels in (2, 4, 6):
@@ -363,7 +366,7 @@ def test_pruned_bisection_and_matching_equal_their_references(monkeypatch, n_out
     extremes, grounds = spectral._grid_ground_blocks(s, J, grid)
     for i, (a, b) in enumerate(zip(grounds, grounds[1:])):
         if a != b:
-            checked(s, J, grid[i], grid[i + 1], extremes[i:i + 2])
+            checked(s, J, [(grid[i], grid[i + 1], extremes[i:i + 2])])
     # the ground changes at every J > 0, and at J < 0 for odd N only
     assert any(x is not None for x in refined) == (J > 0 or n_outer % 2 == 1)
 
@@ -374,29 +377,38 @@ def test_pruned_bisection_on_the_n4_region_grid():
     extremes, grounds = spectral._grid_ground_blocks(s, 1.0, grid)
     found = [i for i, (a, b) in enumerate(zip(grounds, grounds[1:])) if a != b]
     assert len(found) == 2
-    refined = [spectral._refine_crossing(s, 1.0, grid[i], grid[i + 1], extremes[i:i + 2])
-               for i in found]
+    refined = spectral._refine_crossing(s, 1.0, [(grid[i], grid[i + 1], extremes[i:i + 2])
+                                                 for i in found])
     assert refined == [oracle.full_refine_crossing(s, 1.0, grid[i], grid[i + 1])
                        for i in found]
     assert n4.detect_regions() == tuple(x[:2] for x in refined)
     # a bracket already narrower than CROSSING_WIDTH: its one midpoint is not bisected
-    for lo, hi, _ in refined:
-        again = spectral._refine_crossing(s, 1.0, lo, hi, oracle.bracket_ends(s, 1.0, lo, hi))
-        assert again[:2] == (lo, hi) and np.isfinite(again[2])
-        assert again == oracle.full_refine_crossing(s, 1.0, lo, hi)
+    again = spectral._refine_crossing(s, 1.0, [(lo, hi, oracle.bracket_ends(s, 1.0, lo, hi))
+                                               for lo, hi, _ in refined])
+    for (lo, hi, _), x in zip(refined, again, strict=True):
+        assert x[:2] == (lo, hi) and np.isfinite(x[2])
+        assert x == oracle.full_refine_crossing(s, 1.0, lo, hi)
+
+
+# a bracket as (width, where it starts in the room the width leaves): most of
+# them hold no change of the ground set; some are already narrower than
+# CROSSING_WIDTH, which is bisected no further
+_BRACKETS = st.lists(st.tuples(st.one_of(st.floats(1e-3, 0.5), st.floats(1e-9, 1e-6)),
+                               st.floats(0.0, 1.0)), min_size=1, max_size=4)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n_outer=st.integers(2, 8), magnitude=st.floats(0.4, 2.3), sign=st.sampled_from([1, -1]),
-       width=st.floats(1e-3, 0.5), at=st.floats(0.0, 1.0))
+       brackets=_BRACKETS)
 def test_pruned_bisection_equals_full_evaluation_on_any_bracket(n_outer, magnitude, sign,
-                                                                 width, at):
+                                                                 brackets):
+    # the brackets of one call are bisected together; each must come out as alone
     s = SpinSystem(n_outer, has_central=True)
-    c_lo = at * (1.0 - width)
     J = sign * magnitude
-    ends = oracle.bracket_ends(s, J, c_lo, c_lo + width)
-    assert (spectral._refine_crossing(s, J, c_lo, c_lo + width, ends)
-            == oracle.full_refine_crossing(s, J, c_lo, c_lo + width))
+    bounds = [(at * (1.0 - width), at * (1.0 - width) + width) for width, at in brackets]
+    got = spectral._refine_crossing(s, J, [(lo, hi, oracle.bracket_ends(s, J, lo, hi))
+                                           for lo, hi in bounds])
+    assert got == [oracle.full_refine_crossing(s, J, lo, hi) for lo, hi in bounds]
 
 
 @pytest.mark.parametrize("n_outer, c_lo, c_hi", [(8, 0.25, 0.5), (10, 0.36, 0.3625)])
@@ -414,10 +426,10 @@ def test_bisection_diagonalizes_few_blocks_per_midpoint(monkeypatch, n_outer, c_
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     # every block at both ends, as a bisection without a grid pass takes them
     full = oracle.bracket_ends(s, 1.0, c_lo, c_hi)
-    refined = spectral._refine_crossing(s, 1.0, c_lo, c_hi, full)
+    [refined] = spectral._refine_crossing(s, 1.0, [(c_lo, c_hi, full)])
     full_ends = sum(given_matrices)
     given_matrices.clear()
-    from_grid = spectral._refine_crossing(s, 1.0, c_lo, c_hi, ends)
+    [from_grid] = spectral._refine_crossing(s, 1.0, [(c_lo, c_hi, ends)])
     monkeypatch.undo()
     assert refined is not None and from_grid == refined
     # every block at both ends, and a few per midpoint: not every block at every
@@ -428,21 +440,66 @@ def test_bisection_diagonalizes_few_blocks_per_midpoint(monkeypatch, n_outer, c_
     assert refined == oracle.full_refine_crossing(s, 1.0, c_lo, c_hi)
 
 
+def test_bisection_wastes_at_most_one_midpoint_per_bracket(monkeypatch, tmp_path):
+    """The brackets of perfbench's paper-small commands and sweep-n8's N = 8
+    bracket [0.25, 0.5]: each call evaluates every midpoint that bisecting a
+    bracket alone visits, and at most one more per bracket (a midpoint past a
+    missed prediction)."""
+    extremes, refine, given, calls = spectral._extremes, spectral._refine_crossing, [], []
+
+    def counted(blocks, J, c, picks):
+        given.extend(c.tolist())
+        return extremes(blocks, J, c, picks)
+
+    def recorded(system, J, brackets):  # with the c values its own _extremes calls got
+        start = len(given)
+        refined = refine(system, J, brackets)
+        calls.append((system, J, brackets, set(given[start:])))
+        return refined
+
+    monkeypatch.setattr(spectral, "_extremes", counted)
+    monkeypatch.setattr(spectral, "_refine_crossing", recorded)
+    monkeypatch.setattr(n4, "_refine_crossing", recorded)
+    n4.detect_regions.cache_clear()
+    paper = ["--c-steps", "50", "--refs", "ring,star"]
+    for k, argv in enumerate((["sweep", "--n", "4", *paper], ["sweep", "--n", "5", *paper],
+                              ["sweep", "--n", "6", *paper],
+                              ["spectrum", "--n", "4", "--c-steps", "50"], ["ghz"],
+                              ["sweep", "--n", "8", "--c-max", "0.5", "--c-steps", "2"])):
+        assert main([*argv, "--out", str(tmp_path / f"{k}.out")]) == 0
+    monkeypatch.undo()
+    wasted = []
+    for system, J, brackets, evaluated in calls:
+        for c_lo, c_hi, _ in brackets:
+            visited = []
+            oracle.full_refine_crossing(system, J, c_lo, c_hi, visited)
+            inside = {c for c in evaluated if c_lo < c < c_hi}
+            assert set(visited) <= inside, (system.n_outer, c_lo, c_hi)
+            wasted.append(len(inside) - len(visited))
+    assert len(wasted) == 11 and max(wasted) <= 1, wasted
+    assert [len(brackets) for _, _, brackets, _ in calls] == [2, 3, 1, 2, 2, 1]
+
+
 def test_bisection_ends_come_from_the_grid_pass(monkeypatch):
-    extremes, given_points = spectral._extremes, []
+    extremes, given = spectral._extremes, []  # the c values of each call
 
     def counted(blocks, J, c, *args):
-        if isinstance(c, np.ndarray):  # a grid of c values; a midpoint is a float
-            given_points.append(c.shape[0])
+        given.append(set(c.tolist()))
         return extremes(blocks, J, c, *args)
 
     monkeypatch.setattr(spectral, "_extremes", counted)
-    track = track_levels(SpinSystem(8, has_central=True), 1.0, np.linspace(0.0, 0.5, 3), 4)
+    grid = np.linspace(0.0, 0.5, 3)
+    track = track_levels(SpinSystem(8, has_central=True), 1.0, grid, 4)
     assert len(track.crossings) == 1
-    assert given_points == []  # the tracker's bisection diagonalized no end
+    # the tracker's bisection diagonalized no end: every c lies inside the bracket
+    assert given and all(grid[1] < c < grid[2] for c in set().union(*given))
+    given.clear()
     n4.detect_regions.cache_clear()
     assert len(n4.detect_regions()) == 2
-    assert given_points == [201]  # the region scan, whose rows both bisections read
+    scan = set(np.linspace(0.0, 1.0, 201).tolist())
+    # the region scan, whose rows both bisections read, is the one call at grid points
+    assert [len(c & scan) for c in given if c & scan] == [201]
+    assert len(given) > 1 and given[0] == scan
 
 
 @pytest.mark.parametrize("n_outer", [6, 9])
@@ -451,21 +508,25 @@ def test_extremes_kernel_agrees_on_a_grid_and_per_point(n_outer, J):
     s = SpinSystem(n_outer, has_central=True)
     blocks = spectral._momentum_blocks(s)
     grid, every = np.linspace(0.0, 1.0, 7), np.arange(blocks.first[-1])
-    low, top = np.full((2, grid.size, every.size), np.nan)
-    spectral._extremes(blocks, J, grid[:, None, None, None], every, low, top)
+    # every matrix at every c, one c per pick
+    low, top = (x.reshape(grid.size, every.size) for x in spectral._extremes(
+        blocks, J, np.repeat(grid, every.size), np.tile(every, grid.size)))
     for i, c in enumerate(grid.tolist()):
-        one_low, one_top = np.full((2, every.size), np.nan)
-        spectral._extremes(blocks, J, c, every, one_low, one_top)
+        one_low, one_top = spectral._extremes(blocks, J, np.full(every.size, c), every)
         assert one_low.tobytes() == low[i].tobytes() and one_top.tobytes() == top[i].tobytes()
         np.testing.assert_allclose(low[i], oracle.ground_blocks(s, J, c)[0], rtol=0, atol=1e-12)
-        # a subset of the matrices, across stacks: only its columns are written
-        picks = every[1::3]
-        part_low, part_top = np.full((2, every.size), np.nan)
-        spectral._extremes(blocks, J, c, picks, part_low, part_top)
-        assert part_low[picks].tobytes() == low[i, picks].tobytes()
-        assert part_top[picks].tobytes() == top[i, picks].tobytes()
-        rest = np.setdiff1d(every, picks)
-        assert np.isnan(part_low[rest]).all() and np.isnan(part_top[rest]).all()
+        # a subset of the matrices, across stacks and out of order: one value per pick
+        picks = every[1::3][::-1]
+        part_low, part_top = spectral._extremes(blocks, J, np.full(picks.size, c), picks)
+        assert part_low.shape == part_top.shape == picks.shape
+        assert part_low.tobytes() == low[i, picks].tobytes()
+        assert part_top.tobytes() == top[i, picks].tobytes()
+    # every matrix picked twice, in no order, each pick at a c of its own
+    picks = np.random.default_rng(0).permutation(np.tile(every, 2))
+    point = np.random.default_rng(1).integers(grid.size, size=picks.size)
+    mixed_low, mixed_top = spectral._extremes(blocks, J, grid[point], picks)
+    assert mixed_low.tobytes() == low[point, picks].tobytes()
+    assert mixed_top.tobytes() == top[point, picks].tobytes()
 
 
 def _held_levels(spec, n_levels):
@@ -583,10 +644,10 @@ def test_sweep_then_tracking_builds_blocks_once():
     track = track_levels(SpinSystem(4, has_central=True), 1.0, grid)
     info = spectral._momentum_blocks.cache_info()
     assert info.misses == 1
-    # the sweep's grid pass, the tracker's grid pass, and one lookup per bisected
-    # crossing
+    # the sweep's grid pass, the tracker's grid pass, and one lookup for the one
+    # bisection call that takes both crossings
     assert len(track.crossings) == 2
-    assert info.hits == 2 + len(track.crossings)
+    assert info.hits == 2 + 1
 
 
 @pytest.mark.parametrize("n_outer, steps", [(n, 8) for n in range(2, 8)]
@@ -615,7 +676,7 @@ def test_n12_sweep_holds_no_more_than_one_point(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 8.3 MiB.  Building every stack's matrices before the first eigh, keeping
+    # 8.0 MiB.  Building every stack's matrices before the first eigh, keeping
     # a point's eigenvectors alive through the bisection, or keeping the previous
     # point's while the next is solved each reads 12.5 MiB or more
     assert peak <= 9 * 2**20

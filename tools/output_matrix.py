@@ -81,6 +81,13 @@ def _cases():
         ("sweep-j-scaled", [*sweep4, "--j", "2.5", "--format", "json"]),
         ("sweep-window", ["sweep", "--n", "6", "--c-min", "0.3", "--c-max", "0.8",
                           "--c-steps", "25"]),
+        # crossing-heavy: one wide bracket; three ground changes and the odd-N
+        # bracket at c = 0; an odd N at J < 0
+        ("sweep-n8-wide-bracket", ["sweep", "--n", "8", "--c-max", "0.5", "--c-steps", "2",
+                                   "--j", "0.7"]),
+        ("spectrum-n7-fine", ["spectrum", "--n", "7", "--c-steps", "400"]),
+        ("spectrum-n5-fine-j-minus-1", ["spectrum", "--n", "5", "--c-steps", "400",
+                                        "--j", "-1"]),
         ("ghz-intermediate", ["ghz"]),
         ("ghz-star", ["ghz", "--region", "star"]),
         ("ghz-c", ["ghz", "--c", "0.6", "--field-h", "0.002"]),
