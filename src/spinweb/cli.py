@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, _is_thread_count, n4
 from .errors import DomainError, ResourceLimitError
-from .spectral import _check_grid, _track, ground_subspace, solve_grid, track_levels
+from .spectral import _check_grid, _grid_chunks, _track, ground_subspace, track_levels
 from .sweep import SweepConfig, _recorded_chunks
 from .system import SpinSystem
 
@@ -208,7 +208,7 @@ def cmd_sweep(args) -> int:
     records = []
     # one grid pass feeds the records, a chunk at a time, and the tracker
     chunks = _recorded_chunks(config, records)
-    crossings = _track(system, config.J, config.c_grid, max(2, args.levels), chunks).crossings
+    crossings = _track(system, config.J, max(2, args.levels), chunks).crossings
     rows = [{SHORT_NAMES.get(k, k): v for k, v in vars(r).items()} for r in records]
     # O_r and O_s stay as empty columns; O_p is left out when no record has it
     cols = [k for k in rows[0] if k != "low_energies"
@@ -222,9 +222,10 @@ def cmd_sweep(args) -> int:
 def cmd_spectrum(args) -> int:
     system, grid = _system_and_grid(args)
     if args.levels < 2:
-        # energies only; no continuation, hence no crossing analysis
-        points = solve_grid(system, args.j, grid)
-        levels = {0: [(c, float(next(points).eigenvalues[0])) for c in grid.tolist()]}
+        # energies only, hence no crossing analysis; map binds no chunk while the next is solved
+        lowest = map(lambda chunk: zip(chunk.c.tolist(), chunk.eigenvalues[:, 0].tolist()),
+                     _grid_chunks(system, args.j, grid))
+        levels = {0: list(chain.from_iterable(lowest))}
         records = [{"c": c, "energies": [e]} for c, e in levels[0]]
         crossings, reports = [], {"note": "levels < 2: no crossing analysis"}
     else:
@@ -268,8 +269,8 @@ def cmd_verify_n4(args) -> int:
     cs, records = (0.0, 0.2, 0.4, 0.9, 1.0), []
     # one solve chunk holds every point: the records ``sweep`` writes, and the grounds
     chunk = next(_recorded_chunks(SweepConfig(n_outer=4, c_grid=cs, references=()), records))
-    coeffs = {c: n4.extract_coefficients(ground_subspace(spec))
-              for c, spec in zip(cs, chunk.spectra)}
+    coeffs = {c: n4.extract_coefficients(ground_subspace(chunk.spectrum(i)))
+              for i, c in enumerate(cs)}
 
     for c, expected in ((0.0, (1 / np.sqrt(2), -1 / np.sqrt(2), 0.0)),
                         (1.0, (-np.sqrt(1 / 6), -np.sqrt(2 / 6), 1 / np.sqrt(2)))):

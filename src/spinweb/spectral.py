@@ -18,7 +18,7 @@ from .system import SpinSystem
 DEGENERACY_TOL = 1e-9
 OVERLAP_THRESHOLD = 0.5
 CROSSING_WIDTH = 1e-6  # bisection stops once a crossing lies in an interval this wide
-GRID_CHUNK_BYTES = 1 << 20  # eigenvectors one chunk of ``solve_grid`` holds (>= 1 point)
+GRID_CHUNK_BYTES = 1 << 20  # eigenvectors one chunk of ``_grid_chunks`` holds (>= 1 point)
 CHORD_MARGIN = 1e-11  # round-off allowance of the bisection's chord bounds, relative to |H|
 FIRST_ROUND = 6  # midpoints a bracket predicts in its first bisection round
 
@@ -29,22 +29,12 @@ class Spectrum:
 
     ``vectors(stop)`` returns the leading orthonormal columns 0..stop-1, all of
     them without ``stop``, as a dim x stop array paired with ``eigenvalues[:stop]``.
-    ``blocks[i]`` labels the invariant subspace that holds column i: columns with
-    different labels are orthogonal, whatever c.  ``solve`` labels each level by
-    the number of its (Sz, k) block's stored matrix (a complex matrix standing
-    for the k, -k pair); the dense and Sz-block oracles label the whole space as
-    one matrix.  ``levels[i]`` is column i's level in that matrix, 0 its lowest:
-    the two columns of a complex matrix's level share it, and column i of a
-    dense spectrum is its level i.  ``extremes[0, m]`` and ``extremes[1, m]`` are
-    the lowest and highest eigenvalue of label m, its first and last occurrence
-    in ``eigenvalues``; ``solve`` sets them, the oracles leave them None.
+    ``eigendecompose`` holds the columns as one dense matrix; a spectrum of
+    ``solve`` or ``_Chunk.spectrum`` forms them from its chunk's block eigenvectors.
     """
 
     eigenvalues: np.ndarray
     _columns: Callable[[slice], np.ndarray] = field(repr=False, compare=False)
-    blocks: np.ndarray = field(repr=False, compare=False)
-    levels: np.ndarray = field(repr=False, compare=False)
-    extremes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def vectors(self, stop: Optional[int] = None) -> np.ndarray:
         return self._columns(slice(stop))
@@ -52,26 +42,39 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class _Chunk:
-    """The spectra of consecutive grid points solved together, and the block
-    eigenvectors their columns are formed from: ``vectors[s][i, b]`` holds the
-    eigenvectors of matrix ``first[s] + b`` at point i as columns, ascending, so
-    level l of a matrix is its column l.  A dense spectrum is one stack of one
-    matrix, its eigenvector matrix.  ``columns(counts)`` gives every point's
-    leading ``counts[i]`` columns of ``Spectrum.vectors`` at once, zero-padded
-    to (points, dim, max count)."""
+    """The one product of a solve: the spectra of consecutive grid points,
+    point-major, row i of each array that of the point at c = ``c[i]``.
 
-    spectra: list
+    ``eigenvalues[i]`` is ascending.  ``blocks[i, j]`` labels the invariant
+    subspace of column j, orthogonal to every other label's at any c: the number
+    of its (Sz, k) block's stored matrix (a complex one stands for the k, -k
+    pair), or 0, the Sz-block oracle's one matrix.  ``levels[i, j]`` is the
+    column's level in that matrix, 0 its lowest, shared by the two columns of a
+    complex level.  ``extremes[i, :, m]`` holds label m's lowest and highest
+    eigenvalue.  ``vectors[s][i, b]`` holds the eigenvectors of matrix
+    ``first[s] + b``, ascending, level l in column l.  ``columns(counts)`` forms
+    every point's leading ``counts[i]`` columns at once, zero-padded to (points,
+    dim, max count).  ``spectrum(i)`` is point i's ``Spectrum``; it forms its
+    columns with ``columns`` and pins the chunk.
+    """
+
+    c: np.ndarray
+    eigenvalues: np.ndarray
+    blocks: np.ndarray
+    levels: np.ndarray
+    extremes: np.ndarray
     vectors: list
     first: np.ndarray
-    columns: Callable[[list], np.ndarray] = field(repr=False)
+    columns: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
-    def __len__(self) -> int:
-        return len(self.spectra)
+    def spectrum(self, i: int) -> Spectrum:
+        only_i = np.arange(self.c.size) == i  # k * only_i: k columns at point i alone
+        return Spectrum(self.eigenvalues[i], lambda which: self.columns(
+            only_i * len(range(self.eigenvalues.shape[1])[which]))[i])
 
 
 def _dense_spectrum(vals: np.ndarray, vecs: np.ndarray) -> Spectrum:
-    return Spectrum(vals, lambda columns: vecs[:, columns], np.zeros(vals.size, dtype=np.intp),
-                    np.arange(vals.size))
+    return Spectrum(vals, lambda columns: vecs[:, columns])
 
 
 def _solve_blocks(blocks, sectors: list[np.ndarray], dim: int) -> Spectrum:
@@ -280,78 +283,52 @@ def _columns(blocks: _Blocks, vecs: list[np.ndarray], order: np.ndarray,
     return out
 
 
-def _spectrum_columns(blocks: _Blocks, vecs: list[np.ndarray], order: np.ndarray,
-                      columns: slice) -> np.ndarray:
-    """``Spectrum.vectors`` of one point of a chunk: ``_columns`` of its row."""
-    return _columns(blocks, vecs, order, [len(range(blocks.dim)[columns])])[0]
-
-
 def _checked_cs(J: float, cs) -> np.ndarray:
-    """The c values of ``cs`` as a float array, each checked with ``J`` by
-    ``CouplingConfig``."""
+    """The c values of ``cs`` as a float array, checked by one ``CouplingConfig``:
+    ``J``, even for no c, and the first c out of [0, 1] (or nan), if any."""
     cs = np.asarray(cs, dtype=float).ravel()
-    for c in cs.tolist():
-        CouplingConfig(J=J, c=c)
+    bad = cs[~((cs >= 0.0) & (cs <= 1.0))]
+    CouplingConfig(J=J, c=float(bad[0]) if bad.size else 0.0)
     return cs
 
 
 def _solve_chunk(blocks: _Blocks, J: float, c: np.ndarray) -> _Chunk:
-    """The chunk of the c values of ``c`` (shape (points, 1, 1, 1)): one batched
-    ``eigh`` per stack, each stack's matrices built just before it, and one
-    stable argsort per point along axis 1."""
-    vals, vecs, low, top = [], [], [], []
+    """The chunk of the c values of ``c``: one batched ``eigh`` per stack, each
+    stack's matrices built just before it, and one stable argsort per point."""
+    x = c[:, None, None, None]
+    vals, vecs, ends = [], [], []
     for ring, star in blocks.stacks:
-        w, u = np.linalg.eigh(J * (c * star + (1.0 - c) * ring))
-        vals.append(w.reshape(c.shape[0], -1))
+        w, u = np.linalg.eigh(J * (x * star + (1.0 - x) * ring))
+        vals.append(w.reshape(c.size, -1))
         vecs.append(u)
-        low.append(w[..., 0])
-        top.append(w[..., -1])
-    extremes = np.stack((np.concatenate(low, axis=1), np.concatenate(top, axis=1)), axis=1)
+        ends.append(w[..., [0, -1]])
     ev = np.concatenate(vals, axis=1)[:, blocks.gather]
     order = np.argsort(ev, axis=1, kind="stable")
-    ev = np.take_along_axis(ev, order, axis=1)
-    matrix, levels = blocks.matrix[order], blocks.entries[order, 2]
-    return _Chunk([Spectrum(ev[i], partial(_spectrum_columns, blocks, [u[i:i + 1] for u in vecs],
-                                           order[i:i + 1]), matrix[i], levels[i], extremes[i])
-                   for i in range(c.shape[0])], vecs, blocks.first,
-                  partial(_columns, blocks, vecs, order))
+    return _Chunk(c, np.take_along_axis(ev, order, axis=1), blocks.matrix[order],
+                  blocks.entries[order, 2], np.concatenate(ends, axis=1).swapaxes(1, 2),
+                  vecs, blocks.first, partial(_columns, blocks, vecs, order))
 
 
 def _grid_chunks(system: SpinSystem, J: float, cs):
-    """Yield the ``_Chunk`` of each run of consecutive c values of ``cs``, in
-    order: as many points as ``GRID_CHUNK_BYTES`` of eigenvectors hold, at least
-    one.  Every c is checked, at the first ``next``, before any is solved.  A
-    consumer that unbinds each chunk before its next ``next`` holds one at a time."""
+    """Yield the ``_Chunk`` of J * [c * H_star + (1-c) * H_ring] for each run of
+    consecutive c values of ``cs``, in order, from the (Sz, k) blocks of
+    ``_momentum_blocks``: as many points as ``GRID_CHUNK_BYTES`` of eigenvectors
+    hold, at least one.  Every c is checked, at the first ``next``, before any
+    is solved.  LAPACK factors each matrix of a batch as it would factor it
+    alone, so every point is bit for bit that of ``solve`` at its c.  A consumer
+    that unbinds each chunk, and its spectra, before its next ``next`` holds one
+    chunk at a time."""
     cs = _checked_cs(J, cs)
     blocks = _momentum_blocks(system)
     step = max(1, GRID_CHUNK_BYTES // sum(ring.nbytes for ring, _ in blocks.stacks))
     for start in range(0, cs.size, step):
-        yield _solve_chunk(blocks, J, cs[start:start + step, None, None, None])
-
-
-def solve_grid(system: SpinSystem, J: float, cs):
-    """Yield the ``Spectrum`` of J * [c * H_star + (1-c) * H_ring] for each c of
-    ``cs``, in order, from the (Sz, k) blocks of ``_momentum_blocks``.
-
-    The c values are solved in the chunks of ``_grid_chunks``: one batched
-    ``eigh`` per stack on all the chunk's matrices, and one stable argsort.
-    LAPACK factors each matrix of a batch as it would factor it alone, so every
-    spectrum is bit for bit that of ``solve`` at its c.  A chunk's arrays live
-    until its last spectrum is handed out and dropped; pull points with ``next()``
-    rather than keep the previous one bound while the next is made, or two chunks
-    are alive at once.  Each spectrum is popped as it is handed out, so the
-    caller becomes its only owner.
-    """
-    for chunk in _grid_chunks(system, J, cs):
-        spectra = chunk.spectra[::-1]
-        del chunk  # what the spectra need, they pin themselves
-        while spectra:
-            yield spectra.pop()
+        yield _solve_chunk(blocks, J, cs[start:start + step])
 
 
 def solve(system: SpinSystem, J: float, c: float) -> Spectrum:
-    """Spectrum of J * [c * H_star + (1-c) * H_ring]: the one-point case of
-    ``solve_grid``, so one batched ``eigh`` per (Sz, k) stack and one stable argsort.
+    """Spectrum of J * [c * H_star + (1-c) * H_ring] at one c: the one point of a
+    ``_grid_chunks`` chunk, so one batched ``eigh`` per (Sz, k) stack and one
+    stable argsort.
 
     The eigenvalues agree with ``eigendecompose(build_combined(...))`` to
     round-off (about 1e-14), not bit for bit.  Every column is real and lies in
@@ -359,7 +336,9 @@ def solve(system: SpinSystem, J: float, c: float) -> Spectrum:
     sqrt 2 Im v, with exactly equal eigenvalues.  Columns are formed only when
     ``Spectrum.vectors`` asks for them.
     """
-    return next(solve_grid(system, J, [c]))
+    if np.ndim(c) != 0:
+        raise DomainError(f"solve takes one c, got {c!r}")
+    return next(_grid_chunks(system, J, [c])).spectrum(0)
 
 
 @dataclass(frozen=True)
@@ -460,7 +439,7 @@ def _scores(chunk: _Chunk, group: np.ndarray, last):
     matrix; the first point is paired with ``last``, the previous chunk's last
     point as this function returns it (None for the first chunk).
 
-    A group is the set of its (matrix, level) pairs, read off ``Spectrum.blocks``
+    A group is the set of its (matrix, level) pairs, read off ``_Chunk.blocks``
     and ``levels``; a complex matrix's level, two columns, counts once.  For each
     stack, one batched product U[i-1][..., :L]^H U[i][..., :L] over the chunk's
     points, L the deepest level of the stack in any group, and one with ``last``'s
@@ -476,8 +455,7 @@ def _scores(chunk: _Chunk, group: np.ndarray, last):
     holds the chunk's last point, its entries and the low columns they use.
     """
     point, col = np.nonzero(group >= 0)
-    matrix = np.stack([spec.blocks for spec in chunk.spectra])[point, col]
-    level = np.stack([spec.levels for spec in chunk.spectra])[point, col]
+    matrix, level = chunk.blocks[point, col], chunk.levels[point, col]
     n_matrices, first, dim = int(chunk.first[-1]), chunk.first, group.shape[1]
     key = (point * n_matrices + matrix) * dim + level
     order = np.argsort(key, kind="stable")
@@ -487,7 +465,7 @@ def _scores(chunk: _Chunk, group: np.ndarray, last):
     if last is not None:
         entries = tuple(np.concatenate(x) for x in zip(last[0], entries))
     at, matrix, level, group = entries  # in (point, matrix, level) order
-    points = len(chunk) + skip
+    points = chunk.c.size + skip
     stack = np.searchsorted(first, matrix, side="right") - 1
     depth = np.zeros(len(first) - 1, dtype=np.intp)
     np.maximum.at(depth, stack, level + 1)
@@ -606,7 +584,7 @@ def _ground_mask(low: np.ndarray, top: np.ndarray) -> np.ndarray:
 
 def _grid_ground_blocks(system: SpinSystem, J: float, cs):
     """For each c of ``cs``: the lowest and highest eigenvalue of each stacked
-    matrix, as a (points, 2, matrices) array in the form of ``Spectrum.extremes``,
+    matrix, as a (points, 2, matrices) array in the form of ``_Chunk.extremes``,
     and the set of ground matrices of ``_ground_mask``, the range being that of
     the whole spectrum.  One ``_extremes`` call on every matrix at every c."""
     blocks, cs = _momentum_blocks(system), _checked_cs(J, cs)
@@ -653,7 +631,7 @@ def _refine_crossing(system, J, brackets) -> list:
     """Bisect each bracket ``(c_lo, c_hi, ends)`` of ``brackets`` on the set of
     ground (Sz, k) blocks until its change lies within CROSSING_WIDTH.  Returns,
     bracket by bracket, ``(c_lo, c_hi, min_gap)``, or None when no change of that
-    set is found.  ``ends`` holds ``Spectrum.extremes`` at c_lo and at c_hi, as
+    set is found.  ``ends`` holds ``_Chunk.extremes`` at c_lo and at c_hi, as
     the tracker's grid pass or ``n4``'s region scan has them.  A grid pass's
     extremes come from ``eigh`` and may differ from ``eigvalsh``'s in the last
     bits, which changes an end's ground set only if a block's lowest eigenvalue
@@ -801,33 +779,29 @@ def track_levels(system: SpinSystem, J: float, c_grid, n_levels: int = 4) -> Lev
     c_grid = _check_grid(c_grid)
     if n_levels < 2:
         raise DomainError("n_levels must be >= 2")
-    return _track(system, J, c_grid, n_levels, _grid_chunks(system, J, c_grid))
+    return _track(system, J, n_levels, _grid_chunks(system, J, c_grid))
 
 
-def _track(system: SpinSystem, J: float, c_grid: np.ndarray, n_levels: int,
-           chunks) -> LevelTrack:
-    """The loop of ``track_levels``.  ``chunks`` yields ``_Chunk``s with one
-    spectrum per grid point, in grid order; the tracker makes no other solve, and
-    keeps of a chunk only its last point's low block columns.  After the grid
-    pass, one ``_refine_crossing`` call bisects every interval where the ground
-    label changed, its ends' block eigenvalues taken from the ``extremes`` of
-    those spectra."""
+def _track(system: SpinSystem, J: float, n_levels: int, chunks) -> LevelTrack:
+    """The loop of ``track_levels``.  ``chunks`` yields the ``_Chunk``s of the
+    grid, in grid order, each carrying its c values; the tracker makes no other
+    solve, and keeps of a chunk only its ``extremes`` and its last point's low
+    block columns.  After the grid pass, one ``_refine_crossing`` call bisects
+    every interval where the ground label changed, its ends' block eigenvalues
+    taken from those ``extremes``."""
     tracked: dict[int, list] = {}
     brackets, changes = [], []  # per ground label change: (c_lo, c_hi, ends), (from, to)
     flagged: list[tuple[float, float]] = []
 
-    cs, last, labels = iter(c_grid.tolist()), None, []
-    prev_c = prev_extremes = None
+    last, labels, prev_c, prev_extremes = None, [], None, None
     for chunk in chunks:
-        group, energies = _low_groups(np.stack([spec.eigenvalues for spec in chunk.spectra]),
-                                      n_levels)
+        group, energies = _low_groups(chunk.eigenvalues, n_levels)
         scores, last = _scores(chunk, group, last)
-        extremes = [spec.extremes for spec in chunk.spectra]
+        cs, extremes = chunk.c.tolist(), chunk.extremes
         del chunk  # unbound before the next chunk is solved
         energies = iter(energies)
-        for point_scores, n_groups, point_extremes in zip(scores, (group.max(axis=1) + 1).tolist(),
-                                                          extremes):
-            c = next(cs)
+        for c, point_scores, n_groups, point_extremes in zip(
+                cs, scores, (group.max(axis=1) + 1).tolist(), extremes):
             prev_labels, labels = labels, _match_groups(point_scores, n_groups, labels)
             for label in labels:
                 tracked.setdefault(label, []).append((c, next(energies)))

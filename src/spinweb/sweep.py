@@ -5,14 +5,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .entanglement import concurrence_symmetric, concurrence_wootters
 from .errors import DomainError
-from .spectral import _check_grid, _grid_chunks, _ground_bound, ground_subspace, solve_grid
+from .spectral import _check_grid, _grid_chunks, _ground_bound, ground_subspace
 from .states import QuantumState, TwoQubitRDM, fidelity, partial_trace, sz_blocked
 from .system import SpinSystem
 
@@ -233,17 +233,17 @@ class ReferenceSet:
 
 def make_references(config: SweepConfig) -> ReferenceSet:
     """The reference densities of ``config.references``; the ring (c = 0 or
-    ``ring_eps``) and star (c = 1) grounds come from one ``solve_grid`` pass."""
+    ``ring_eps``) and star (c = 1) grounds come from one ``_grid_chunks`` pass."""
     system = SpinSystem(config.n_outer, has_central=True)
     refs = config.references
     ring_c = config.ring_eps if "ring_eps" in refs else 0.0 if "ring" in refs else None
     star_c = 1.0 if "star" in refs else None
-    points = solve_grid(system, config.J, [c for c in (ring_c, star_c) if c is not None])
-
-    def ground_density(c):
-        return None if c is None else ground_subspace(next(points)).density
-
-    ring, star = ground_density(ring_c), ground_density(star_c)
+    grounds = {}  # c -> ground density; equal c values share one
+    for chunk in _grid_chunks(system, config.J, [c for c in (ring_c, star_c) if c is not None]):
+        grounds.update((c, ground_subspace(chunk.spectrum(i)).density)
+                       for i, c in enumerate(chunk.c.tolist()))
+        del chunk  # unbound before the next chunk is solved
+    ring, star = grounds.get(ring_c), grounds.get(star_c)
     ansatz_n = config.n_outer if "singlet_ansatz" in refs else None
     return ReferenceSet(ring=ring, star=star, ansatz_n_outer=ansatz_n)
 
@@ -363,15 +363,14 @@ def _overlaps(refs: ReferenceSet, factors: np.ndarray, deg: np.ndarray):
     return o_r, o_s, o_p
 
 
-def _chunk_records(config: SweepConfig, refs: ReferenceSet, cs: list,
-                   chunk) -> list[SweepRecord]:
-    """The SweepRecords of the grid points ``cs`` from their solve chunk, all at
-    once: ``ground_subspace``'s degeneracy from the eigenvalue rows, one
+def _chunk_records(config: SweepConfig, refs: ReferenceSet, chunk) -> list[SweepRecord]:
+    """The SweepRecords of the grid points of a solve chunk, all at once:
+    ``ground_subspace``'s degeneracy from the chunk's eigenvalue rows, one
     zero-padded (points x dim x max-degeneracy) array of the ground factors
     B / sqrt(deg) from ``_Chunk.columns``, one batched RDM product per pair and
     ``_overlaps``."""
     system = SpinSystem(config.n_outer, has_central=True)
-    ev = np.stack([spec.eigenvalues for spec in chunk.spectra])
+    cs, ev = chunk.c.tolist(), chunk.eigenvalues
     deg = np.count_nonzero(ev <= _ground_bound(ev[..., :1], ev[..., -1:]), axis=1)
     factors = chunk.columns(deg) / np.sqrt(deg)[:, None, None]
     try:
@@ -396,13 +395,12 @@ def _recorded_chunks(config: SweepConfig, records: list):
     together by ``_chunk_records`` and appended to ``records`` before the chunk is
     handed out; the iterator keeps no chunk it handed out, so a consumer that
     unbinds each one holds one chunk and its ground factors at a time."""
-    refs, cs = make_references(config), iter(config.c_grid.tolist())
+    refs, system = make_references(config), SpinSystem(config.n_outer, has_central=True)
 
     def recorded(chunk):
-        records.extend(_chunk_records(config, refs, list(islice(cs, len(chunk))), chunk))
+        records.extend(_chunk_records(config, refs, chunk))
         return chunk
 
-    system = SpinSystem(config.n_outer, has_central=True)
     return map(recorded, _grid_chunks(system, config.J, config.c_grid))
 
 

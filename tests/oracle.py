@@ -1,9 +1,9 @@
 """The tests' oracles for ``spectral``.
 
-The total-Sz block solver is the oracle of the (Sz, k) solvers ``spectral.solve``
-and ``spectral.solve_grid``.  Each popcount sector's ring and star blocks are
-built from bit flips and diagonalized whole, and the eigenvectors are written
-into one dense dim x dim matrix; the result equals
+The total-Sz block solver is the oracle of the (Sz, k) solver: ``spectral.solve``
+and the chunks of ``spectral._grid_chunks``.  Each popcount sector's ring and
+star blocks are built from bit flips and diagonalized whole, and the
+eigenvectors are written into one dense dim x dim matrix; the result equals
 ``eigendecompose(build_combined(...))`` bit for bit.  ``momentum_blocks``
 builds the (Sz, k) blocks sector by sector and momentum by momentum, the
 reference of the one-pass ``spectral._momentum_blocks``.
@@ -16,7 +16,6 @@ public per-state functions, the reference of the batched record builder.
 pair observables) at any N, and ``star_energy`` the closed-form c = 1 ground energy.
 """
 
-from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, count
 
@@ -163,13 +162,15 @@ def bracket_ends(system: SpinSystem, J: float, c_lo: float, c_hi: float) -> np.n
 def sz_block_grid_chunks(system: SpinSystem, J: float, cs):
     """``sz_block_solve`` at each c of ``cs`` in turn, in the form of
     ``spectral._grid_chunks`` with one point per chunk: the dense spectrum is one
-    stack of one matrix.  Each spectrum carries the (Sz, k) blocks' extremes from
-    ``eigvalsh``, which the tracker's bisection reads and the Sz-block solve does
-    not give."""
+    stack of one matrix, which labels every level 0 and column j its level j.
+    Each chunk carries the (Sz, k) blocks' extremes from ``eigvalsh``, which the
+    tracker's bisection reads and the Sz-block solve does not give."""
     for c in np.asarray(cs, dtype=float).ravel().tolist():
-        extremes = spectral._grid_ground_blocks(system, J, [c])[0][0]
-        spec = replace(sz_block_solve(system, J, c), extremes=extremes)
-        yield spectral._Chunk([spec], [spec.vectors()[None, None]], np.array([0, 1]),
+        spec = sz_block_solve(system, J, c)
+        dim = spec.eigenvalues.size
+        yield spectral._Chunk(np.array([c]), spec.eigenvalues[None], np.zeros((1, dim), np.intp),
+                              np.arange(dim)[None], spectral._grid_ground_blocks(system, J, [c])[0],
+                              [spec.vectors()[None, None]], np.array([0, 1]),
                               lambda counts, spec=spec: spec.vectors(counts[0])[None])
 
 
@@ -230,12 +231,11 @@ def group_bounds(spec: spectral.Spectrum, n_levels: int) -> list[int]:
 
 
 def dense_groups(spec: spectral.Spectrum, n_levels: int):
-    """The groups of ``group_bounds`` as [(mean energy, dense basis, matrices)],
-    the bases formed by ``Spectrum.vectors``."""
+    """The groups of ``group_bounds`` as [(mean energy, dense basis)], the bases
+    formed by ``Spectrum.vectors``."""
     bounds = group_bounds(spec, n_levels)
     vecs = spec.vectors(bounds[-1])
-    return [(float(spec.eigenvalues[start:stop].mean()), vecs[:, start:stop],
-             frozenset(spec.blocks[start:stop].tolist()))
+    return [(float(spec.eigenvalues[start:stop].mean()), vecs[:, start:stop])
             for start, stop in zip(bounds, bounds[1:])]
 
 
@@ -245,12 +245,12 @@ TIE = 1e-12  # two scores this close are a tie that round-off may decide either 
 def all_pairs_match_groups(prev_labeled, groups):
     """Reference for ``spectral._match_groups``: the same greedy assignment, with
     an SVD of the dense overlap for every pair of groups, whatever their
-    matrices.  ``prev_labeled`` maps each previous label to its group's (basis,
-    matrices).  Returns the labels, and whether two scores above the threshold
+    matrices.  ``prev_labeled`` maps each previous label to its group's basis.
+    Returns the labels, and whether two scores above the threshold
     that compete for a group or a label lie within ``TIE``."""
     scores = []
-    for gi, (_, v, _) in enumerate(groups):
-        for label, (v_prev, _) in prev_labeled.items():
+    for gi, (_, v) in enumerate(groups):
+        for label, v_prev in prev_labeled.items():
             s = np.linalg.svd(v_prev.conj().T @ v, compute_uv=False)
             scores.append((float(s.max(initial=0.0)), gi, label))
     scores.sort(reverse=True)
@@ -272,25 +272,27 @@ def dense_track(system: SpinSystem, J: float, c_grid, n_levels: int):
     the matching met a tie."""
     tracked, crossings, flagged, ties = {}, [], [], []
     prev_labeled, prev_ground, prev_c, prev_extremes = {}, None, None, None
-    grid = np.asarray(c_grid, dtype=float)
-    for c, spec in zip(grid.tolist(), spectral.solve_grid(system, J, grid)):
+    points = ((c, chunk.spectrum(i), chunk.extremes[i])
+              for chunk in spectral._grid_chunks(system, J, c_grid)
+              for i, c in enumerate(chunk.c.tolist()))
+    for c, spec, extremes in points:
         groups = dense_groups(spec, n_levels)
         labels, tied = all_pairs_match_groups(prev_labeled, groups)
         if tied:
             ties.append(c)
-        for label, (energy, _, _) in zip(labels, groups):
+        for label, (energy, _) in zip(labels, groups):
             tracked.setdefault(label, []).append((c, energy))
         ground = labels[0]
         if prev_labeled and ground not in prev_labeled:
             flagged.append((prev_c, c))
         if prev_ground is not None and ground != prev_ground:
             refined, = spectral._refine_crossing(
-                system, J, [(prev_c, c, np.stack((prev_extremes, spec.extremes)))])
+                system, J, [(prev_c, c, np.stack((prev_extremes, extremes)))])
             if refined is not None:
                 lo, hi, gap = refined
                 crossings.append(spectral.Crossing(lo, hi, (prev_ground, ground), gap))
-        prev_labeled = {label: (v, blocks) for label, (_, v, blocks) in zip(labels, groups)}
-        prev_ground, prev_c, prev_extremes = ground, c, spec.extremes
+        prev_labeled = {label: v for label, (_, v) in zip(labels, groups)}
+        prev_ground, prev_c, prev_extremes = ground, c, extremes
     return spectral.LevelTrack(tracked, crossings, flagged), ties
 
 

@@ -26,10 +26,9 @@ def run_cli(*argv):
 
 
 def count_grid_solves(monkeypatch):
-    """The list of every c that reaches ``spectral._grid_chunks`` (``solve_grid``
-    and its one-point case ``solve`` solve through it), patched in each module that
-    binds it."""
-    from spinweb import spectral, sweep
+    """The list of every c that reaches ``spectral._grid_chunks`` (``solve``, its
+    one-point case, solves through it), patched in each module that binds it."""
+    from spinweb import cli, spectral, sweep
     solved = []
     original = spectral._grid_chunks
 
@@ -38,7 +37,7 @@ def count_grid_solves(monkeypatch):
         solved.extend(cs.tolist())
         return original(system, J, cs)
 
-    for module in (spectral, sweep):
+    for module in (cli, spectral, sweep):
         monkeypatch.setattr(module, "_grid_chunks", counted)
     return solved
 
@@ -237,12 +236,12 @@ def test_huge_grid_exits_4_before_allocating(monkeypatch, capsys, command):
 
 @pytest.mark.parametrize("command", ["sweep", "spectrum"])
 def test_grid_guard_charges_each_group_of_eight_levels(monkeypatch, capsys, command):
-    from spinweb import spectral, sweep
+    from spinweb import cli, spectral, sweep
 
     def refuse(*args, **kwargs):
         raise AssertionError("the grid reached the solver")
 
-    for module in (spectral, sweep):
+    for module in (cli, spectral, sweep):
         monkeypatch.setattr(module, "_grid_chunks", refuse)
     # 256 levels of N = 7 (dim 256) are 32 groups at 4 KiB a point: 8,191 steps
     # fit in 1 GiB; 8 levels or fewer keep the 262,143 steps of one group
@@ -366,8 +365,8 @@ def sweep_csv(tmp_path_factory):
 def test_sweep_csv_columns_and_values(sweep_csv, tmp_path):
     from spinweb import SpinSystem, SweepConfig, run_sweep, spectral
     # N = 8 on 41 points: the records of two solve chunks
-    assert len(next(spectral._grid_chunks(SpinSystem(8, has_central=True), 1.0,
-                                          np.linspace(0, 1, 41)))) < 41
+    assert next(spectral._grid_chunks(SpinSystem(8, has_central=True), 1.0,
+                                      np.linspace(0, 1, 41))).c.size < 41
     multi_chunk = tmp_path / "n8.csv"
     assert main(["sweep", "--n", "8", "--c-steps", "40", "--out", str(multi_chunk)]) == 0
     for out, n_outer, points in ((sweep_csv, 4, 11), (multi_chunk, 8, 41)):

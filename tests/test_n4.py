@@ -149,8 +149,7 @@ def test_detect_regions_are_pinned_and_need_no_solve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("region detection solved")
 
-    for module, name in ((spectral, "solve"), (spectral, "solve_grid"),
-                         (spectral, "_grid_chunks"), (n4, "solve")):
+    for module, name in ((spectral, "solve"), (spectral, "_grid_chunks"), (n4, "solve")):
         monkeypatch.setattr(module, name, refuse)
     n4.detect_regions.cache_clear()
     assert n4.detect_regions() == pinned

@@ -6,6 +6,7 @@ import json
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,6 +179,39 @@ def test_track_levels_validates_grid(monkeypatch):
     assert solved == []
 
 
+def test_an_empty_grid_still_checks_J():
+    s = SpinSystem(4, has_central=True)
+    for J in (np.nan, 1e101):
+        for run in (lambda: track_levels(s, J, []),
+                    lambda: run_sweep(SweepConfig(n_outer=4, J=J, c_grid=[]))):
+            with pytest.raises(DomainError, match="^J must be 0 or a normal float"):
+                run()
+
+
+def test_grid_check_names_the_first_bad_c():
+    s = SpinSystem(4, has_central=True)
+    for cs, named in (([0.5, 2.0, -1.0, np.nan], "2.0"), ([0.5, np.nan, 2.0], "nan"),
+                      ([-0.0, 1.0, -1e-300], "-1e-300")):
+        with pytest.raises(DomainError, match=rf"^c must lie in \[0,1\], got {named}$"):
+            next(spectral._grid_chunks(s, 1.0, cs))
+    # J is checked before any c
+    with pytest.raises(DomainError, match="^J must be"):
+        next(spectral._grid_chunks(s, np.inf, [2.0]))
+
+
+@pytest.mark.parametrize("c", [[0.2, 0.9], [], np.array([0.5])])
+def test_solve_takes_exactly_one_c(c):
+    with pytest.raises(DomainError, match="^solve takes one c, got"):
+        solve(SpinSystem(4, has_central=True), 1.0, c)
+
+
+def test_solve_takes_a_numpy_scalar_c():
+    s = SpinSystem(4, has_central=True)
+    want = solve(s, 1.0, 0.25).eigenvalues.tobytes()
+    for c in (np.float64(0.25), np.array(0.25)):
+        assert solve(s, 1.0, c).eigenvalues.tobytes() == want
+
+
 @pytest.mark.parametrize("n_outer", range(2, 10))
 def test_momentum_blocks_split_the_spectrum(n_outer):
     s = SpinSystem(n_outer, has_central=True)
@@ -249,7 +283,7 @@ def _refine_by_overlap(system, J, c_lo, c_hi, n_levels):
         return oracle.dense_groups(solve(system, J, c), n_levels)
 
     def labeled(labels, groups):
-        return {lab: (v, blocks) for lab, (_, v, blocks) in zip(labels, groups)}
+        return {lab: v for lab, (_, v) in zip(labels, groups)}
 
     groups = groups_at(c_lo)
     labeled_lo = labeled(range(len(groups)), groups)
@@ -259,7 +293,7 @@ def _refine_by_overlap(system, J, c_lo, c_hi, n_levels):
         c_mid = 0.5 * (c_lo + c_hi)
         groups = groups_at(c_mid)
         labels = oracle.all_pairs_match_groups(labeled_lo, groups)[0]
-        energies = {lab: e for lab, (e, _, _) in zip(labels, groups)}
+        energies = {lab: e for lab, (e, _) in zip(labels, groups)}
         if ground_lo in energies and ground_hi in energies:
             min_gap = min(min_gap, abs(energies[ground_lo] - energies[ground_hi]))
         if labels[0] == ground_lo:
@@ -422,7 +456,7 @@ def test_bisection_diagonalizes_few_blocks_per_midpoint(monkeypatch, n_outer, c_
         given_matrices.append(int(np.prod(a.shape[:-2])))
         return eigvalsh(a)
 
-    ends = np.stack([solve(s, 1.0, c).extremes for c in (c_lo, c_hi)])
+    ends = np.stack([next(spectral._grid_chunks(s, 1.0, [c])).extremes[0] for c in (c_lo, c_hi)])
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     # every block at both ends, as a bisection without a grid pass takes them
     full = oracle.bracket_ends(s, 1.0, c_lo, c_hi)
@@ -529,13 +563,15 @@ def test_extremes_kernel_agrees_on_a_grid_and_per_point(n_outer, J):
     assert mixed_top.tobytes() == top[point, picks].tobytes()
 
 
-def _held_levels(spec, n_levels):
-    """For each group of ``oracle.group_bounds``: matrix -> the levels it holds."""
-    bounds = oracle.group_bounds(spec, n_levels)
+def _held_levels(chunk, i, n_levels):
+    """For each group of ``oracle.group_bounds`` at point i of a chunk: matrix ->
+    the levels it holds."""
+    bounds = oracle.group_bounds(chunk.spectrum(i), n_levels)
     held = []
     for start, stop in zip(bounds, bounds[1:]):
         levels = {}
-        for m, level in zip(spec.blocks[start:stop].tolist(), spec.levels[start:stop].tolist()):
+        for m, level in zip(chunk.blocks[i, start:stop].tolist(),
+                            chunk.levels[i, start:stop].tolist()):
             levels.setdefault(m, set()).add(level)
         held.append(levels)
     return held
@@ -560,8 +596,9 @@ def test_level_matching_takes_an_svd_only_for_levels_degenerate_in_a_matrix(monk
     # one SVD per (pair of consecutive points, group pair, matrix both groups
     # hold) where a group holds two or more levels of that matrix
     expected, single, prev = [], 0, None
-    for spec in spectral.solve_grid(s, 1.0, grid):
-        held = _held_levels(spec, n_levels)
+    for chunk, i in ((chunk, i) for chunk in spectral._grid_chunks(s, 1.0, grid)
+                     for i in range(chunk.c.size)):
+        held = _held_levels(chunk, i, n_levels)
         for now in held:
             for before in prev or []:
                 for m in now.keys() & before.keys():
@@ -586,18 +623,19 @@ def test_solve_labels_each_level_by_its_block():
     blocks = spectral._momentum_blocks(s)
     matrices = [(ring[b], star[b], 1 + np.iscomplexobj(ring))
                 for ring, star in blocks.stacks for b in range(ring.shape[0])]
-    spec = solve(s, 0.7, 0.3)
-    v = spec.vectors()
+    chunk = next(spectral._grid_chunks(s, 0.7, [0.3]))
+    ev, labels, extremes, v = (chunk.eigenvalues[0], chunk.blocks[0], chunk.extremes[0],
+                               chunk.spectrum(0).vectors())
     for m, (ring, star, copies) in enumerate(matrices):
-        cols = np.flatnonzero(spec.blocks == m)
+        cols = np.flatnonzero(labels == m)
         expected = np.repeat(np.linalg.eigvalsh(0.7 * (0.3 * star + 0.7 * ring)), copies)
-        np.testing.assert_allclose(spec.eigenvalues[cols], expected, rtol=0, atol=1e-12)
-        others = v[:, spec.blocks != m]
+        np.testing.assert_allclose(ev[cols], expected, rtol=0, atol=1e-12)
+        others = v[:, labels != m]
         assert np.abs(v[:, cols].T @ others).max() <= 1e-12
         # the extremes are the label's first and last eigenvalue, bit for bit
-        assert spec.extremes[:, m].tolist() == spec.eigenvalues[cols[[0, -1]]].tolist()
-    assert spec.extremes.shape == (2, len(matrices))
-    np.testing.assert_array_equal(oracle.sz_block_solve(s, 0.7, 0.3).blocks, 0)
+        assert extremes[:, m].tolist() == ev[cols[[0, -1]]].tolist()
+    assert extremes.shape == (2, len(matrices))
+    np.testing.assert_array_equal(next(oracle.sz_block_grid_chunks(s, 0.7, [0.3])).blocks, 0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -659,12 +697,20 @@ def test_solve_grid_equals_one_point_solve(n_outer, steps):
     if n_outer >= 8:  # the grid spans several chunks
         assert spectral.GRID_CHUNK_BYTES // per_point < grid.size
     for J in (1.0, 0.7):
-        points = spectral.solve_grid(s, J, grid)
-        for c in grid.tolist():
-            spec, one = next(points), solve(s, J, c)
-            np.testing.assert_array_equal(spec.eigenvalues, one.eigenvalues)
-            np.testing.assert_array_equal(spec.vectors(8), one.vectors(8))
-        assert next(points, None) is None
+        solved = []
+        for chunk in spectral._grid_chunks(s, J, grid):
+            for i, c in enumerate(chunk.c.tolist()):
+                one = next(spectral._grid_chunks(s, J, [c]))
+                for name in ("c", "eigenvalues", "blocks", "levels", "extremes"):
+                    assert getattr(chunk, name)[i].tobytes() == getattr(one, name)[0].tobytes()
+                for u, u_one in zip(chunk.vectors, one.vectors, strict=True):
+                    assert u[i].tobytes() == u_one[0].tobytes()
+                assert chunk.first.tobytes() == one.first.tobytes()
+                spec, one_spec = chunk.spectrum(i), solve(s, J, c)
+                assert spec.eigenvalues.tobytes() == one_spec.eigenvalues.tobytes()
+                assert spec.vectors(8).tobytes() == one_spec.vectors(8).tobytes()
+                solved.append(c)
+        assert solved == grid.tolist()
 
 
 def test_n12_sweep_holds_no_more_than_one_point(tmp_path):
@@ -682,20 +728,39 @@ def test_n12_sweep_holds_no_more_than_one_point(tmp_path):
     assert peak <= 9 * 2**20
 
 
-def test_grid_generators_keep_no_spectrum_they_handed_out():
+def test_grid_generators_keep_no_spectrum_they_handed_out(monkeypatch):
     system, grid = SpinSystem(3, has_central=True), np.linspace(0.0, 1.0, 5)
     config = SweepConfig(n_outer=3, c_grid=grid)
-    for points, take in ((spectral.solve_grid(system, 1.0, grid), lambda p: [next(p) for _ in grid]),
-                         (sweep._recorded_chunks(config, []), lambda p: next(p).spectra)):
-        spectra = take(points)
-        first = spectra[0].eigenvalues.base
-        assert len(spectra) == grid.size
-        assert all(spec.eigenvalues.base is first for spec in spectra)  # one chunk
-        chunk = weakref.ref(first)
-        del spectra, first
-        # the suspended iterator holds none of them, so no point outlives its consumer
-        assert chunk() is None
-        assert next(points, None) is None
+    for chunks in (spectral._grid_chunks(system, 1.0, grid), sweep._recorded_chunks(config, [])):
+        chunk = next(chunks)
+        assert chunk.c.size == grid.size  # one chunk
+        spec = chunk.spectrum(0)
+        dropped = weakref.ref(chunk)
+        del chunk
+        assert dropped() is not None  # a spectrum pins its chunk
+        del spec
+        # the suspended iterator holds no chunk, so no point outlives its consumer
+        assert dropped() is None
+        assert next(chunks, None) is None
+    # one point per chunk: the reference pass drops each chunk before it asks for
+    # the next, and keeps none once the references are made
+    monkeypatch.setattr(spectral, "GRID_CHUNK_BYTES", 1)
+    grid_chunks, handed = spectral._grid_chunks, []
+
+    def watched(system, J, cs):
+        chunks = grid_chunks(system, J, cs)
+        while True:
+            assert all(ref() is None for ref in handed)
+            box = [next(chunks, None)]
+            if box[0] is None:
+                return
+            handed.append(weakref.ref(box[0]))
+            yield box.pop()
+
+    monkeypatch.setattr(sweep, "_grid_chunks", watched)
+    refs = sweep.make_references(replace(config, references=("ring_eps", "star")))
+    assert refs.ring is not None and refs.star is not None
+    assert len(handed) == 2 and all(ref() is None for ref in handed)
 
 
 def _grid_run(n_outer):
@@ -704,7 +769,7 @@ def _grid_run(n_outer):
     system = SpinSystem(n_outer, has_central=True)
     records = []
     chunks = sweep._recorded_chunks(config, records)
-    track = spectral._track(system, config.J, config.c_grid, config.n_levels, chunks)
+    track = spectral._track(system, config.J, config.n_levels, chunks)
     return records, track.crossings
 
 

@@ -130,8 +130,9 @@ def test_chunk_records_equal_the_per_point_reference(n_outer):
         for references in (("ring", "star"), ("ring_eps",), ("singlet_ansatz",)):
             config = SweepConfig(n_outer=n_outer, J=J, c_grid=grid, references=references)
             refs = make_references(config)
-            points = spectral.solve_grid(system, J, grid)
-            for got, c in zip(run_sweep(config), grid.tolist()):
+            points = (chunk.spectrum(i) for chunk in spectral._grid_chunks(system, J, grid)
+                      for i in range(chunk.c.size))
+            for got, c in zip(run_sweep(config), grid.tolist(), strict=True):
                 want = oracle.record(config, system, refs, c, next(points))
                 assert got.c == want.c
                 assert got.ground_degeneracy == want.ground_degeneracy, c

@@ -56,6 +56,8 @@ def _cases():
         ("sweep-n4-default-grid", ["sweep", "--n", "4"]),
         ("sweep-n10", ["sweep", "--n", "10", "--c-steps", "8"]),
         ("spectrum-n10", ["spectrum", "--n", "10", "--c-steps", "8"]),
+        # --levels 1 reads the lowest eigenvalue of nine one-point chunks
+        ("spectrum-n10-levels-1", ["spectrum", "--n", "10", "--c-steps", "8", "--levels", "1"]),
         ("sweep-out-csv", [*sweep4, "--out", "out.csv"]),
         ("sweep-out-json", [*sweep4, "--format", "json", "--out", "out.json"]),
         ("spectrum-out-csv", [*spectrum4, "--format", "csv", "--out", "out.csv"]),
@@ -66,6 +68,8 @@ def _cases():
         ("sweep-ansatz-json", [*sweep4, "--refs", "ansatz", "--format", "json"]),
         ("sweep-ring-eps", [*sweep4, "--refs", "ring-eps=0.05,star"]),
         ("sweep-ring-eps-default", [*sweep4, "--refs", "ring-eps"]),
+        # both references at c = 1: one reference pass with two equal c values
+        ("sweep-ring-eps-1", [*sweep4, "--refs", "ring-eps=1,star"]),
         ("sweep-no-refs", [*sweep4, "--refs", ""]),
         ("sweep-pairs", [*sweep4, "--pairs", "1:3,2:4"]),
         ("sweep-pairs-nn", [*sweep4, "--pairs", "nn,1:3", "--format", "json"]),
