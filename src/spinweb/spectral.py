@@ -20,7 +20,6 @@ OVERLAP_THRESHOLD = 0.5
 CROSSING_WIDTH = 1e-6  # bisection stops once a crossing lies in an interval this wide
 GRID_CHUNK_BYTES = 1 << 20  # eigenvectors one chunk of ``_grid_chunks`` holds (>= 1 point)
 CHORD_MARGIN = 1e-11  # round-off allowance of the bisection's chord bounds, relative to |H|
-FIRST_ROUND = 6  # midpoints a bracket predicts in its first bisection round
 
 
 @dataclass(frozen=True)
@@ -596,25 +595,26 @@ def _grid_ground_blocks(system: SpinSystem, J: float, cs):
     return extremes, [frozenset(matrices[start:stop]) for start, stop in zip([0, *cut], cut)]
 
 
-def _predicted_path(c_lo: float, c_hi: float, split: float, cap: float) -> list:
-    """The midpoints, at most ``cap``, that bisecting [c_lo, c_hi] visits if c_lo's
-    ground set holds below ``split`` and not above it, each paired with whether
-    it is predicted to keep that set."""
+def _halving_path(c_lo: float, c_hi: float, depth: int, k: int) -> list:
+    """The midpoints that bisecting [c_lo, c_hi] ``depth`` times passes on its way
+    to cell k of the 2**depth cells it can end in, then that cell's two ends: the
+    lattice point k, the cell's lower end, is bit for bit the float that
+    bisection holds there."""
     path = []
-    while c_hi - c_lo > CROSSING_WIDTH and len(path) < cap:
-        c_mid = 0.5 * (c_lo + c_hi)
-        path.append((c_mid, bool(c_mid < split)))
-        c_lo, c_hi = (c_mid, c_hi) if c_mid < split else (c_lo, c_mid)
-    return path
+    for bit in range(depth - 1, -1, -1):
+        path.append(0.5 * (c_lo + c_hi))
+        c_lo, c_hi = (path[-1], c_hi) if k >> bit & 1 else (c_lo, path[-1])
+    return [*path, c_lo, c_hi]
 
 
 def _midpoint_blocks(blocks: _Blocks, J: float, c: np.ndarray, seed: np.ndarray,
                      floor: np.ndarray, ceiling: np.ndarray):
-    """The lowest eigenvalue of each matrix (inf where not evaluated) and the
-    ground mask at each midpoint ``c[i]`` of a bisection round, from its seed
-    matrices ``seed[i]`` and its chord bounds ``floor[i]`` and ``ceiling[i]`` (each
-    points x matrices), by ``_refine_crossing``'s closure rule; each step of the
-    closure is one ``_extremes`` call on what it adds at every midpoint."""
+    """The lowest eigenvalue of each matrix (inf where not evaluated), the top of
+    the spectrum and the ground mask at each probe ``c[i]`` of a refinement
+    round, from its seed matrices ``seed[i]`` and its chord bounds ``floor[i]`` and
+    ``ceiling[i]`` (each points x matrices), by ``_refine_crossing``'s closure
+    rule; each step of the closure is one ``_extremes`` call on what it adds at
+    every probe."""
     low, top = np.full(floor.shape, np.inf), np.full(floor.shape, -np.inf)
     pick = seed.copy()
     pick[np.arange(c.size), ceiling.argmax(axis=1)] = True
@@ -624,71 +624,76 @@ def _midpoint_blocks(blocks: _Blocks, J: float, c: np.ndarray, seed: np.ndarray,
         e_top = top.max(axis=1, keepdims=True)
         bound = _ground_bound(low.min(axis=1, keepdims=True), e_top)
         pick = np.isinf(low) & ((floor <= bound) | (ceiling >= e_top))
-    return low, _ground_mask(low, top)
+    return low, e_top[:, 0], _ground_mask(low, top)
 
 
 def _refine_crossing(system, J, brackets) -> list:
-    """Bisect each bracket ``(c_lo, c_hi, ends)`` of ``brackets`` on the set of
-    ground (Sz, k) blocks until its change lies within CROSSING_WIDTH.  Returns,
-    bracket by bracket, ``(c_lo, c_hi, min_gap)``, or None when no change of that
-    set is found.  ``ends`` holds ``_Chunk.extremes`` at c_lo and at c_hi, as
-    the tracker's grid pass or ``n4``'s region scan has them.  A grid pass's
-    extremes come from ``eigh`` and may differ from ``eigvalsh``'s in the last
-    bits, which changes an end's ground set only if a block's lowest eigenvalue
-    lies within round-off of the degeneracy bound.
+    """Narrow each bracket ``(c_lo, c_hi, ends)`` of ``brackets`` to the cell, at
+    most CROSSING_WIDTH wide, in which bisecting it on the set of ground (Sz, k)
+    blocks ends.  Returns, bracket by bracket, ``(c_lo, c_hi, min_gap)``, or None
+    when no change of that set is found.  ``ends`` holds ``_Chunk.extremes`` at
+    c_lo and at c_hi, as the tracker's grid pass or ``n4``'s region scan has
+    them.  A grid pass's extremes come from ``eigh`` and may differ from
+    ``eigvalsh``'s in the last bits, which changes an end's ground set only if a
+    block's lowest eigenvalue lies within round-off of the degeneracy bound.
 
     Levels in different blocks cross without repelling, so a ground change is a
     change of the set of ground blocks, and each step reads only block
-    eigenvalues: c_lo moves to the midpoint exactly when the midpoint's set is
-    c_lo's, else c_hi does.  The sets hold matrix numbers, a complex matrix
-    standing for k and -k together.  When both ends have the same set, the first
-    midpoint with a different set takes the place of c_hi's; if no midpoint
-    differs, there is no crossing.  ``min_gap`` is the least |E_a - E_b| over
-    the midpoints (over the one midpoint of an interval already narrower than
-    CROSSING_WIDTH), E the lowest eigenvalue of a matrix, with a the
-    lowest-numbered matrix that leaves the ground set (else the lowest at c_lo)
-    and b the lowest-numbered that enters it (else the lowest of the other set).
+    eigenvalues: c_lo moves to a probe exactly when the probe's set is c_lo's,
+    else c_hi does.  The sets hold matrix numbers, a complex matrix standing for
+    k and -k together.  Bisection halves a bracket ``depth`` times, by its own
+    stop test; the ends of the 2**depth cells it can end in are the bracket's
+    lattice, each point the float bisection holds there (``_halving_path``).
+    Every probe is a lattice point, so the cell left between adjacent ends is
+    bisection's wherever the points that keep c_lo's set form an interval at the
+    bracket's bottom.  While both ends have the same set the probe is the
+    lattice midpoint, bisection's own, and the first probe with another set
+    takes the place of c_hi's; if none differs, there is no crossing.  Then,
+    with a the lowest-numbered matrix that leaves the ground set (else the
+    lowest at c_lo) and b the lowest-numbered that enters it (else the lowest of
+    the other set), the probe is the regula falsi point, rounded, of a margin g
+    that is positive on c_lo's side: E_b - E_a, E the lowest eigenvalue of a
+    matrix, less the degeneracy tolerance of top - E_a when b enters, else plus
+    that of top - E_b.  When one end moves twice in a row, the other end's g is
+    halved (Illinois: Dowell and Jarratt, BIT 11, 168 (1971)).  The probe is the
+    lattice midpoint instead where g does not change sign across the ends, or
+    when the last two probes did not halve the bracket.  ``min_gap`` is the
+    least |E_a - E_b| over bisection's midpoints, those on the halving path to
+    the cell (the one midpoint of a bracket already narrower than
+    CROSSING_WIDTH), read for every bracket in one ``_extremes`` call on a and b.
 
     For the pencil J (c S + (1 - c) R) a block's lowest eigenvalue is a minimum
     of functions affine in c, so concave, and its highest is convex: inside the
     bracket the chord between its original ends bounds the lowest from below and
     the highest from above.  ``margin`` widens both bounds by round-off:
     CHORD_MARGIN times the largest |eigenvalue| at the ends (at least 1), which
-    bounds |H| over the bracket.  No block is diagonalized at the ends.  A
-    midpoint diagonalizes the blocks of both ends' ground sets and the one with
-    the highest top chord, then every block whose lowest chord, less the margin,
-    is within the ground bound of the evaluated minimum, or whose top chord, plus
+    bounds |H| over the bracket.  No block is diagonalized at the ends.  A probe
+    diagonalizes the blocks of both ends' ground sets and the one with the
+    highest top chord, then every block whose lowest chord, less the margin, is
+    within the ground bound of the evaluated minimum, or whose top chord, plus
     the margin, reaches the evaluated top, until none is: no other block holds
-    the minimum, the top or a ground level.  Blocks a and b are added at the
-    midpoints that skipped them, for all brackets in one ``_extremes`` call.
-
-    The brackets are bisected together, in rounds, each along its predicted
-    path.  A bracket whose ends share a set predicts that every midpoint keeps
-    it; else it predicts that c_lo's set holds up to the secant zero of E_a - E_b
-    through the points nearest its current ends that have both.  Its path is
-    the midpoints these predictions visit, at most ``FIRST_ROUND`` in the first
-    round, as a secant across a whole grid step is poor.  The midpoints of every
-    path are evaluated together (``_midpoint_blocks``), and each bracket reads
-    its decisions in path order up to the first that its prediction missed; the
-    midpoints after that one are dropped, and the next round predicts again.  A
-    prediction thus chooses only which midpoints are evaluated ahead.  LAPACK
-    factors each matrix of a batch as it would factor it alone, so every
-    midpoint, eigenvalue read, set, c_lo, c_hi and ``min_gap`` equals that of
-    bisecting each bracket alone with every block diagonalized at every midpoint.
+    the minimum, the top or a ground level.  Each round takes one probe of every
+    open bracket, all in one closure pass (``_midpoint_blocks``).  LAPACK factors
+    each matrix of a batch as it would factor it alone, so every eigenvalue
+    read, set, c_lo, c_hi and ``min_gap`` equals that of bisecting each bracket
+    alone with every block diagonalized at every midpoint.
     """
     blocks = _momentum_blocks(system)
-    n_matrices = int(blocks.first[-1])
-    ends = np.array([e for _, _, e in brackets], dtype=float).reshape(-1, 2, 2, n_matrices)
-    lo, hi = [c for c, _, _ in brackets], [c for _, c, _ in brackets]
-    c0, c1 = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    width = c1 - c0  # the chords stay anchored at the brackets' original ends
+    ends = np.array([e for _, _, e in brackets], dtype=float).reshape(-1, 2, 2, blocks.first[-1])
+    lo_hi = [(float(lo), float(hi)) for lo, hi, _ in brackets]
+    c0, c1 = np.array(lo_hi).reshape(-1, 2).T  # the chords stay anchored at these ends
     (low0, top0), (low1, top1) = ends.transpose(1, 2, 0, 3)  # each (brackets, matrices)
     margin = CHORD_MARGIN * np.maximum(1.0, np.abs(ends).max(axis=(1, 2, 3)))
-    rise_low, rise_top = low1 - low0, top1 - top0  # each chord's rise over its bracket
-    grounds = _ground_mask(ends[:, :, 0], ends[:, :, 1])
-    ground_lo, ground_hi = grounds[:, 0], grounds[:, 1].copy()
-    # per bracket: (midpoint, lowest eigenvalue of each matrix, inf if not evaluated)
-    visited = [[] for _ in brackets]
+    ground_lo, ground_hi = _ground_mask(ends[:, :, 0], ends[:, :, 1]).swapaxes(0, 1).copy()
+    depth, upper = np.zeros(len(brackets), dtype=int), c1.copy()  # halvings bisection makes
+    while (wide := upper - c0 > CROSSING_WIDTH).any():
+        upper[wide], depth[wide] = 0.5 * (c0 + upper)[wide], depth[wide] + 1
+    # per bracket and end: [lattice point, Illinois weight, lowest eigenvalue of
+    # each matrix (inf if not evaluated), top]; the end that moved last; the span
+    # at each probe, after two spans that never force a midpoint
+    side = [[[0, 1.0, low0[i], top0[i].max()], [1 << depth[i], 1.0, low1[i], top1[i].max()]]
+            for i in range(len(brackets))]
+    moved, spans = [None] * len(brackets), [[np.inf, np.inf] for _ in brackets]
 
     def pair(i: int):  # matrices a and b of bracket i, whose ends' sets differ
         leaves, enters = ground_lo[i] & ~ground_hi[i], ground_hi[i] & ~ground_lo[i]
@@ -697,59 +702,45 @@ def _refine_crossing(system, J, brackets) -> list:
 
     pairs = {i: pair(i) for i in range(len(brackets)) if (ground_lo[i] != ground_hi[i]).any()}
 
-    def split(i: int) -> float:  # where bracket i's prediction leaves c_lo's set
-        if i not in pairs:
-            return np.inf
+    def g(i: int, low: np.ndarray, top: float) -> float:  # > 0 on c_lo's side
         a, b = pairs[i]
-        known = [(c, low[a] - low[b]) for c, low in
-                 [(c0[i], low0[i]), *visited[i], (c1[i], low1[i])]
-                 if max(low[a], low[b]) < np.inf]
-        (cl, dl) = max(x for x in known if x[0] <= lo[i])
-        (ch, dh) = min(x for x in known if x[0] >= hi[i])
-        return cl + (ch - cl) * dl / (dl - dh) if dl != dh else 0.5 * (lo[i] + hi[i])
+        if ground_hi[i, b] > ground_lo[i, b]:  # b enters the ground set
+            return low[b] - low[a] - _degeneracy_tol(top - low[a])
+        return low[b] - low[a] + _degeneracy_tol(top - low[b])
 
-    cap = FIRST_ROUND
-    while True:
-        paths = [_predicted_path(lo[i], hi[i], split(i), cap) for i in range(len(brackets))]
-        owner = np.repeat(np.arange(len(paths)), [len(path) for path in paths])
-        if not owner.size:
-            break
-        c = np.array([c_mid for path in paths for c_mid, _ in path])
-        t = ((c - c0[owner]) / width[owner])[:, None]
-        low, ground = _midpoint_blocks(
+    def probe(i: int) -> int:  # the lattice point bracket i evaluates next
+        (lo, w_lo, *at_lo), (hi, w_hi, *at_hi) = side[i]
+        spans[i].append(hi - lo)
+        if i in pairs and 2 * spans[i][-1] <= spans[i][-3]:
+            g_lo, g_hi = w_lo * g(i, *at_lo), w_hi * g(i, *at_hi)
+            if 0 < g_lo < np.inf and g_hi < 0:
+                return min(max(lo + round((hi - lo) * g_lo / (g_lo - g_hi)), lo + 1), hi - 1)
+        return (lo + hi) // 2
+
+    while todo := [i for i in range(len(brackets)) if side[i][1][0] - side[i][0][0] > 1]:
+        probes, owner = [probe(i) for i in todo], np.array(todo)
+        c = np.array([_halving_path(*lo_hi[i], depth[i], p)[-2] for i, p in zip(todo, probes)])
+        t = ((c - c0[owner]) / (c1 - c0)[owner])[:, None]
+        low, top, ground = _midpoint_blocks(
             blocks, J, c, ground_lo[owner] | ground_hi[owner],
-            low0[owner] + t * rise_low[owner] - margin[owner, None],
-            top0[owner] + t * rise_top[owner] + margin[owner, None])
-        keeps = (ground == ground_lo[owner]).all(axis=1).tolist()
-        row = 0
-        for i, path in enumerate(paths):
-            for r, (c_mid, predicted) in enumerate(path, row):
-                visited[i].append((c_mid, low[r]))
-                if keeps[r]:
-                    lo[i] = c_mid
-                else:
-                    if i not in pairs:
-                        ground_hi[i] = ground[r]
-                        pairs[i] = pair(i)
-                    hi[i] = c_mid
-                if keeps[r] != predicted:
-                    break
-            row += len(path)
-        cap = np.inf
+            low0[owner] + t * (low1 - low0)[owner] - margin[owner, None],
+            top0[owner] + t * (top1 - top0)[owner] + margin[owner, None])
+        changed = (ground != ground_lo[owner]).any(axis=1).tolist()  # c_hi's end moves
+        for r, (i, p, end) in enumerate(zip(todo, probes, changed)):
+            if end and i not in pairs:
+                ground_hi[i] = ground[r]
+                pairs[i] = pair(i)
+            if moved[i] == end:  # Illinois: the end that stayed weighs half
+                side[i][1 - end][1] *= 0.5
+            moved[i], side[i][end] = end, [p, 1.0, low[r], top[r]]
 
-    for i in pairs:
-        if not visited[i]:
-            visited[i].append((0.5 * (lo[i] + hi[i]), np.full(n_matrices, np.inf)))
-    missing = [(low, m, c_mid) for i, ab in pairs.items() for c_mid, low in visited[i]
-               for m in ab if low[m] == np.inf]
-    values = _extremes(blocks, J, np.array([c_mid for _, _, c_mid in missing]),
-                       np.array([m for _, m, _ in missing], dtype=np.intp))[0]
-    for (low, m, _), value in zip(missing, values.tolist()):
-        low[m] = value
-    results: list = [None] * len(brackets)
-    for i, (a, b) in pairs.items():
-        results[i] = lo[i], hi[i], float(min(abs(low[a] - low[b]) for _, low in visited[i]))
-    return results
+    cells = {i: _halving_path(*lo_hi[i], depth[i], side[i][0][0]) for i in pairs}
+    mids = [(i, c) for i, cell in cells.items() for c in cell[:-2] or [0.5 * sum(cell)]]
+    low = _extremes(blocks, J, np.repeat([c for _, c in mids], 2),
+                    np.array([pairs[i] for i, _ in mids], dtype=np.intp).ravel())[0]
+    gaps = np.full(len(brackets), np.inf)
+    np.minimum.at(gaps, [i for i, _ in mids], np.abs(low[::2] - low[1::2]))
+    return [(*cells[i][-2:], float(gaps[i])) if i in pairs else None for i in range(len(brackets))]
 
 
 def _check_grid(c_grid) -> np.ndarray:

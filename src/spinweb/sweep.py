@@ -233,13 +233,14 @@ class ReferenceSet:
 
 def make_references(config: SweepConfig) -> ReferenceSet:
     """The reference densities of ``config.references``; the ring (c = 0 or
-    ``ring_eps``) and star (c = 1) grounds come from one ``_grid_chunks`` pass."""
+    ``ring_eps``) and star (c = 1) grounds come from one ``_grid_chunks`` pass,
+    which solves each distinct c once."""
     system = SpinSystem(config.n_outer, has_central=True)
     refs = config.references
     ring_c = config.ring_eps if "ring_eps" in refs else 0.0 if "ring" in refs else None
     star_c = 1.0 if "star" in refs else None
     grounds = {}  # c -> ground density; equal c values share one
-    for chunk in _grid_chunks(system, config.J, [c for c in (ring_c, star_c) if c is not None]):
+    for chunk in _grid_chunks(system, config.J, sorted({ring_c, star_c} - {None})):
         grounds.update((c, ground_subspace(chunk.spectrum(i)).density)
                        for i, c in enumerate(chunk.c.tolist()))
         del chunk  # unbound before the next chunk is solved

@@ -13,7 +13,8 @@ every pair of groups (``all_pairs_match_groups``); ``bracket_ends`` gives a
 bisection that has no grid pass its ends.  ``record`` builds one sweep record from the
 public per-state functions, the reference of the batched record builder.
 ``free_fermion_ring`` is the exact c = 0 ground level (energy, degeneracy and
-pair observables) at any N, and ``star_energy`` the closed-form c = 1 ground energy.
+pair observables) at any N, ``star_energy`` the closed-form c = 1 ground energy,
+and ``star_slope`` the closed-form slope dE0/dc there.
 """
 
 from functools import lru_cache
@@ -374,3 +375,15 @@ def star_energy(n_outer, J):
     S = n_outer / 2
     m = np.arange(-S, S)
     return float(-2.0 * J * np.sqrt(S * (S + 1) - m * (m + 1)).max())
+
+
+def star_slope(n_outer):
+    """The ground energy's slope dE0/dc at c = 1 from below, J = 1.  H_star commutes
+    with the outer ring's total spin S, and its ground lies in the multiplet
+    S = N/2, whose Dicke states give every outer pair the same <s+_i s-_j>: the
+    ring does not split the star's ground level at first order, and
+    Hellmann-Feynman gives E_star - <H_ring>, which is E_star - (N^2 - 2)/(N - 1)
+    for even N and -2(N + 1) for odd N."""
+    if n_outer % 2:
+        return -2.0 * (n_outer + 1)
+    return star_energy(n_outer, 1.0) - (n_outer ** 2 - 2) / (n_outer - 1)

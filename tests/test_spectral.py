@@ -474,24 +474,32 @@ def test_bisection_diagonalizes_few_blocks_per_midpoint(monkeypatch, n_outer, c_
     assert refined == oracle.full_refine_crossing(s, 1.0, c_lo, c_hi)
 
 
-def test_bisection_wastes_at_most_one_midpoint_per_bracket(monkeypatch, tmp_path):
+def test_refinement_probes_few_points_and_reads_min_gap_at_the_midpoints(monkeypatch,
+                                                                         tmp_path):
     """The brackets of perfbench's paper-small commands and sweep-n8's N = 8
-    bracket [0.25, 0.5]: each call evaluates every midpoint that bisecting a
-    bracket alone visits, and at most one more per bracket (a midpoint past a
-    missed prediction)."""
-    extremes, refine, given, calls = spectral._extremes, spectral._refine_crossing, [], []
+    bracket [0.25, 0.5]: each takes at most 5 closure probes, and the ``min_gap``
+    pass, the last ``_extremes`` call of a refinement, reads two matrices, a and
+    b, at every midpoint that bisecting the bracket alone visits."""
+    extremes, closure, refine = spectral._extremes, spectral._midpoint_blocks, \
+        spectral._refine_crossing
+    given, probed, calls = [], [], []
 
     def counted(blocks, J, c, picks):
-        given.extend(c.tolist())
+        given.append(list(zip(c.tolist(), picks.tolist())))
         return extremes(blocks, J, c, picks)
 
-    def recorded(system, J, brackets):  # with the c values its own _extremes calls got
-        start = len(given)
+    def probing(blocks, J, c, *args):
+        probed.extend(c.tolist())
+        return closure(blocks, J, c, *args)
+
+    def recorded(system, J, brackets):  # with its probes and its last _extremes call's reads
+        start = len(probed)
         refined = refine(system, J, brackets)
-        calls.append((system, J, brackets, set(given[start:])))
+        calls.append((system, J, brackets, refined, probed[start:], given[-1]))
         return refined
 
     monkeypatch.setattr(spectral, "_extremes", counted)
+    monkeypatch.setattr(spectral, "_midpoint_blocks", probing)
     monkeypatch.setattr(spectral, "_refine_crossing", recorded)
     monkeypatch.setattr(n4, "_refine_crossing", recorded)
     n4.detect_regions.cache_clear()
@@ -502,16 +510,45 @@ def test_bisection_wastes_at_most_one_midpoint_per_bracket(monkeypatch, tmp_path
                               ["sweep", "--n", "8", "--c-max", "0.5", "--c-steps", "2"])):
         assert main([*argv, "--out", str(tmp_path / f"{k}.out")]) == 0
     monkeypatch.undo()
-    wasted = []
-    for system, J, brackets, evaluated in calls:
-        for c_lo, c_hi, _ in brackets:
+    probes = []
+    for system, J, brackets, refined, probed_in_call, read in calls:
+        for (c_lo, c_hi, _), x in zip(brackets, refined, strict=True):
             visited = []
-            oracle.full_refine_crossing(system, J, c_lo, c_hi, visited)
-            inside = {c for c in evaluated if c_lo < c < c_hi}
-            assert set(visited) <= inside, (system.n_outer, c_lo, c_hi)
-            wasted.append(len(inside) - len(visited))
-    assert len(wasted) == 11 and max(wasted) <= 1, wasted
-    assert [len(brackets) for _, _, brackets, _ in calls] == [2, 3, 1, 2, 2, 1]
+            assert x == oracle.full_refine_crossing(system, J, c_lo, c_hi, visited)
+            probes.append(sum(c_lo < c < c_hi for c in probed_in_call))
+            inside = [(c, m) for c, m in read if c_lo < c < c_hi]
+            assert sorted({c for c, _ in inside}) == sorted(visited), (system.n_outer, c_lo)
+            assert len(inside) == 2 * len(visited) and len({m for _, m in inside}) == 2
+    assert len(probes) == 11 and max(probes) <= 5, probes
+    assert [len(brackets) for _, _, brackets, *_ in calls] == [2, 3, 1, 2, 2, 1]
+
+
+def _depth(c_lo: float, c_hi: float) -> int:
+    """The number of halvings bisection makes of [c_lo, c_hi], by its stop test."""
+    depth = 0
+    while c_hi - c_lo > spectral.CROSSING_WIDTH:
+        c_hi, depth = 0.5 * (c_lo + c_hi), depth + 1
+    return depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_outer=st.integers(2, 8), magnitude=st.floats(0.4, 2.3), sign=st.sampled_from([1, -1]),
+       width=st.floats(1e-6, 0.5), at=st.floats(0.0, 1.0))
+def test_refinement_probes_at_most_twice_per_halving(n_outer, magnitude, sign, width, at):
+    s = SpinSystem(n_outer, has_central=True)
+    J = sign * magnitude
+    lo = at * (1.0 - width)
+    hi = lo + width
+    closure, probed = spectral._midpoint_blocks, []
+
+    def probing(blocks, J, c, *args):
+        probed.extend(c.tolist())
+        return closure(blocks, J, c, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_midpoint_blocks", probing)
+        spectral._refine_crossing(s, J, [(lo, hi, oracle.bracket_ends(s, J, lo, hi))])
+    assert len(probed) <= 2 * _depth(lo, hi) + 2
 
 
 def test_bisection_ends_come_from_the_grid_pass(monkeypatch):
@@ -690,7 +727,7 @@ def test_sweep_then_tracking_builds_blocks_once():
 
 @pytest.mark.parametrize("n_outer, steps", [(n, 8) for n in range(2, 8)]
                          + [(8, 400), (9, 20), (10, 2)])
-def test_solve_grid_equals_one_point_solve(n_outer, steps):
+def test_chunk_arrays_equal_one_point_solve(n_outer, steps):
     s = SpinSystem(n_outer, has_central=True)
     grid = np.linspace(0.0, 1.0, steps + 1)
     per_point = sum(ring.nbytes for ring, _ in spectral._momentum_blocks(s).stacks)
@@ -819,6 +856,14 @@ def test_solve_meets_ring_and_star_closed_forms(n_outer, J):
     ring, star = oracle.free_fermion_ring(n_outer, J)[0], oracle.star_energy(n_outer, J)
     assert abs(solve(s, J, 0.0).eigenvalues[0] - ring) <= 1e-10
     assert abs(solve(s, J, 1.0).eigenvalues[0] - star) <= 1e-10
+
+
+@pytest.mark.parametrize("n_outer", range(3, 13))
+def test_ground_energy_slope_at_the_star_meets_its_closed_form(n_outer):
+    # second-order one-sided difference at c = 1, 1 - h and 1 - 2h
+    s, h = SpinSystem(n_outer, has_central=True), 1e-4
+    e0, e1, e2 = (solve(s, 1.0, c).eigenvalues[0] for c in (1.0, 1.0 - h, 1.0 - 2 * h))
+    assert abs((3 * e0 - 4 * e1 + e2) / (2 * h) - oracle.star_slope(n_outer)) <= 1e-6
 
 
 def test_n12_solve_and_ground_allocate_no_dense_matrix():

@@ -212,6 +212,21 @@ def test_overlap_kernel_equals_the_public_functions(rng, n_outer, references):
             assert got is None or abs(got[i] - value) <= 1e-12, (i, got[i], value)
 
 
+def test_references_at_one_c_are_solved_once(monkeypatch):
+    # ``--refs ring-eps=1,star``: both references are the c = 1 ground
+    solve_chunk, given = spectral._solve_chunk, []
+
+    def counted(blocks, J, c):
+        given.extend(c.tolist())
+        return solve_chunk(blocks, J, c)
+
+    monkeypatch.setattr(spectral, "_solve_chunk", counted)
+    refs = make_references(SweepConfig(n_outer=4, c_grid=[0.5], references=("ring_eps", "star"),
+                                       ring_eps=1.0))
+    assert given == [1.0]
+    assert refs.ring is refs.star
+
+
 @pytest.mark.parametrize("n_outer", range(2, 13))
 def test_star_endpoint_records_meet_the_closed_forms(n_outer):
     (r,) = run_sweep(SweepConfig(n_outer=n_outer, c_grid=[1.0], references=()))
